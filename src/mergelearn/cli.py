@@ -34,6 +34,10 @@ logger = logging.getLogger(__name__)
 KEYWORDS_ENV = "MERGELEARN_KEYWORDS"
 
 
+class _ConfigError(Exception):
+    """The environment names a configuration that cannot be used (exit 1)."""
+
+
 def _build_config(args) -> SynthConfig:
     kwargs = {}
     if getattr(args, "max_depth", None) is not None:
@@ -42,11 +46,16 @@ def _build_config(args) -> SynthConfig:
         kwargs["order_insensitive_includes"] = True
     keywords_path = os.environ.get(KEYWORDS_ENV)
     if keywords_path:
-        data = json.loads(Path(keywords_path).read_text(encoding="utf-8"))
-        if "fork" in data:
-            kwargs["fork_keywords"] = tuple(data["fork"])
-        if "main" in data:
-            kwargs["main_keywords"] = tuple(data["main"])
+        try:
+            data = json.loads(Path(keywords_path).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            raise _ConfigError(f"{KEYWORDS_ENV}: {exc}") from exc
+        for side in ("fork", "main"):
+            words = data.get(side, []) if isinstance(data, dict) else None
+            if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
+                raise _ConfigError(f"{KEYWORDS_ENV}: expected an object whose fork/main are arrays of strings")
+            if side in data:
+                kwargs[f"{side}_keywords"] = tuple(words)
     return SynthConfig(**kwargs)
 
 
@@ -85,9 +94,10 @@ def _program_file_json(entry, config: SynthConfig, spec_hash: str, rank_index: i
 
 
 def cmd_learn(args) -> int:
-    if args.top < 1:
-        print("error: --top must be at least 1", file=sys.stderr)
-        return 2
+    for flag, value in (("--top", args.top), ("--max-depth", args.max_depth)):
+        if value is not None and value < 1:
+            print(f"error: {flag} must be at least 1", file=sys.stderr)
+            return 2
     config = _build_config(args)
     spec_path = Path(args.examples)
     try:
@@ -245,7 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

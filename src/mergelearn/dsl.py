@@ -63,6 +63,8 @@ class Predicate:
     def __post_init__(self):
         if self.tag not in PREDICATE_TAGS:
             raise ValueError(f"unknown predicate tag {self.tag!r}")
+        if self.path is not None and not isinstance(self.path, str):
+            raise TypeError(f"path literal must be a string, got {type(self.path).__name__}")
         if (self.tag == "FrequentPattern") != (self.path is not None):
             raise ValueError("path literal is required exactly for FrequentPattern")
         if self.path == "":
@@ -99,6 +101,12 @@ class Selection:
             raise ValueError(f"{self.tag} takes a path literal only")
         if wants_key != (self.key is not None):
             raise ValueError(f"{self.tag} takes a key literal only")
+        if self.k is not None and (isinstance(self.k, bool) or not isinstance(self.k, int)):
+            raise TypeError(f"index literal must be an integer, got {type(self.k).__name__}")
+        for name in ("path", "key"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise TypeError(f"{name} literal must be a string, got {type(value).__name__}")
         if self.k is not None and self.k < 0:
             raise ValueError("selection index must be non-negative")
         if self.key is not None and self.key not in PREDICATE_TAGS:
@@ -508,81 +516,68 @@ def deserialize_program(text: str) -> Program:
 
 # --- features and scoring ---------------------------------------------------
 
-FEATURE_NAMES = (
-    "operators",
-    "constants",
-    "index_selections",
-    "pattern_selections",
-    "branch_selections",
-    "predicates",
-)
-
-
-def _selection_features(s: Selection, counts: dict) -> None:
-    if s.tag in ("Main", "Fork"):
-        counts["branch_selections"] += 1
-    elif s.tag in ("MainByIndex", "ForkByIndex"):
-        counts["index_selections"] += 1
-        counts["constants"] += 1
-    elif s.tag in ("MainByPath", "ForkByPath"):
-        counts["constants"] += 1
-    else:
-        counts["pattern_selections"] += 1
-        counts["_pattern_keys"].append(s.key)
-
-
-def _transformation_features(t: Transformation, counts: dict) -> None:
+def selections_in(t: Transformation) -> tuple[Selection, ...]:
+    """Every selection of a transformation, left to right."""
     if isinstance(t, Select):
-        _selection_features(t.selection, counts)
-    elif isinstance(t, Remove):
-        counts["operators"] += 1
-        _selection_features(t.source, counts)
-        _selection_features(t.removed, counts)
-    else:
-        counts["operators"] += 1
-        _transformation_features(t.left, counts)
-        _transformation_features(t.right, counts)
+        return (t.selection,)
+    if isinstance(t, Remove):
+        return (t.source, t.removed)
+    return selections_in(t.left) + selections_in(t.right)
 
 
 def program_features(obj: Program | Transformation) -> dict:
-    """Count the ranking features of a program or bare transformation."""
-    counts = {name: 0 for name in FEATURE_NAMES}
-    counts["_pattern_keys"] = []
-    if isinstance(obj, Program):
-        counts["predicates"] = len(obj.condition.predicates)
-        counts["constants"] += sum(1 for p in obj.condition.predicates if p.path is not None)
-        _transformation_features(obj.transformation, counts)
-    else:
-        _transformation_features(obj, counts)
-    counts.pop("_pattern_keys")
-    return counts
+    """Count the features of a program or bare transformation, for reports.
+
+    Ranking does not read these counts; ``program_score`` is the cost model.
+    """
+    t, predicates = (obj.transformation, obj.condition.predicates) if isinstance(obj, Program) else (obj, ())
+    sels = selections_in(t)
+    index = sum(s.tag in ("MainByIndex", "ForkByIndex") for s in sels)
+    paths = sum(s.tag in ("MainByPath", "ForkByPath") for s in sels) + sum(p.path is not None for p in predicates)
+    return {
+        # Every AST node of a transformation is an operator or a selection.
+        "operators": program_size(t) - len(sels),
+        "constants": index + paths,
+        "index_selections": index,
+        "pattern_selections": sum(s.tag == "Pattern" for s in sels),
+        "branch_selections": sum(s.tag in ("Main", "Fork") for s in sels),
+        "predicates": len(predicates),
+    }
 
 
-def program_score(obj: Program | Transformation, config: SynthConfig = DEFAULT_CONFIG) -> float:
-    """Weighted feature score; lower is better.
+def program_score(obj, config: SynthConfig = DEFAULT_CONFIG) -> float:
+    """The cost model; lower is better.
 
-    The pattern bonus is credited only for Pattern selections whose key
-    predicate appears in the condition (always credited on a bare
+    Additive over the AST, in the order the learner adds bottom-up, so a
+    learned score equals this one exactly: a selection costs its literals
+    and earns its generality; Remove is an operator plus its two
+    selections; Concat is its arms plus an operator; a condition costs its
+    path literals. A Pattern selection's bonus is credited on a program only
+    when its key predicate is in the condition (always on a bare
     transformation, where no condition exists yet).
     """
-    counts = {name: 0 for name in FEATURE_NAMES}
-    counts["_pattern_keys"] = []
     if isinstance(obj, Program):
-        counts["predicates"] = len(obj.condition.predicates)
-        counts["constants"] += sum(1 for p in obj.condition.predicates if p.path is not None)
-        _transformation_features(obj.transformation, counts)
         guard_tags = {p.tag for p in obj.condition.predicates}
-        credited = sum(1 for key in counts["_pattern_keys"] if key in guard_tags)
-    else:
-        _transformation_features(obj, counts)
-        credited = counts["pattern_selections"]
-    return (
-        config.w_operators * counts["operators"]
-        + config.w_constants * counts["constants"]
-        + config.w_index * counts["index_selections"]
-        - config.w_pattern * credited
-        - config.w_branch * counts["branch_selections"]
-    )
+        uncredited = sum(s.tag == "Pattern" and s.key not in guard_tags for s in selections_in(obj.transformation))
+        return (program_score(obj.transformation, config) + program_score(obj.condition, config)
+                + config.w_pattern * uncredited)
+    if isinstance(obj, Condition):
+        return config.w_constants * sum(1 for p in obj.predicates if p.path is not None)
+    if isinstance(obj, Concat):
+        return program_score(obj.left, config) + program_score(obj.right, config) + config.w_operators
+    if isinstance(obj, Remove):
+        return config.w_operators + program_score(obj.source, config) + program_score(obj.removed, config)
+    if isinstance(obj, Select):
+        return program_score(obj.selection, config)
+    if isinstance(obj, Selection):
+        if obj.tag in ("Main", "Fork"):
+            return -config.w_branch
+        if obj.tag in ("MainByIndex", "ForkByIndex"):
+            return config.w_constants + config.w_index
+        if obj.tag in ("MainByPath", "ForkByPath"):
+            return config.w_constants
+        return -config.w_pattern
+    raise TypeError(f"no score for {type(obj).__name__}")
 
 
 def struct_key(obj) -> tuple:
@@ -608,7 +603,9 @@ def struct_key(obj) -> tuple:
 def program_size(obj) -> int:
     """Number of AST nodes: operators, selections and predicates."""
     if isinstance(obj, Program):
-        return len(obj.condition.predicates) + program_size(obj.transformation)
+        return program_size(obj.condition) + program_size(obj.transformation)
+    if isinstance(obj, Condition):
+        return len(obj.predicates)
     if isinstance(obj, Concat):
         return 1 + program_size(obj.left) + program_size(obj.right)
     if isinstance(obj, Remove):

@@ -3,7 +3,9 @@
 Learning is top-down: each operator's inverse maps a desired output to the
 sub-outputs its arguments must produce, recursion bottoms out at selections,
 and per-example candidate sets are intersected so only programs consistent
-with every example survive. A weighted feature score ranks survivors.
+with every example survive. One additive score, ``dsl.program_score``,
+ranks candidates: the learner adds it up bottom-up, carries it through
+intersection and guard pairing, and ``rank`` computes the same number.
 
 Candidates are kept in a normal form: a Concat arm that evaluates to
 nothing may appear only once, as the right arm of the root. Anything else
@@ -16,6 +18,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import logging
+from collections import Counter
 from dataclasses import dataclass
 
 from .conflicts import ConflictInput, Node
@@ -39,6 +42,7 @@ from .dsl import (
     program_score,
     program_size,
     remove_nodes,
+    selections_in,
     struct_key,
 )
 
@@ -68,19 +72,44 @@ class ExampleSpec:
         return tuple(conflict for conflict, _ in self.cases)
 
 
+def _scored(obj, config: SynthConfig):
+    """A rank entry: ``(score, size, struct_key, obj)``; entries sort by their first three."""
+    return (program_score(obj, config), program_size(obj), struct_key(obj), obj)
+
+
+def _rank_key(entry):
+    return entry[:3]
+
+
 @dataclass(frozen=True)
 class ProgramSet:
-    """Transformations consistent with one spec, rank-ordered."""
+    """Transformations consistent with one spec, rank-ordered.
 
-    programs: tuple[Transformation, ...]
+    ``entries`` are the learner's ``(score, size, struct_key, transformation)``
+    tuples, best first, so later stages reuse them instead of recomputing.
+    """
+
+    entries: tuple[tuple, ...]
     truncated: bool = False
+
+    @classmethod
+    def from_programs(cls, programs, config: SynthConfig = DEFAULT_CONFIG) -> "ProgramSet":
+        """Score and order transformations that did not come from the learner."""
+        return cls(tuple(sorted((_scored(t, config) for t in programs), key=_rank_key)))
+
+    @property
+    def programs(self) -> tuple[Transformation, ...]:
+        return tuple(entry[3] for entry in self.entries)
 
 
 @dataclass(frozen=True)
 class RankedProgram:
     program: Program
     score: float
-    features: dict
+
+    @property
+    def features(self) -> dict:
+        return program_features(self.program)
 
 
 @dataclass(frozen=True)
@@ -102,14 +131,10 @@ class RankedPrograms:
         return self.entries[0] if self.entries else None
 
 
-def _selection_cost(s: Selection, config: SynthConfig) -> float:
-    if s.tag in ("Main", "Fork"):
-        return -config.w_branch
-    if s.tag in ("MainByIndex", "ForkByIndex"):
-        return config.w_constants + config.w_index
-    if s.tag in ("MainByPath", "ForkByPath"):
-        return config.w_constants
-    return -config.w_pattern
+def _ranked(entries, truncated: bool) -> RankedPrograms:
+    """The one final order of ``learn`` and ``rank``: score, then AST size, then structure."""
+    ordered = sorted(entries, key=_rank_key)
+    return RankedPrograms(tuple(RankedProgram(p, score) for score, _, _, p in ordered), truncated=truncated)
 
 
 def canonical_selections(conflict: ConflictInput, pdict: PatternDictionary):
@@ -137,13 +162,17 @@ def canonical_selections(conflict: ConflictInput, pdict: PatternDictionary):
     return out
 
 
+def _matching(selections, value) -> tuple[Selection, ...]:
+    """The selections paired with exactly this value."""
+    return tuple(sel for sel, v in selections if v == value)
+
+
 def learn_selection(conflict: ConflictInput, target, pdict: PatternDictionary | None = None,
                     config: SynthConfig = DEFAULT_CONFIG) -> tuple[Selection, ...]:
     """All selections whose value is exactly the target node list."""
     if pdict is None:
         pdict = build_pattern_dictionary(conflict, config)
-    target = tuple(target)
-    return tuple(sel for sel, value in canonical_selections(conflict, pdict) if value == target)
+    return _matching(canonical_selections(conflict, pdict), tuple(target))
 
 
 def wf_concat(output) -> list[tuple[tuple[Node, ...], tuple[Node, ...]]]:
@@ -152,29 +181,24 @@ def wf_concat(output) -> list[tuple[tuple[Node, ...], tuple[Node, ...]]]:
     return [(output[:i], output[i:]) for i in range(1, len(output))]
 
 
-def _sublist_minus(source, target):
-    """Nodes left over when target is matched as an in-order sublist, else None."""
-    removed = []
-    it = 0
-    for node in source:
-        if it < len(target) and node == target[it]:
-            it += 1
-        else:
-            removed.append(node)
-    return tuple(removed) if it == len(target) else None
+def _multiset(nodes) -> frozenset:
+    return frozenset(Counter(nodes).items())
 
 
 def wf_remove(conflict: ConflictInput, target) -> list[tuple[Selection, tuple[Node, ...]]]:
     """Inverse of Remove over whole-branch sources.
 
-    Emits (source, removed nodes) pairs; an empty removal is dropped since
+    Remove deletes the first occurrence of each removed node, so its result
+    depends only on the removed nodes as a multiset. For each source that
+    multiset is the source minus the target; the pair is emitted when
+    deleting it really leaves the target. An empty removal is dropped since
     a plain selection already expresses it.
     """
     target = tuple(target)
     out = []
     for tag, region in (("Main", conflict.main_nodes), ("Fork", conflict.fork_nodes)):
-        removed = _sublist_minus(region, target)
-        if removed:
+        removed = tuple((Counter(region) - Counter(target)).elements())
+        if removed and remove_nodes(region, removed) == target:
             out.append((Selection(tag), removed))
     return out
 
@@ -182,39 +206,26 @@ def wf_remove(conflict: ConflictInput, target) -> list[tuple[Selection, tuple[No
 class _TransformationLearner:
     """Memoized candidate generation for one input.
 
-    Candidates carry (score, size, key, transformation) so sets stay
-    rank-sorted and deduplicated by structure throughout.
+    Candidates are rank entries (see ``_scored``), so sets stay rank-sorted
+    and deduplicated by structure throughout.
     """
 
     def __init__(self, conflict: ConflictInput, pdict: PatternDictionary, config: SynthConfig):
         self.conflict = conflict
-        self.pdict = pdict
         self.config = config
         self.selections = canonical_selections(conflict, pdict)
+        # Remove matches its removed selection by multiset, the only thing its result depends on.
+        self.removable = [(sel, _multiset(value)) for sel, value in self.selections if value]
         self.truncated = False
         self._core_memo: dict = {}
         self._base_memo: dict = {}
 
-    def _scored_select(self, sel: Selection):
-        t = Select(sel)
-        return (_selection_cost(sel, self.config), 1, struct_key(t), t)
-
-    def _scored_remove(self, source: Selection, removed: Selection):
-        t = Remove(source, removed)
-        score = (
-            self.config.w_operators
-            + _selection_cost(source, self.config)
-            + _selection_cost(removed, self.config)
-        )
-        return (score, 3, struct_key(t), t)
-
     def _scored_concat(self, left, right):
-        t = Concat(left[3], right[3])
         return (
             left[0] + right[0] + self.config.w_operators,
             left[1] + right[1] + 1,
             ("Concat", left[2], right[2]),
-            t,
+            Concat(left[3], right[3]),
         )
 
     def _merge_concats(self, left, right, sink: dict):
@@ -240,7 +251,7 @@ class _TransformationLearner:
                     heapq.heappush(heap, (left[ni][0] + right[nj][0], ni, nj))
 
     def _finish(self, cands: dict):
-        ordered = sorted(cands.values())
+        ordered = sorted(cands.values(), key=_rank_key)
         if len(ordered) > self.config.max_programs:
             self.truncated = True
             ordered = ordered[: self.config.max_programs]
@@ -251,19 +262,10 @@ class _TransformationLearner:
         cached = self._base_memo.get(target)
         if cached is not None:
             return cached
-        cands: dict = {}
-        for sel, value in self.selections:
-            if value == target:
-                cand = self._scored_select(sel)
-                cands[cand[2]] = cand
-        for source_tag, region in (("Main", self.conflict.main_nodes), ("Fork", self.conflict.fork_nodes)):
-            if not region:
-                continue
-            source = Selection(source_tag)
-            for sel, value in self.selections:
-                if value and remove_nodes(region, value) == target:
-                    cand = self._scored_remove(source, sel)
-                    cands[cand[2]] = cand
+        ts = [Select(sel) for sel in _matching(self.selections, target)]
+        for source, removed in wf_remove(self.conflict, target):
+            ts.extend(Remove(source, sel) for sel in _matching(self.removable, _multiset(removed)))
+        cands = {cand[2]: cand for cand in (_scored(t, self.config) for t in ts)}
         self._base_memo[target] = cands
         return cands
 
@@ -302,8 +304,7 @@ def learn_transformation(conflict: ConflictInput, target, depth: int | None = No
     if depth is None:
         depth = config.max_concat_depth
     learner = _TransformationLearner(conflict, pdict, config)
-    cands = learner.full(tuple(target), depth)
-    return ProgramSet(tuple(c[3] for c in cands), truncated=learner.truncated)
+    return ProgramSet(learner.full(tuple(target), depth), truncated=learner.truncated)
 
 
 def learn_condition(inputs, config: SynthConfig = DEFAULT_CONFIG) -> Condition:
@@ -328,70 +329,44 @@ def learn_condition(inputs, config: SynthConfig = DEFAULT_CONFIG) -> Condition:
 
 def intersect_program_sets(sets, spec: ExampleSpec | None = None,
                            config: SynthConfig = DEFAULT_CONFIG) -> ProgramSet:
-    """Keep candidates present in every set, re-verified on the spec.
+    """Keep the first set's entries whose structure is in every other set.
 
-    Verification guards against truncation artifacts: a structural survivor
-    must still reproduce every example output when re-run.
+    The carried structural keys decide membership and the first set's rank
+    order is kept. With a spec, each survivor is also re-run on every
+    example and dropped unless it reproduces the output, so a set that was
+    not learned from these examples cannot contribute a wrong program.
     """
     sets = list(sets)
     if not sets:
         raise ValueError("need at least one program set")
-    common = {struct_key(t): t for t in sets[0].programs}
-    for other in sets[1:]:
-        keys = {struct_key(t) for t in other.programs}
-        common = {k: v for k, v in common.items() if k in keys}
-    survivors = list(common.values())
+    others = [{entry[2] for entry in other.entries} for other in sets[1:]]
+    survivors = [entry for entry in sets[0].entries if all(entry[2] in keys for keys in others)]
     if spec is not None:
         pdicts = [(c, tuple(o), build_pattern_dictionary(c, config)) for c, o in spec.cases]
-        checked = []
-        for t in survivors:
-            ok = True
-            for conflict, output, pdict in pdicts:
-                try:
-                    if eval_transformation(t, conflict, pdict) != output:
-                        ok = False
-                        break
-                except EvaluationFailed:
-                    ok = False
-                    break
-            if ok:
-                checked.append(t)
-        survivors = checked
-    survivors.sort(key=lambda t: (program_score(t, config), program_size(t), struct_key(t)))
+        survivors = [entry for entry in survivors if _reproduces(entry[3], pdicts)]
     return ProgramSet(tuple(survivors), truncated=any(s.truncated for s in sets))
 
 
+def _reproduces(t: Transformation, cases) -> bool:
+    try:
+        return all(eval_transformation(t, conflict, pdict) == output for conflict, output, pdict in cases)
+    except EvaluationFailed:
+        return False
+
+
 def rank(programs, config: SynthConfig = DEFAULT_CONFIG) -> RankedPrograms:
-    """Order candidates by weighted feature score, best first.
+    """Order programs or transformations by ``program_score``, best first.
 
     Ties break on the serialized form: fewer AST nodes first, then the
-    structural key.
+    structural key. ``learn`` ends in the same ordering.
     """
     if isinstance(programs, ProgramSet):
-        truncated = programs.truncated
-        items = programs.programs
-    else:
-        truncated = False
-        items = tuple(programs)
-    scored = sorted(
-        ((program_score(p, config), program_size(p), struct_key(p), p) for p in items),
-    )
-    entries = tuple(RankedProgram(p, score, program_features(p)) for score, _, _, p in scored)
-    return RankedPrograms(entries, truncated=truncated)
-
-
-def _pattern_tags(t: Transformation) -> frozenset[str]:
-    if isinstance(t, Select):
-        sels = (t.selection,)
-    elif isinstance(t, Remove):
-        sels = (t.source, t.removed)
-    else:
-        return _pattern_tags(t.left) | _pattern_tags(t.right)
-    return frozenset(s.key for s in sels if s.tag == "Pattern")
+        return _ranked((_scored(p, config) for p in programs.programs), programs.truncated)
+    return _ranked((_scored(p, config) for p in programs), False)
 
 
 def _guard_candidates(condition: Condition, config: SynthConfig):
-    """Non-empty predicate subsets of the learned condition, cheapest first."""
+    """Rank entries of the non-empty predicate subsets of the condition, cheapest first."""
     preds = condition.predicates
     if len(preds) <= _MAX_SUBSET_PREDICATES:
         subsets = [
@@ -402,13 +377,7 @@ def _guard_candidates(condition: Condition, config: SynthConfig):
     else:
         subsets = [(p,) for p in preds]
         subsets.append(preds)
-    scored = []
-    for subset in subsets:
-        score = config.w_constants * sum(1 for p in subset if p.path is not None)
-        key = tuple(struct_key(p) for p in subset)
-        scored.append((score, len(subset), key, subset, frozenset(p.tag for p in subset)))
-    scored.sort(key=lambda g: g[:3])
-    return scored
+    return sorted((_scored(Condition(subset), config) for subset in subsets), key=_rank_key)
 
 
 def learn(spec: ExampleSpec, config: SynthConfig = DEFAULT_CONFIG) -> RankedPrograms:
@@ -427,26 +396,27 @@ def learn(spec: ExampleSpec, config: SynthConfig = DEFAULT_CONFIG) -> RankedProg
         pdict = build_pattern_dictionary(conflict, config)
         sets.append(learn_transformation(conflict, output, config=config, pdict=pdict))
     consistent = intersect_program_sets(sets, spec=spec, config=config)
-    if not consistent.programs:
+    if not consistent.entries:
         logger.info("no program found: no transformation is consistent with every example")
         return RankedPrograms((), truncated=consistent.truncated)
     if consistent.truncated:
         logger.warning("candidate set truncated at %d programs; results may be incomplete",
                        config.max_programs)
 
+    # A Pattern selection's bonus is earned only under a guard naming its key.
     guards = _guard_candidates(condition_full, config)
-    scored_ts = [(program_score(t, config), program_size(t), struct_key(t), t) for t in consistent.programs]
-    scored_ts.sort(key=lambda c: c[:3])
-    mandatory = [_pattern_tags(t) for _, _, _, t in scored_ts]
+    guard_tags = [frozenset(p.tag for p in guard[3].predicates) for guard in guards]
+    ts = consistent.entries
+    mandatory = [frozenset(s.key for s in selections_in(t[3]) if s.tag == "Pattern") for t in ts]
 
     def next_guard(start: int, required: frozenset[str]) -> int:
         gi = start
-        while gi < len(guards) and not required <= guards[gi][4]:
+        while gi < len(guards) and not required <= guard_tags[gi]:
             gi += 1
         return gi
 
     heap = []
-    for ti, cand in enumerate(scored_ts):
+    for ti, cand in enumerate(ts):
         gi = next_guard(0, mandatory[ti])
         if gi < len(guards):
             heapq.heappush(heap, (cand[0] + guards[gi][0], ti, gi))
@@ -457,15 +427,12 @@ def learn(spec: ExampleSpec, config: SynthConfig = DEFAULT_CONFIG) -> RankedProg
             truncated = True
             break
         total, ti, gi = heapq.heappop(heap)
-        picked.append((total, ti, gi))
+        picked.append((total, ts[ti], guards[gi]))
         ngi = next_guard(gi + 1, mandatory[ti])
         if ngi < len(guards):
-            heapq.heappush(heap, (scored_ts[ti][0] + guards[ngi][0], ti, ngi))
+            heapq.heappush(heap, (ts[ti][0] + guards[ngi][0], ti, ngi))
 
-    entries = []
-    for total, ti, gi in picked:
-        program = Program(Condition(guards[gi][3]), scored_ts[ti][3])
-        entries.append((total, program_size(program), struct_key(program), program))
-    entries.sort(key=lambda c: c[:3])
-    ranked = tuple(RankedProgram(p, score, program_features(p)) for score, _, _, p in entries)
-    return RankedPrograms(ranked, truncated=truncated)
+    return _ranked(
+        ((total, g[1] + t[1], ("Apply", g[2], t[2]), Program(g[3], t[3])) for total, t, g in picked),
+        truncated,
+    )

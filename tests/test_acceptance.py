@@ -35,7 +35,6 @@ from mergelearn.dsl import (
 )
 from mergelearn.synth import (
     ExampleSpec,
-    ProgramSet,
     canonical_selections,
     learn,
     learn_transformation,
@@ -92,7 +91,7 @@ def test_criterion_2_ranking_reproduction():
             guard,
             Concat(Select(Selection("MainByIndex", k=0)), Select(Selection("ForkByIndex", k=0))),
         )
-        ranked = rank(ProgramSet((index_based, remove_based)))
+        ranked = rank((index_based, remove_based))
         assert [e.program for e in ranked] == [remove_based, index_based]
         assert ranked.entries[0].score < ranked.entries[1].score
         # Regression-pin the default weights this ordering depends on.

@@ -89,6 +89,28 @@ def test_learn_top_n_emits_rank_ordered_array(tmp_path, capsys):
     assert scores == sorted(scores)
 
 
+def test_learn_max_depth_zero_is_usage_error(tmp_path, capsys):
+    spec = write_example_spec(tmp_path, ["c", "d"])
+    code = main(["learn", "--examples", str(spec), "--out", str(tmp_path / "x.json"), "--max-depth", "0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --max-depth") and err.count("\n") == 1
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("content", [None, "{not json", '["EDGEONLY"]', '{"fork": "EDGEONLY"}'])
+def test_bad_keywords_file_is_clean_error(tmp_path, capsys, monkeypatch, content):
+    keywords = tmp_path / "keywords.json"
+    if content is not None:
+        keywords.write_text(content, encoding="utf-8")
+    monkeypatch.setenv("MERGELEARN_KEYWORDS", str(keywords))
+    spec = write_example_spec(tmp_path, ["c", "d"])
+    code = main(["learn", "--examples", str(spec), "--out", str(tmp_path / "x.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: MERGELEARN_KEYWORDS") and err.count("\n") == 1
+
+
 def test_learn_unreadable_spec_exit_1(tmp_path, capsys):
     code = main(["learn", "--examples", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x.json")])
     assert code == 1

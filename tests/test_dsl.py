@@ -312,6 +312,40 @@ def test_selection_literal_validation():
         Predicate("FrequentPattern")
 
 
+def test_literals_must_have_their_exact_type():
+    for k in (0.0, True, "0"):
+        with pytest.raises(TypeError):
+            Selection("MainByIndex", k=k)
+    with pytest.raises(TypeError):
+        Selection("ForkByPath", path=b"base/logging.h")
+    with pytest.raises(TypeError):
+        Predicate("FrequentPattern", path=3)
+
+
+@pytest.mark.parametrize(
+    "selection",
+    [
+        {"tag": "MainByIndex", "k": 0.0},
+        {"tag": "MainByIndex", "k": False},
+        {"tag": "ForkByIndex", "k": "1"},
+        {"tag": "MainByPath", "path": 5},
+        {"tag": "Pattern", "key": ["DuplicateMainFork"]},
+    ],
+)
+def test_deserialize_rejects_mistyped_selection_literal(selection):
+    obj = json.loads(serialize_program(FB_PROGRAM))
+    obj["apply"]["transform"] = {"select": selection}
+    with pytest.raises(ParseError):
+        deserialize_program(json.dumps(obj))
+
+
+def test_deserialize_rejects_mistyped_predicate_path():
+    obj = json.loads(serialize_program(FB_PROGRAM))
+    obj["apply"]["condition"] = [{"tag": "FrequentPattern", "path": ["base/logging.h"]}]
+    with pytest.raises(ParseError):
+        deserialize_program(json.dumps(obj))
+
+
 selection_strategy = st.one_of(
     st.sampled_from([Selection("Main"), Selection("Fork")]),
     st.builds(

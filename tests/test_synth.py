@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -19,14 +20,17 @@ from mergelearn.dsl import (
     build_pattern_dictionary,
     eval_transformation,
     program_score,
+    program_size,
     program_to_json,
     remove_nodes,
     run_program,
+    struct_key,
 )
 from mergelearn.synth import (
     EmptyConditionError,
     ExampleSpec,
     ProgramSet,
+    canonical_selections,
     intersect_program_sets,
     learn,
     learn_condition,
@@ -191,6 +195,28 @@ def test_wf_remove_is_sound(fig1c):
         assert remove_nodes(region, removed) == (fig1c.fork_nodes[1],)
 
 
+def test_wf_remove_repeated_nodes_delete_first_occurrences():
+    a, b, c = '#include "a/a.h"', '#include "b/b.h"', '#include "c/c.h"'
+    (chunk,) = parse_conflict_file(marker_text([a, c, b], [a, b, a]), "repeated.cc")
+    assert chunk.main_nodes == tokenize_nodes([a, b, a])
+    target = tokenize_nodes([a, b])
+    pairs = wf_remove(chunk, target)
+    regions = {"Main": chunk.main_nodes, "Fork": chunk.fork_nodes}
+    # Removing the first A from Main leaves (B, A), so Main is no source here.
+    assert pairs
+    for source, removed in pairs:
+        assert remove_nodes(regions[source.tag], removed) == target
+    selections = canonical_selections(chunk, build_pattern_dictionary(chunk, DEFAULT_CONFIG))
+    expected = {
+        Remove(source, sel)
+        for source, removed in pairs
+        for sel, value in selections
+        if value and Counter(value) == Counter(removed)
+    }
+    learned = {t for t in learn_transformation(chunk, target).programs if isinstance(t, Remove)}
+    assert learned == expected
+
+
 def test_learn_selection_main_singleton(fig1c):
     selections = learn_selection(fig1c, fig1c.main_nodes)
     assert set(selections) == {
@@ -213,8 +239,8 @@ def test_intersect_set_algebra():
     a = Select(Selection("Main"))
     b = Select(Selection("Fork"))
     c = Remove(Selection("Main"), Selection("Main"))
-    left = ProgramSet((a, b))
-    right = ProgramSet((b, c))
+    left = ProgramSet.from_programs((a, b))
+    right = ProgramSet.from_programs((b, c))
     assert intersect_program_sets([left, right]).programs == (b,)
     assert set(intersect_program_sets([left]).programs) == {a, b}
 
@@ -223,7 +249,7 @@ def test_intersect_verifies_against_spec(fig1c, fig1d):
     spec = ExampleSpec(((fig1c, fig1c.fork_nodes),))
     fork = Select(Selection("Fork"))
     main = Select(Selection("Main"))
-    result = intersect_program_sets([ProgramSet((fork, main))], spec=spec)
+    result = intersect_program_sets([ProgramSet.from_programs((fork, main))], spec=spec)
     assert result.programs == (fork,)
 
 
@@ -249,13 +275,13 @@ def test_rank_remove_by_path_beats_index_pair():
         guard,
         Concat(Select(Selection("MainByIndex", k=0)), Select(Selection("ForkByIndex", k=0))),
     )
-    ranked = rank(ProgramSet((by_index, by_path)))
+    ranked = rank((by_index, by_path))
     assert [e.program for e in ranked] == [by_path, by_index]
     assert ranked.entries[0].score < ranked.entries[1].score
 
 
 def test_rank_equal_programs_equal_scores():
-    ranked = rank(ProgramSet((FB_PROGRAM.transformation, FB_PROGRAM.transformation)))
+    ranked = rank((FB_PROGRAM.transformation, FB_PROGRAM.transformation))
     scores = [e.score for e in ranked]
     assert all(s == scores[0] for s in scores)
 
@@ -279,8 +305,8 @@ def test_rank_path_variant_never_below_index_variant():
 def test_rank_deterministic_tie_break():
     a = Select(Selection("Main"))
     b = Select(Selection("Fork"))
-    first = rank(ProgramSet((a, b)))
-    second = rank(ProgramSet((b, a)))
+    first = rank((a, b))
+    second = rank((b, a))
     assert [e.program for e in first] == [e.program for e in second]
 
 
@@ -358,3 +384,38 @@ def _collect_pattern_keys(t):
     else:
         return _collect_pattern_keys(t.left) | _collect_pattern_keys(t.right)
     return {s.key for s in sels if s.tag == "Pattern"}
+
+
+def test_one_cost_model_with_non_dyadic_weights():
+    # With weights that are not sums of powers of two, float addition order
+    # matters: learned scores must be program_score exactly, not approximately.
+    config = SynthConfig(max_concat_depth=2, w_operators=0.7, w_constants=0.3, w_index=1.1,
+                         w_pattern=0.9, w_branch=0.6)
+    rng = random.Random(20261018)
+    checked = 0
+    while checked < 40:
+        conflict = gen_conflict(rng)
+        generated = gen_program_with_output(rng, conflict, depth=2, config=config)
+        if generated is None or len(generated[1]) > 6:
+            continue
+        program, output = generated
+        cases = [(conflict, output)]
+        for other in (gen_conflict(rng) for _ in range(10)):
+            result = run_program(program, other, config)
+            if result.is_resolved and len(result.nodes) <= 6:
+                cases.append((other, result.nodes))
+                break
+        for case_input, case_output in cases:
+            for entry in learn_transformation(case_input, case_output, config=config).entries:
+                t = entry[3]
+                assert entry == (program_score(t, config), program_size(t), struct_key(t), t)
+        ranked = learn(ExampleSpec(tuple(cases)), config)
+        if not ranked:
+            # A second example may need a program outside the learner's space.
+            assert len(cases) > 1, "no program learned for a realizable spec"
+            continue
+        for entry in ranked:
+            assert entry.score == program_score(entry.program, config)
+        reranked = rank([entry.program for entry in ranked], config)
+        assert [e.program for e in reranked] == [e.program for e in ranked]
+        checked += 1
