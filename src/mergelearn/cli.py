@@ -13,7 +13,9 @@ import hashlib
 import json
 import logging
 import os
+import stat
 import sys
+import tempfile
 from pathlib import Path
 
 from .conflicts import ConflictedFile, tokenize_nodes
@@ -22,6 +24,7 @@ from .dsl import (
     ParseError,
     Program,
     SynthConfig,
+    build_pattern_dictionary,
     config_to_json,
     program_from_json,
     program_to_json,
@@ -138,15 +141,19 @@ def cmd_apply(args) -> int:
     config = _build_config(args)
     try:
         programs = _load_programs(args.program)
-        source = Path(args.file).read_text(encoding="utf-8")
+        with open(args.file, encoding="utf-8") as f:
+            source = f.read()
+            # Universal newlines read CRLF as LF; a file that had only CRLF is written back so.
+            newline = "\r\n" if f.newlines == "\r\n" else "\n"
         parsed = ConflictedFile.parse(source, args.file, side_order=args.side_order)
     except (OSError, ParseError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     resolutions = {}
     for index, chunk in enumerate(parsed.chunks):
+        pdict = build_pattern_dictionary(chunk, config)
         for pi, program in enumerate(programs):
-            suggestion = run_program(program, chunk, config)
+            suggestion = run_program(program, chunk, config, pdict)
             if suggestion.is_resolved:
                 resolutions[index] = suggestion.nodes
                 break
@@ -168,11 +175,28 @@ def cmd_apply(args) -> int:
         sys.stdout.writelines(diff)
     else:  # --in-place
         if suggested == total or (args.partial and suggested > 0):
-            Path(args.file).write_text(resolved_text, encoding="utf-8")
+            _replace_file(Path(args.file), resolved_text, newline)
             written = True
     summary = {"file": args.file, "total": total, "suggested": suggested, "written": written}
     print(json.dumps(summary), file=sys.stderr)
     return 0
+
+
+def _replace_file(path: Path, text: str, newline: str) -> None:
+    """Write text with the given line ending to a temporary file beside
+    ``path``, then rename it over ``path``, keeping its mode: a reader sees
+    the old file or the new one, never a torn one."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline=newline) as f:
+            f.write(text)
+            f.flush()
+            os.fsync(f.fileno())
+        os.chmod(tmp, stat.S_IMODE(path.stat().st_mode))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _write_report(report_arg: str, json_dict: dict, table: str) -> None:
@@ -198,7 +222,7 @@ def cmd_eval(args) -> int:
     config = _build_config(args)
     try:
         programs = _load_programs(args.program)
-        cases = load_corpus(args.root, config)
+        cases = load_corpus(args.root)
     except EmptyCorpusError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

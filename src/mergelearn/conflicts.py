@@ -3,12 +3,17 @@
 A conflicted file is split into outside text and marker-delimited chunks.
 Each chunk carries two regions (main and fork); region lines are tokenized
 into nodes, the atomic units that resolution programs select and combine.
+The chunks of one file share a read-only ``FileContext``, built once per
+parse, that holds what every chunk's pattern dictionary reads of the rest
+of the file.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 INCLUDE = "include"
 MACRO = "macro"
@@ -18,6 +23,7 @@ SIDE_ORDERS = ("fork-first", "ours-first")
 
 _INCLUDE_RE = re.compile(r'^#\s*include\s*("[^"]+"|<[^>]+>)$')
 _MACRO_RE = re.compile(r"^([A-Z][A-Z0-9_]*)\s*(\(.*)$")
+_SPACE_RE = re.compile(r"\s+")
 
 _START_RE = re.compile(r"^<{7}(\s.*)?$")
 _BASE_RE = re.compile(r"^\|{7}(\s.*)?$")
@@ -69,7 +75,7 @@ class Node:
 
 def normalize_line(line: str) -> str:
     """Strip and collapse whitespace runs; the unit of node equality."""
-    return re.sub(r"\s+", " ", line.strip())
+    return _SPACE_RE.sub(" ", line.strip())
 
 
 def tokenize_line(line: str) -> Node:
@@ -93,24 +99,145 @@ def render_nodes(nodes) -> str:
     return "\n".join(node.render() for node in nodes)
 
 
-@dataclass(eq=False)
+def _basename(path: str) -> str:
+    return path.rsplit("/", 1)[-1]
+
+
+def _stem(path: str) -> str:
+    name = _basename(path)
+    return name.rsplit(".", 1)[0] if "." in name else name
+
+
+def match_key(node: Node):
+    """Identity used for duplicate detection; blanks never match, includes
+    match by file name."""
+    if node.is_blank:
+        return None
+    if node.kind == INCLUDE:
+        return ("include", _basename(node.include_path))
+    if node.kind == MACRO:
+        return ("macro", node.children)
+    return ("raw", node.raw_text)
+
+
+def match_index(nodes) -> dict[tuple, tuple[Node, ...]]:
+    """The non-blank nodes grouped by ``match_key``, in order."""
+    index: dict[tuple, list[Node]] = {}
+    for node in nodes:
+        key = match_key(node)
+        if key is not None:
+            index.setdefault(key, []).append(node)
+    return {key: tuple(group) for key, group in index.items()}
+
+
+def _code(lines, nodes) -> str:
+    """The lines that are not includes, joined: where Dependency looks for stems."""
+    return "\n".join(line for line, node in zip(lines, nodes) if node.kind != INCLUDE)
+
+
+def _stem_users(paths, outside_code: str, chunk_codes) -> dict[str, frozenset[int]]:
+    """For each include path, the chunks whose code uses its stem as a word,
+    or none when the outside code does.
+
+    A stem never holds a newline, so no match spans two joined lines, and
+    searching each chunk's code apart finds what one search over the
+    siblings' code joined finds.
+    """
+    users: dict[str, frozenset[int]] = {}
+    for stem in dict.fromkeys(map(_stem, paths)):
+        # Matches exactly where \bstem\b does; with the literal first, the
+        # search skips ahead to it instead of trying every position.
+        literal = re.escape(stem)
+        word = re.compile(rf"{literal}(?<=\b{literal})\b")
+        users[stem] = frozenset() if word.search(outside_code) else frozenset(
+            i for i, code in enumerate(chunk_codes) if word.search(code))
+    return {path: users[_stem(path)] for path in paths}
+
+
+@dataclass(frozen=True, eq=False)
+class FileContext:
+    """What every chunk of one conflicted file shares, built once per parse.
+
+    ``outside_index`` is the ``match_index`` of the outside lines, which
+    are tokenized once. ``regions`` holds each chunk's ``(main_nodes,
+    fork_nodes, main_lines, fork_lines)`` in file order.
+    ``header_contents`` maps include paths to header text when the corpus
+    ships headers (empty otherwise). ``stem_users`` backs the Dependency
+    pattern (see ``_stem_users``); it is empty for a lone chunk, which has
+    no siblings.
+    """
+
+    file_path: str
+    outside_content: tuple[str, ...]
+    outside_index: Mapping[tuple, tuple[Node, ...]]
+    regions: tuple[tuple[tuple, ...], ...]
+    header_contents: Mapping[str, str]
+    stem_users: Mapping[str, frozenset[int]]
+
+    @classmethod
+    def build(cls, file_path: str, outside, regions, header_text=None) -> "FileContext":
+        outside_nodes = tokenize_nodes(outside)
+        paths = dict.fromkeys(
+            n.include_path for main, fork, _, _ in regions for n in main + fork if n.kind == INCLUDE
+        )
+        headers = {}
+        if header_text is not None:
+            headers = {path: text for path in paths if (text := header_text(path)) is not None}
+        stem_users = {}
+        if len(regions) > 1:
+            chunk_codes = [_code(ml + fl, mn + fn) for mn, fn, ml, fl in regions]
+            stem_users = _stem_users(paths, _code(outside, outside_nodes), chunk_codes)
+        return _read_only_context(file_path, tuple(outside), match_index(outside_nodes), tuple(regions),
+                                  headers, stem_users)
+
+    def __reduce__(self):
+        # Mapping proxies do not pickle; the copy wraps plain dicts again.
+        return _read_only_context, (self.file_path, self.outside_content, dict(self.outside_index),
+                                    self.regions, dict(self.header_contents), dict(self.stem_users))
+
+    def chunk(self, index: int) -> "ConflictInput":
+        return ConflictInput(self.file_path, *self.regions[index], context=self, index=index)
+
+
+def _read_only_context(file_path, outside, outside_index, regions, headers, stem_users) -> FileContext:
+    return FileContext(file_path, outside, MappingProxyType(outside_index), regions,
+                       MappingProxyType(headers), MappingProxyType(stem_users))
+
+
+_EMPTY_CONTEXT = FileContext.build("", (), ())
+
+
+@dataclass(frozen=True)
 class ConflictInput:
     """One conflict chunk: the program input ``x``.
 
-    Treated as read-only once parsing finishes; safe to share across
-    workers. ``sibling_chunks`` holds the other chunks of the same file,
-    ``header_contents`` maps include paths to header text when the corpus
-    ships headers (empty otherwise).
+    Read-only, so safe to share across workers. The chunk is the
+    ``index``-th of its file; what the file's chunks share (outside text,
+    header contents, sibling regions) sits in one ``FileContext`` built by
+    ``ConflictedFile.parse``. Two chunks are equal when they have the same
+    regions at the same index of the same parsed file.
     """
 
     file_path: str
     main_nodes: tuple[Node, ...]
     fork_nodes: tuple[Node, ...]
-    outside_content: tuple[str, ...]
     main_lines: tuple[str, ...] = ()
     fork_lines: tuple[str, ...] = ()
-    sibling_chunks: tuple["ConflictInput", ...] = field(default=(), repr=False)
-    header_contents: dict[str, str] = field(default_factory=dict, repr=False)
+    context: FileContext = field(default=_EMPTY_CONTEXT, repr=False)
+    index: int = 0
+
+    @property
+    def outside_content(self) -> tuple[str, ...]:
+        return self.context.outside_content
+
+    @property
+    def header_contents(self) -> Mapping[str, str]:
+        return self.context.header_contents
+
+    @property
+    def sibling_chunks(self) -> tuple["ConflictInput", ...]:
+        """The other chunks of the same file, in file order."""
+        return tuple(self.context.chunk(j) for j in range(len(self.context.regions)) if j != self.index)
 
     def region_nodes(self) -> tuple[Node, ...]:
         return self.main_nodes + self.fork_nodes
@@ -156,7 +283,13 @@ class ConflictedFile:
         self.trailing_newline = trailing_newline
 
     @classmethod
-    def parse(cls, text: str, file_path: str, side_order: str = "fork-first") -> "ConflictedFile":
+    def parse(cls, text: str, file_path: str, side_order: str = "fork-first",
+              header_text: Callable[[str], str | None] | None = None) -> "ConflictedFile":
+        """Parse marker text; every chunk shares one ``FileContext``.
+
+        ``header_text`` returns the header text for an include path, or None
+        when there is none; it is asked once per include path of the chunks.
+        """
         if side_order not in SIDE_ORDERS:
             raise ValueError(f"side_order must be one of {SIDE_ORDERS}, got {side_order!r}")
         text = text.replace("\r\n", "\n")
@@ -227,25 +360,15 @@ class ConflictedFile:
         if pending_text:
             segments.append(("text", tuple(pending_text)))
 
-        outside_tuple = tuple(outside)
-        chunks: list[ConflictInput] = []
+        regions = []
         for raw in raw_chunks:
             if side_order == "fork-first":
                 fork_lines, main_lines = raw["first"], raw["second"]
             else:
                 main_lines, fork_lines = raw["first"], raw["second"]
-            chunks.append(
-                ConflictInput(
-                    file_path=file_path,
-                    main_nodes=tokenize_nodes(main_lines),
-                    fork_nodes=tokenize_nodes(fork_lines),
-                    outside_content=outside_tuple,
-                    main_lines=tuple(main_lines),
-                    fork_lines=tuple(fork_lines),
-                )
-            )
-        for i, chunk in enumerate(chunks):
-            chunk.sibling_chunks = tuple(c for j, c in enumerate(chunks) if j != i)
+            regions.append((tokenize_nodes(main_lines), tokenize_nodes(fork_lines), main_lines, fork_lines))
+        context = FileContext.build(file_path, outside, regions, header_text)
+        chunks = [context.chunk(i) for i in range(len(regions))]
         return cls(file_path, segments, chunks, chunk_blocks, trailing)
 
     def render(self, resolutions: dict[int, tuple[Node, ...]] | None = None) -> str:

@@ -24,7 +24,7 @@ from .conflicts import (
     conflict_kind,
     tokenize_nodes,
 )
-from .dsl import DEFAULT_CONFIG, Program, Suggestion, SynthConfig, run_program
+from .dsl import DEFAULT_CONFIG, Suggestion, SynthConfig, build_pattern_dictionary, run_program
 
 logger = logging.getLogger(__name__)
 
@@ -73,7 +73,10 @@ def align_resolution(conflict_text: str, resolved_text: str, file_path: str = "<
     flanks cannot be matched (shared or edited context) is flagged
     ambiguous rather than guessed.
     """
-    parsed = ConflictedFile.parse(conflict_text, file_path, side_order=side_order)
+    return _align(ConflictedFile.parse(conflict_text, file_path, side_order=side_order), resolved_text)
+
+
+def _align(parsed: ConflictedFile, resolved_text: str) -> list[AlignedChunk]:
     resolved_lines = resolved_text.replace("\r\n", "\n").split("\n")
     if resolved_lines and resolved_lines[-1] == "":
         resolved_lines.pop()
@@ -112,18 +115,15 @@ def align_resolution(conflict_text: str, resolved_text: str, file_path: str = "<
     return results
 
 
-def _load_headers(case_dir: Path, chunks) -> None:
-    headers_dir = case_dir / "headers"
-    if not headers_dir.is_dir():
-        return
-    for chunk in chunks:
-        for path in chunk.include_paths():
-            header_file = headers_dir / path.rsplit("/", 1)[-1]
-            if header_file.is_file():
-                chunk.header_contents[path] = header_file.read_text(encoding="utf-8")
+def _header_reader(case_dir: Path):
+    """Header text for an include path: ``headers/<basename>`` of the case, if shipped."""
+    def read(path: str) -> str | None:
+        header_file = case_dir / "headers" / path.rsplit("/", 1)[-1]
+        return header_file.read_text(encoding="utf-8") if header_file.is_file() else None
+    return read
 
 
-def load_corpus(root, config: SynthConfig = DEFAULT_CONFIG) -> list[CorpusCase]:
+def load_corpus(root) -> list[CorpusCase]:
     """Load every usable chunk under the corpus root, in stable order.
 
     Malformed entries (bad markers, missing files, unresolvable alignment)
@@ -162,12 +162,12 @@ def _load_case_dir(merge_id: str, case_dir: Path) -> list[CorpusCase]:
         if re.search(r"^<{7}(\s|$)", resolved_text, flags=re.M):
             logger.warning("skipping %s: resolved file still contains markers", case_dir)
             return []
-        parsed = ConflictedFile.parse(conflict_text, file_path, side_order=side_order)
-        aligned = align_resolution(conflict_text, resolved_text, file_path, side_order=side_order)
+        parsed = ConflictedFile.parse(conflict_text, file_path, side_order=side_order,
+                                      header_text=_header_reader(case_dir))
+        aligned = _align(parsed, resolved_text)
     except Exception as exc:
         logger.warning("skipping %s: %s", case_dir, exc)
         return []
-    _load_headers(case_dir, parsed.chunks)
     out = []
     for index, (chunk, res) in enumerate(zip(parsed.chunks, aligned)):
         if res.nodes is None:
@@ -225,8 +225,7 @@ _DECLARE_RE = re.compile(
 )
 
 
-def _classify_line(line: str) -> str:
-    node = tokenize_nodes([line])[0]
+def _classify_node(node: Node) -> str:
     if node.kind == INCLUDE:
         return "Include"
     if node.kind == MACRO:
@@ -248,8 +247,8 @@ def _classify_line(line: str) -> str:
 def classify_location(conflict: ConflictInput) -> str:
     """Majority vote of per-line classes over both regions; ties go to Others."""
     votes: dict[str, int] = {}
-    for line in (*conflict.main_lines, *conflict.fork_lines):
-        cls = _classify_line(line)
+    for node in conflict.region_nodes():
+        cls = _classify_node(node)
         votes[cls] = votes.get(cls, 0) + 1
     if not votes:
         return "Others"
@@ -436,8 +435,9 @@ def evaluate(programs, cases, config: SynthConfig = DEFAULT_CONFIG) -> EvalRepor
         label_tally = by_label.setdefault(case.label or "unlabeled", _Tally())
         suggestion: Suggestion | None = None
         fired = None
+        pdict = build_pattern_dictionary(case.conflict, config)
         for i, program in enumerate(programs):
-            result = run_program(program, case.conflict, config)
+            result = run_program(program, case.conflict, config, pdict)
             if result.is_resolved:
                 suggestion = result
                 fired = i

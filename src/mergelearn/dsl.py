@@ -13,7 +13,7 @@ import json
 import re
 from dataclasses import dataclass, field, fields
 
-from .conflicts import INCLUDE, MACRO, ConflictInput, Node, tokenize_nodes
+from .conflicts import INCLUDE, MACRO, ConflictInput, Node, match_index, match_key
 
 PREDICATE_TAGS = (
     "DuplicateMainFork",
@@ -178,26 +178,6 @@ class PatternDictionary:
         return self.patterns.get(key, ())
 
 
-def _basename(path: str) -> str:
-    return path.rsplit("/", 1)[-1]
-
-
-def _stem(path: str) -> str:
-    name = _basename(path)
-    return name.rsplit(".", 1)[0] if "." in name else name
-
-
-def _match_key(node: Node):
-    """Identity used for duplicate detection; blanks never match."""
-    if node.is_blank:
-        return None
-    if node.kind == INCLUDE:
-        return ("include", _basename(node.include_path))
-    if node.kind == MACRO:
-        return ("macro", node.children)
-    return ("raw", node.raw_text)
-
-
 def _headers_equal(conflict: ConflictInput, path_a: str, path_b: str) -> bool:
     # Content equality is only checkable when the corpus ships both headers.
     contents = conflict.header_contents
@@ -206,29 +186,18 @@ def _headers_equal(conflict: ConflictInput, path_a: str, path_b: str) -> bool:
     return True
 
 
-def _duplicate_nodes(conflict, nodes, other_keys, other_includes_by_name):
+def _duplicate_nodes(conflict, nodes, others):
+    """The nodes whose match key is in ``others``, a ``match_index``; an
+    include also needs a same-named include whose header content agrees."""
     out = []
     for node in nodes:
-        key = _match_key(node)
-        if key is None:
-            continue
+        matches = others.get(match_key(node), ())
         if node.kind == INCLUDE:
-            name = _basename(node.include_path)
-            for other in other_includes_by_name.get(name, ()):
-                if _headers_equal(conflict, node.include_path, other.include_path):
-                    out.append(node)
-                    break
-        elif key in other_keys:
+            if any(_headers_equal(conflict, node.include_path, other.include_path) for other in matches):
+                out.append(node)
+        elif matches:
             out.append(node)
     return tuple(out)
-
-
-def _includes_by_name(nodes):
-    by_name: dict[str, list[Node]] = {}
-    for node in nodes:
-        if node.kind == INCLUDE:
-            by_name.setdefault(_basename(node.include_path), []).append(node)
-    return by_name
 
 
 def _keyword_nodes(nodes, keywords):
@@ -257,39 +226,22 @@ def _rename_nodes(conflict: ConflictInput) -> tuple[Node, ...]:
 
 def _dependency_nodes(conflict: ConflictInput) -> tuple[Node, ...]:
     """Includes whose stem is used in a sibling chunk but nowhere outside."""
-    if not conflict.sibling_chunks:
-        return ()
-    outside_code = "\n".join(
-        line for line in conflict.outside_content if tokenize_nodes([line])[0].kind != INCLUDE
+    users = conflict.context.stem_users
+    return tuple(
+        n for n in conflict.region_nodes()
+        if n.kind == INCLUDE and any(j != conflict.index for j in users.get(n.include_path, ()))
     )
-    sibling_code = "\n".join(
-        line
-        for sib in conflict.sibling_chunks
-        for line in (*sib.main_lines, *sib.fork_lines)
-        if tokenize_nodes([line])[0].kind != INCLUDE
-    )
-    out = []
-    for node in conflict.region_nodes():
-        if node.kind != INCLUDE:
-            continue
-        pattern = re.compile(rf"\b{re.escape(_stem(node.include_path))}\b")
-        if not pattern.search(outside_code) and pattern.search(sibling_code):
-            out.append(node)
-    return tuple(out)
 
 
 def build_pattern_dictionary(conflict: ConflictInput, config: SynthConfig = DEFAULT_CONFIG) -> PatternDictionary:
     """Compute every pattern's matching nodes for one conflict."""
-    outside_nodes = tokenize_nodes(conflict.outside_content)
-    outside_keys = {k for k in map(_match_key, outside_nodes) if k is not None}
-    outside_includes = _includes_by_name(outside_nodes)
-    fork_keys = {k for k in map(_match_key, conflict.fork_nodes) if k is not None}
-    fork_includes = _includes_by_name(conflict.fork_nodes)
+    outside = conflict.context.outside_index
+    fork = match_index(conflict.fork_nodes)
 
     entries = {
-        "DuplicateMainFork": _duplicate_nodes(conflict, conflict.main_nodes, fork_keys, fork_includes),
-        "DuplicateMainOutside": _duplicate_nodes(conflict, conflict.main_nodes, outside_keys, outside_includes),
-        "DuplicateForkOutside": _duplicate_nodes(conflict, conflict.fork_nodes, outside_keys, outside_includes),
+        "DuplicateMainFork": _duplicate_nodes(conflict, conflict.main_nodes, fork),
+        "DuplicateMainOutside": _duplicate_nodes(conflict, conflict.main_nodes, outside),
+        "DuplicateForkOutside": _duplicate_nodes(conflict, conflict.fork_nodes, outside),
         "MainSpecific": _keyword_nodes(conflict.main_nodes, config.main_keywords),
         "ForkSpecific": _keyword_nodes(conflict.fork_nodes, config.fork_keywords),
         "Dependency": _dependency_nodes(conflict),
@@ -383,12 +335,16 @@ class Suggestion:
         return self.kind == RESOLVED
 
 
-def run_program(program: Program, conflict: ConflictInput, config: SynthConfig = DEFAULT_CONFIG) -> Suggestion:
+def run_program(program: Program, conflict: ConflictInput, config: SynthConfig = DEFAULT_CONFIG,
+                pdict: PatternDictionary | None = None) -> Suggestion:
     """Evaluate a program on a conflict; never raises.
 
     A false guard yields NoSuggestion; evaluation errors yield Failed.
+    ``pdict``, when given, is the conflict's dictionary under ``config``,
+    built once and shared by every program tried on the conflict.
     """
-    pdict = build_pattern_dictionary(conflict, config)
+    if pdict is None:
+        pdict = build_pattern_dictionary(conflict, config)
     if not eval_condition(program.condition, conflict, pdict):
         return Suggestion.none()
     try:

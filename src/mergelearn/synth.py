@@ -307,14 +307,15 @@ def learn_transformation(conflict: ConflictInput, target, depth: int | None = No
     return ProgramSet(learner.full(tuple(target), depth), truncated=learner.truncated)
 
 
-def learn_condition(inputs, config: SynthConfig = DEFAULT_CONFIG) -> Condition:
+def learn_condition(inputs, config: SynthConfig = DEFAULT_CONFIG, pdicts=None) -> Condition:
     """Conjunction of every predicate true on all inputs.
 
     FrequentPattern paths are the include paths present in every input's
     regions. Raises EmptyConditionError when nothing holds everywhere.
+    ``pdicts``, when given, are the inputs' dictionaries, in order.
     """
-    inputs = list(inputs)
-    pdicts = [build_pattern_dictionary(conflict, config) for conflict in inputs]
+    if pdicts is None:
+        pdicts = [build_pattern_dictionary(conflict, config) for conflict in inputs]
     predicates = [Predicate(tag) for tag in PATTERN_KEYS if all(pd.patterns.get(tag) for pd in pdicts)]
     shared_paths: set[str] | None = None
     for pd in pdicts:
@@ -328,13 +329,14 @@ def learn_condition(inputs, config: SynthConfig = DEFAULT_CONFIG) -> Condition:
 
 
 def intersect_program_sets(sets, spec: ExampleSpec | None = None,
-                           config: SynthConfig = DEFAULT_CONFIG) -> ProgramSet:
+                           config: SynthConfig = DEFAULT_CONFIG, pdicts=None) -> ProgramSet:
     """Keep the first set's entries whose structure is in every other set.
 
     The carried structural keys decide membership and the first set's rank
     order is kept. With a spec, each survivor is also re-run on every
     example and dropped unless it reproduces the output, so a set that was
     not learned from these examples cannot contribute a wrong program.
+    ``pdicts``, when given, are the spec inputs' dictionaries, in order.
     """
     sets = list(sets)
     if not sets:
@@ -342,8 +344,10 @@ def intersect_program_sets(sets, spec: ExampleSpec | None = None,
     others = [{entry[2] for entry in other.entries} for other in sets[1:]]
     survivors = [entry for entry in sets[0].entries if all(entry[2] in keys for keys in others)]
     if spec is not None:
-        pdicts = [(c, tuple(o), build_pattern_dictionary(c, config)) for c, o in spec.cases]
-        survivors = [entry for entry in survivors if _reproduces(entry[3], pdicts)]
+        if pdicts is None:
+            pdicts = [build_pattern_dictionary(c, config) for c in spec.inputs]
+        cases = [(c, tuple(o), pdict) for (c, o), pdict in zip(spec.cases, pdicts)]
+        survivors = [entry for entry in survivors if _reproduces(entry[3], cases)]
     return ProgramSet(tuple(survivors), truncated=any(s.truncated for s in sets))
 
 
@@ -386,16 +390,15 @@ def learn(spec: ExampleSpec, config: SynthConfig = DEFAULT_CONFIG) -> RankedProg
     Returns an empty result (never raises) when no predicate holds on all
     inputs or no transformation reproduces all outputs.
     """
+    pdicts = [build_pattern_dictionary(conflict, config) for conflict in spec.inputs]
     try:
-        condition_full = learn_condition(spec.inputs, config)
+        condition_full = learn_condition(spec.inputs, config, pdicts)
     except EmptyConditionError:
         logger.info("no program found: no predicate holds on every example")
         return RankedPrograms(())
-    sets = []
-    for conflict, output in spec.cases:
-        pdict = build_pattern_dictionary(conflict, config)
-        sets.append(learn_transformation(conflict, output, config=config, pdict=pdict))
-    consistent = intersect_program_sets(sets, spec=spec, config=config)
+    sets = [learn_transformation(conflict, output, config=config, pdict=pdict)
+            for (conflict, output), pdict in zip(spec.cases, pdicts)]
+    consistent = intersect_program_sets(sets, spec=spec, config=config, pdicts=pdicts)
     if not consistent.entries:
         logger.info("no program found: no transformation is consistent with every example")
         return RankedPrograms((), truncated=consistent.truncated)

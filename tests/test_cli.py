@@ -1,6 +1,7 @@
 """Tests for the command-line surface."""
 
 import json
+import os
 
 import pytest
 
@@ -152,6 +153,32 @@ def test_apply_in_place_rewrites_fully_suggested_file(tmp_path, capsys):
     assert target.read_text(encoding="utf-8") == fig_resolved_text("c")
     summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert summary["written"]
+
+
+def test_apply_in_place_keeps_crlf_and_file_mode(tmp_path, capsys):
+    program = write_program(tmp_path, FB_PROGRAM)
+    target = tmp_path / "c.cc"
+    target.write_bytes(fig_file_text("c").replace("\n", "\r\n").encode("utf-8"))
+    target.chmod(0o640)
+    assert main(["apply", "--program", str(program), str(target), "--in-place"]) == 0
+    assert target.read_bytes() == fig_resolved_text("c").replace("\n", "\r\n").encode("utf-8")
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cc", "program.json"]
+
+
+def test_apply_in_place_failed_rename_leaves_file_untouched(tmp_path, capsys, monkeypatch):
+    program = write_program(tmp_path, FB_PROGRAM)
+    target = tmp_path / "c.cc"
+    target.write_text(fig_file_text("c"), encoding="utf-8")
+
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="rename failed"):
+        main(["apply", "--program", str(program), str(target), "--in-place"])
+    assert target.read_text(encoding="utf-8") == fig_file_text("c")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cc", "program.json"]
 
 
 def test_apply_partial_keeps_unsuggested_markers(tmp_path, capsys):

@@ -245,7 +245,6 @@ def test_conflict_kind_permutation_invariant(fig1c):
     swapped = dataclasses.replace(
         fig1c,
         fork_nodes=tuple(reversed(fig1c.fork_nodes)),
-        sibling_chunks=(),
     )
     assert conflict_kind(swapped) == conflict_kind(fig1c)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from mergelearn.conflicts import parse_conflict_file, tokenize_nodes
+from mergelearn.conflicts import ConflictedFile, parse_conflict_file, tokenize_nodes
 from mergelearn.dsl import (
     DEFAULT_CONFIG,
     PATTERN_KEYS,
@@ -126,7 +126,8 @@ def test_dictionary_header_contents_distinguish_same_name():
     text = marker_text(['#include "ui/a/cursor.h"'], ['#include "ui/b/cursor.h"'])
     (chunk,) = parse_conflict_file(text, "a.cc")
     assert pdict_of(chunk).patterns["DuplicateMainFork"]
-    chunk.header_contents.update({"ui/a/cursor.h": "class A;", "ui/b/cursor.h": "class B;"})
+    headers = {"ui/a/cursor.h": "class A;", "ui/b/cursor.h": "class B;"}
+    (chunk,) = ConflictedFile.parse(text, "a.cc", header_text=headers.get).chunks
     assert "DuplicateMainFork" not in pdict_of(chunk).patterns
 
 
