@@ -29,6 +29,7 @@ from .dsl import (
     SynthConfig,
     build_pattern_dictionary,
     deserialize_program,
+    first_resolution,
     run_program,
     serialize_program,
 )
@@ -57,6 +58,7 @@ __all__ = [
     "SynthConfig",
     "build_pattern_dictionary",
     "deserialize_program",
+    "first_resolution",
     "run_program",
     "serialize_program",
     "ExampleSpec",

@@ -1,8 +1,8 @@
 """Command-line interface: learn, apply, classify, eval.
 
-Exit codes: 0 success (including "no suggestion"), 1 operational failure,
-2 usage error. All machine-readable output has a stable key order and no
-timestamps.
+Exit codes: 0 success (including "no suggestion"), 1 operational failure
+(an unreadable input or an unwritable output among them), 2 usage error.
+All machine-readable output has a stable key order and no timestamps.
 """
 
 from __future__ import annotations
@@ -24,11 +24,10 @@ from .dsl import (
     ParseError,
     Program,
     SynthConfig,
-    build_pattern_dictionary,
     config_to_json,
+    first_resolution,
     program_from_json,
     program_to_json,
-    run_program,
 )
 from .synth import ExampleSpec, learn
 
@@ -151,14 +150,11 @@ def cmd_apply(args) -> int:
         return 1
     resolutions = {}
     for index, chunk in enumerate(parsed.chunks):
-        pdict = build_pattern_dictionary(chunk, config)
-        for pi, program in enumerate(programs):
-            suggestion = run_program(program, chunk, config, pdict)
-            if suggestion.is_resolved:
-                resolutions[index] = suggestion.nodes
-                break
-            if suggestion.kind == "failed":
-                print(f"note: program {pi} failed on chunk {index}: {suggestion.error}", file=sys.stderr)
+        fired, nodes, failures = first_resolution(programs, chunk, config)
+        for pi, error in failures:
+            print(f"note: program {pi} failed on chunk {index}: {error}", file=sys.stderr)
+        if fired is not None:
+            resolutions[index] = nodes
     total = len(parsed.chunks)
     suggested = len(resolutions)
     resolved_text = parsed.render(resolutions)
@@ -281,7 +277,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _ConfigError as exc:
+    except (_ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -24,7 +24,8 @@ from .conflicts import (
     conflict_kind,
     tokenize_nodes,
 )
-from .dsl import DEFAULT_CONFIG, Suggestion, SynthConfig, build_pattern_dictionary, run_program
+from .dsl import DEFAULT_CONFIG, SynthConfig, first_resolution
+from .dsl import run_program  # noqa: F401  re-exported: callers read corpus.run_program
 
 logger = logging.getLogger(__name__)
 
@@ -422,9 +423,9 @@ def resolutions_match(suggested, actual, conflict: ConflictInput, config: SynthC
 def evaluate(programs, cases, config: SynthConfig = DEFAULT_CONFIG) -> EvalReport:
     """Replay programs over a corpus and compare against human resolutions.
 
-    Programs run in the given order; the first Resolved suggestion is the
-    one compared. Guard misses and evaluation failures fall through to the
-    next program.
+    Programs run in the given order (``dsl.first_resolution``); the first
+    Resolved suggestion is the one compared. Guard misses and evaluation
+    failures fall through to the next program.
     """
     programs = list(programs)
     cases = list(cases)
@@ -433,22 +434,14 @@ def evaluate(programs, cases, config: SynthConfig = DEFAULT_CONFIG) -> EvalRepor
     per_program = [_Tally() for _ in programs]
     for case in cases:
         label_tally = by_label.setdefault(case.label or "unlabeled", _Tally())
-        suggestion: Suggestion | None = None
-        fired = None
-        pdict = build_pattern_dictionary(case.conflict, config)
-        for i, program in enumerate(programs):
-            result = run_program(program, case.conflict, config, pdict)
-            if result.is_resolved:
-                suggestion = result
-                fired = i
-                break
-            if result.kind == "failed":
-                logger.debug("program %d failed on %s#%d: %s", i, case.file_path, case.chunk_index, result.error)
-        if suggestion is None:
+        fired, nodes, failures = first_resolution(programs, case.conflict, config)
+        for i, error in failures:
+            logger.debug("program %d failed on %s#%d: %s", i, case.file_path, case.chunk_index, error)
+        if fired is None:
             overall.no_suggestion += 1
             label_tally.no_suggestion += 1
             continue
-        if resolutions_match(suggestion.nodes, case.human_resolution, case.conflict, config):
+        if resolutions_match(nodes, case.human_resolution, case.conflict, config):
             overall.matched += 1
             label_tally.matched += 1
             per_program[fired].matched += 1

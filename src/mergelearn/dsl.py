@@ -353,6 +353,25 @@ def run_program(program: Program, conflict: ConflictInput, config: SynthConfig =
         return Suggestion.failed(str(exc))
 
 
+def first_resolution(programs, conflict: ConflictInput, config: SynthConfig = DEFAULT_CONFIG):
+    """Replay programs in order on one conflict, sharing its dictionary.
+
+    Returns ``(index, nodes, failures)``: the first program whose suggestion
+    is Resolved and its nodes, or ``(None, None, failures)`` when none is.
+    ``failures`` are the ``(index, error)`` of the failed programs tried
+    before it; guard misses fall through silently.
+    """
+    pdict = build_pattern_dictionary(conflict, config)
+    failures = []
+    for index, program in enumerate(programs):
+        suggestion = run_program(program, conflict, config, pdict)
+        if suggestion.is_resolved:
+            return index, suggestion.nodes, failures
+        if suggestion.kind == FAILED:
+            failures.append((index, suggestion.error))
+    return None, None, failures
+
+
 # --- serialization ----------------------------------------------------------
 
 def _predicate_to_json(p: Predicate) -> dict:

@@ -27,7 +27,6 @@ from .dsl import (
     PATTERN_KEYS,
     Concat,
     Condition,
-    EvaluationFailed,
     PatternDictionary,
     Predicate,
     Program,
@@ -37,7 +36,6 @@ from .dsl import (
     SynthConfig,
     Transformation,
     build_pattern_dictionary,
-    eval_transformation,
     program_features,
     program_score,
     program_size,
@@ -328,34 +326,21 @@ def learn_condition(inputs, config: SynthConfig = DEFAULT_CONFIG, pdicts=None) -
     return Condition(tuple(predicates))
 
 
-def intersect_program_sets(sets, spec: ExampleSpec | None = None,
-                           config: SynthConfig = DEFAULT_CONFIG, pdicts=None) -> ProgramSet:
+def intersect_program_sets(sets) -> ProgramSet:
     """Keep the first set's entries whose structure is in every other set.
 
-    The carried structural keys decide membership and the first set's rank
-    order is kept. With a spec, each survivor is also re-run on every
-    example and dropped unless it reproduces the output, so a set that was
-    not learned from these examples cannot contribute a wrong program.
-    ``pdicts``, when given, are the spec inputs' dictionaries, in order.
+    Membership on the carried structural keys is all it takes: each set
+    holds only programs that reproduce its own example, because the inverses
+    emit nothing else, and ``struct_key`` identifies a program, so a key in
+    every set is a program that reproduces every example. The first set's
+    rank order is kept.
     """
     sets = list(sets)
     if not sets:
         raise ValueError("need at least one program set")
     others = [{entry[2] for entry in other.entries} for other in sets[1:]]
     survivors = [entry for entry in sets[0].entries if all(entry[2] in keys for keys in others)]
-    if spec is not None:
-        if pdicts is None:
-            pdicts = [build_pattern_dictionary(c, config) for c in spec.inputs]
-        cases = [(c, tuple(o), pdict) for (c, o), pdict in zip(spec.cases, pdicts)]
-        survivors = [entry for entry in survivors if _reproduces(entry[3], cases)]
     return ProgramSet(tuple(survivors), truncated=any(s.truncated for s in sets))
-
-
-def _reproduces(t: Transformation, cases) -> bool:
-    try:
-        return all(eval_transformation(t, conflict, pdict) == output for conflict, output, pdict in cases)
-    except EvaluationFailed:
-        return False
 
 
 def rank(programs, config: SynthConfig = DEFAULT_CONFIG) -> RankedPrograms:
@@ -364,8 +349,6 @@ def rank(programs, config: SynthConfig = DEFAULT_CONFIG) -> RankedPrograms:
     Ties break on the serialized form: fewer AST nodes first, then the
     structural key. ``learn`` ends in the same ordering.
     """
-    if isinstance(programs, ProgramSet):
-        return _ranked((_scored(p, config) for p in programs.programs), programs.truncated)
     return _ranked((_scored(p, config) for p in programs), False)
 
 
@@ -398,7 +381,7 @@ def learn(spec: ExampleSpec, config: SynthConfig = DEFAULT_CONFIG) -> RankedProg
         return RankedPrograms(())
     sets = [learn_transformation(conflict, output, config=config, pdict=pdict)
             for (conflict, output), pdict in zip(spec.cases, pdicts)]
-    consistent = intersect_program_sets(sets, spec=spec, config=config, pdicts=pdicts)
+    consistent = intersect_program_sets(sets)
     if not consistent.entries:
         logger.info("no program found: no transformation is consistent with every example")
         return RankedPrograms((), truncated=consistent.truncated)

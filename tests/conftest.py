@@ -20,6 +20,7 @@ from mergelearn.dsl import (
     Selection,
     build_pattern_dictionary,
     run_program,
+    selections_in,
 )
 from mergelearn.synth import canonical_selections
 
@@ -228,3 +229,39 @@ def gen_program_with_output(rng, conflict, depth, config=None, attempts=30):
         if result.is_resolved:
             return program, result.nodes
     return None
+
+
+def criterion3_cases(rng):
+    """One-example cases drawn by acceptance criterion 3's recipe: a conflict,
+    a program of concat depth <= 3 that resolves it, and its output of at
+    most 10 nodes. Yields ``((conflict, output),)`` forever."""
+    while True:
+        conflict = gen_conflict(rng)
+        generated = gen_program_with_output(rng, conflict, depth=3)
+        if generated is not None and len(generated[1]) <= 10:
+            yield ((conflict, generated[1]),)
+
+
+def multi_example_cases(rng, sizes=(2, 3), depth=2, max_output=6, attempts=40):
+    """Cases of ``sizes`` examples that one random program produces: the program
+    resolves its first conflict, and later conflicts carry every include
+    path the program names so its guard can hold there too. Yields forever."""
+    while True:
+        first = gen_conflict(rng)
+        generated = gen_program_with_output(rng, first, depth)
+        if generated is None or len(generated[1]) > max_output:
+            continue
+        program, output = generated
+        paths = {p.path for p in program.condition.predicates if p.path is not None}
+        paths |= {s.path for s in selections_in(program.transformation) if s.path is not None}
+        want = rng.choice(sizes)
+        cases = [(first, output)]
+        for _ in range(attempts):
+            if len(cases) == want:
+                break
+            other = gen_conflict(rng, force_paths=tuple(sorted(paths)))
+            result = run_program(program, other)
+            if result.is_resolved and len(result.nodes) <= max_output:
+                cases.append((other, result.nodes))
+        if len(cases) == want:
+            yield tuple(cases)

@@ -175,10 +175,27 @@ def test_apply_in_place_failed_rename_leaves_file_untouched(tmp_path, capsys, mo
         raise OSError("rename failed")
 
     monkeypatch.setattr(os, "replace", failing_replace)
-    with pytest.raises(OSError, match="rename failed"):
-        main(["apply", "--program", str(program), str(target), "--in-place"])
+    code = main(["apply", "--program", str(program), str(target), "--in-place"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: rename failed\n"
     assert target.read_text(encoding="utf-8") == fig_file_text("c")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cc", "program.json"]
+
+
+@pytest.mark.parametrize("command", ["learn", "classify", "eval"])
+def test_unwritable_output_is_clean_error(tmp_path, capsys, command):
+    unwritable = str(tmp_path / "missing" / "out.json")
+    corpus = str(write_fig_corpus(tmp_path / "corpus"))
+    program = str(write_program(tmp_path, FB_PROGRAM))
+    argv = {
+        "learn": ["learn", "--examples", str(write_example_spec(tmp_path, ["c", "d"])), "--out", unwritable],
+        "classify": ["classify", corpus, "--report", unwritable],
+        "eval": ["eval", "--program", program, corpus, "--report", unwritable],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
 
 
 def test_apply_partial_keeps_unsuggested_markers(tmp_path, capsys):
