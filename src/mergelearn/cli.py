@@ -21,7 +21,6 @@ from pathlib import Path
 from .conflicts import ConflictedFile, tokenize_nodes
 from .corpus import EmptyCorpusError, evaluate, load_corpus, report
 from .dsl import (
-    ParseError,
     Program,
     SynthConfig,
     config_to_json,
@@ -127,6 +126,9 @@ def cmd_learn(args) -> int:
 
 
 def _load_programs(paths) -> list[Program]:
+    """The programs of each file, one program or an array of them. An
+    unreadable file raises OSError; anything else wrong with it (not UTF-8,
+    not JSON, not a program) raises a ValueError."""
     programs = []
     for path in paths:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -145,7 +147,7 @@ def cmd_apply(args) -> int:
             # Universal newlines read CRLF as LF; a file that had only CRLF is written back so.
             newline = "\r\n" if f.newlines == "\r\n" else "\n"
         parsed = ConflictedFile.parse(source, args.file, side_order=args.side_order)
-    except (OSError, ParseError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     resolutions = {}
@@ -219,10 +221,7 @@ def cmd_eval(args) -> int:
     try:
         programs = _load_programs(args.program)
         cases = load_corpus(args.root)
-    except EmptyCorpusError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ParseError, json.JSONDecodeError) as exc:
+    except (EmptyCorpusError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     result = evaluate(programs, cases, config)

@@ -13,7 +13,7 @@ import json
 import logging
 import re
 from dataclasses import dataclass
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 from .conflicts import (
     INCLUDE,
@@ -117,10 +117,19 @@ def _align(parsed: ConflictedFile, resolved_text: str) -> list[AlignedChunk]:
 
 
 def _header_reader(case_dir: Path):
-    """Header text for an include path: ``headers/<basename>`` of the case, if shipped."""
+    """Header text for an include path: the case's ``headers/<include path>``
+    when the path is relative without ``..`` and that file exists, else
+    ``headers/<basename>`` if it exists. None when there is no ``headers/``."""
+    headers = case_dir / "headers"
+    if not headers.is_dir():
+        return None
+
     def read(path: str) -> str | None:
-        header_file = case_dir / "headers" / path.rsplit("/", 1)[-1]
-        return header_file.read_text(encoding="utf-8") if header_file.is_file() else None
+        include = PurePosixPath(path)
+        if not include.is_absolute() and ".." not in include.parts and (headers / include).is_file():
+            return (headers / include).read_text(encoding="utf-8")
+        by_name = headers / path.rsplit("/", 1)[-1]
+        return by_name.read_text(encoding="utf-8") if by_name.is_file() else None
     return read
 
 

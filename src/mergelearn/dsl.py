@@ -421,26 +421,15 @@ def _expect_dict(value, where: str) -> dict:
     return value
 
 
-def _parse_literals(obj: dict, where: str) -> dict:
-    known = {"tag", "k", "path", "key"}
-    extra = set(obj) - known
+def _literal_node(cls, obj, where: str):
+    """A Predicate or Selection from its JSON object; any fault is a ParseError."""
+    obj = _expect_dict(obj, where)
+    names = [f.name for f in fields(cls)]
+    extra = set(obj) - set(names)
     if extra:
         raise ParseError(f"{where}: unexpected fields {sorted(extra)}")
-    return obj
-
-
-def _predicate_from_json(obj, where: str) -> Predicate:
-    obj = _expect_dict(obj, where)
     try:
-        return Predicate(tag=obj.get("tag"), path=obj.get("path"))
-    except (ValueError, TypeError) as exc:
-        raise ParseError(f"{where}: {exc}") from exc
-
-
-def _selection_from_json(obj, where: str) -> Selection:
-    obj = _parse_literals(_expect_dict(obj, where), where)
-    try:
-        return Selection(tag=obj.get("tag"), k=obj.get("k"), path=obj.get("path"), key=obj.get("key"))
+        return cls(**{name: obj.get(name) for name in names})
     except (ValueError, TypeError) as exc:
         raise ParseError(f"{where}: {exc}") from exc
 
@@ -461,23 +450,28 @@ def _transformation_from_json(obj, where: str) -> Transformation:
         if not isinstance(payload, list) or len(payload) != 2:
             raise ParseError(f"{where}.remove: expected a pair")
         return Remove(
-            _selection_from_json(payload[0], f"{where}.remove[0]"),
-            _selection_from_json(payload[1], f"{where}.remove[1]"),
+            _literal_node(Selection, payload[0], f"{where}.remove[0]"),
+            _literal_node(Selection, payload[1], f"{where}.remove[1]"),
         )
     if op == "select":
-        return Select(_selection_from_json(payload, f"{where}.select"))
+        return Select(_literal_node(Selection, payload, f"{where}.select"))
     raise ParseError(f"{where}: unknown operator {op!r}")
 
 
 def program_from_json(obj: dict) -> Program:
     obj = _expect_dict(obj, "program")
-    if obj.get("dslv") != DSL_VERSION:
-        raise ParseError(f"program: unsupported dslv {obj.get('dslv')!r}")
+    dslv = obj.get("dslv")
+    if type(dslv) is not int or dslv != DSL_VERSION:
+        raise ParseError(f"program: unsupported dslv {dslv!r}")
     apply_obj = _expect_dict(obj.get("apply"), "apply")
     preds = apply_obj.get("condition")
     if not isinstance(preds, list) or not preds:
         raise ParseError("apply.condition: expected a non-empty array")
-    condition = Condition(tuple(_predicate_from_json(p, f"apply.condition[{i}]") for i, p in enumerate(preds)))
+    predicates = tuple(_literal_node(Predicate, p, f"apply.condition[{i}]") for i, p in enumerate(preds))
+    try:
+        condition = Condition(predicates)
+    except ValueError as exc:
+        raise ParseError(f"apply.condition: {exc}") from exc
     return Program(condition, _transformation_from_json(apply_obj.get("transform"), "apply.transform"))
 
 
@@ -520,74 +514,79 @@ def program_features(obj: Program | Transformation) -> dict:
     }
 
 
-def program_score(obj, config: SynthConfig = DEFAULT_CONFIG) -> float:
-    """The cost model; lower is better.
+def rank_entry(obj, config: SynthConfig = DEFAULT_CONFIG) -> tuple:
+    """The rank entry ``(score, size, struct_key, obj, pattern_keys)`` of a
+    program, condition, transformation or selection; entries sort by their
+    first three fields. This one walk is the cost model (``program_score``),
+    the AST size and the structural key, and the learner builds its
+    candidates with the same constructors (``concat_entry``,
+    ``apply_entry``), so a learned entry equals this one exactly.
 
-    Additive over the AST, in the order the learner adds bottom-up, so a
-    learned score equals this one exactly: a selection costs its literals
-    and earns its generality; Remove is an operator plus its two
-    selections; Concat is its arms plus an operator; a condition costs its
-    path literals. A Pattern selection's bonus is credited on a program only
-    when its key predicate is in the condition (always on a bare
-    transformation, where no condition exists yet).
+    The score is additive, lower is better: a selection costs its literals
+    and earns its generality; Remove is an operator plus its selections;
+    Concat is its arms plus an operator; a condition costs its path
+    literals; a program is its transformation plus its condition plus
+    ``w_pattern`` per Pattern selection whose key predicate the condition
+    lacks. ``pattern_keys`` are the keys of a transformation's Pattern
+    selections, duplicates included (a program's are its transformation's),
+    or the set of a condition's predicate tags.
     """
-    if isinstance(obj, Program):
-        guard_tags = {p.tag for p in obj.condition.predicates}
-        uncredited = sum(s.tag == "Pattern" and s.key not in guard_tags for s in selections_in(obj.transformation))
-        return (program_score(obj.transformation, config) + program_score(obj.condition, config)
-                + config.w_pattern * uncredited)
-    if isinstance(obj, Condition):
-        return config.w_constants * sum(1 for p in obj.predicates if p.path is not None)
-    if isinstance(obj, Concat):
-        return program_score(obj.left, config) + program_score(obj.right, config) + config.w_operators
-    if isinstance(obj, Remove):
-        return config.w_operators + program_score(obj.source, config) + program_score(obj.removed, config)
-    if isinstance(obj, Select):
-        return program_score(obj.selection, config)
     if isinstance(obj, Selection):
-        if obj.tag in ("Main", "Fork"):
-            return -config.w_branch
-        if obj.tag in ("MainByIndex", "ForkByIndex"):
-            return config.w_constants + config.w_index
-        if obj.tag in ("MainByPath", "ForkByPath"):
-            return config.w_constants
-        return -config.w_pattern
-    raise TypeError(f"no score for {type(obj).__name__}")
+        tag = obj.tag
+        if tag in ("Main", "Fork"):
+            return (-config.w_branch, 1, (tag,), obj, ())
+        if tag in ("MainByIndex", "ForkByIndex"):
+            return (config.w_constants + config.w_index, 1, (tag, str(obj.k)), obj, ())
+        if tag in ("MainByPath", "ForkByPath"):
+            return (config.w_constants, 1, (tag, obj.path), obj, ())
+        return (-config.w_pattern, 1, (tag, obj.key), obj, (obj.key,))
+    if isinstance(obj, Select):
+        selection = rank_entry(obj.selection, config)
+        return (selection[0], 1, ("Select", selection[2]), obj, selection[4])
+    if isinstance(obj, Remove):
+        source, removed = rank_entry(obj.source, config), rank_entry(obj.removed, config)
+        return (config.w_operators + source[0] + removed[0], 3, ("Remove", source[2], removed[2]), obj,
+                source[4] + removed[4])
+    if isinstance(obj, Concat):
+        return concat_entry(rank_entry(obj.left, config), rank_entry(obj.right, config), config)
+    if isinstance(obj, Condition):
+        preds = obj.predicates
+        keys = tuple((p.tag,) if p.path is None else (p.tag, p.path) for p in preds)
+        return (config.w_constants * sum(p.path is not None for p in preds), len(preds), ("And",) + keys, obj,
+                frozenset(p.tag for p in preds))
+    if isinstance(obj, Program):
+        return apply_entry(rank_entry(obj.condition, config), rank_entry(obj.transformation, config), config)
+    raise TypeError(f"no rank entry for {type(obj).__name__}")
+
+
+def concat_entry(left: tuple, right: tuple, config: SynthConfig = DEFAULT_CONFIG) -> tuple:
+    """The rank entry of ``Concat`` over two transformation entries."""
+    return (left[0] + right[0] + config.w_operators, left[1] + right[1] + 1, ("Concat", left[2], right[2]),
+            Concat(left[3], right[3]), left[4] + right[4])
+
+
+def apply_entry(guard: tuple, t: tuple, config: SynthConfig = DEFAULT_CONFIG) -> tuple:
+    """The rank entry of the program guarding transformation entry ``t`` by
+    condition entry ``guard``. A Pattern selection's bonus is credited only
+    when its key predicate is in the guard."""
+    uncredited = sum(key not in guard[4] for key in t[4])
+    return (t[0] + guard[0] + config.w_pattern * uncredited, guard[1] + t[1], ("Apply", guard[2], t[2]),
+            Program(guard[3], t[3]), t[4])
+
+
+def program_score(obj, config: SynthConfig = DEFAULT_CONFIG) -> float:
+    """The cost model; lower is better. See ``rank_entry``."""
+    return rank_entry(obj, config)[0]
 
 
 def struct_key(obj) -> tuple:
     """Total, deterministic ordering key mirroring the serialized form."""
-    if isinstance(obj, Program):
-        return ("Apply", struct_key(obj.condition), struct_key(obj.transformation))
-    if isinstance(obj, Condition):
-        return ("And",) + tuple(struct_key(p) for p in obj.predicates)
-    if isinstance(obj, Predicate):
-        return (obj.tag,) if obj.path is None else (obj.tag, obj.path)
-    if isinstance(obj, Concat):
-        return ("Concat", struct_key(obj.left), struct_key(obj.right))
-    if isinstance(obj, Remove):
-        return ("Remove", struct_key(obj.source), struct_key(obj.removed))
-    if isinstance(obj, Select):
-        return ("Select", struct_key(obj.selection))
-    if isinstance(obj, Selection):
-        literal = obj.k if obj.k is not None else obj.path if obj.path is not None else obj.key
-        return (obj.tag,) if literal is None else (obj.tag, str(literal))
-    raise TypeError(f"no structural key for {type(obj).__name__}")
+    return rank_entry(obj)[2]
 
 
 def program_size(obj) -> int:
     """Number of AST nodes: operators, selections and predicates."""
-    if isinstance(obj, Program):
-        return program_size(obj.condition) + program_size(obj.transformation)
-    if isinstance(obj, Condition):
-        return len(obj.predicates)
-    if isinstance(obj, Concat):
-        return 1 + program_size(obj.left) + program_size(obj.right)
-    if isinstance(obj, Remove):
-        return 3
-    if isinstance(obj, Select):
-        return 1
-    raise TypeError(f"no size for {type(obj).__name__}")
+    return rank_entry(obj)[1]
 
 
 def config_to_json(config: SynthConfig) -> dict:

@@ -4,8 +4,11 @@ Learning is top-down: each operator's inverse maps a desired output to the
 sub-outputs its arguments must produce, recursion bottoms out at selections,
 and per-example candidate sets are intersected so only programs consistent
 with every example survive. One additive score, ``dsl.program_score``,
-ranks candidates: the learner adds it up bottom-up, carries it through
-intersection and guard pairing, and ``rank`` computes the same number.
+ranks candidates. The learner builds every candidate's rank entry (score,
+size, structural key, program, Pattern keys) bottom-up with dsl's own
+constructors, ``rank_entry``, ``concat_entry`` and ``apply_entry``, and
+carries it through intersection and guard pairing, so ``rank`` computes
+the same entry from a finished program.
 
 Candidates are kept in a normal form: a Concat arm that evaluates to
 nothing may appear only once, as the right arm of the root. Anything else
@@ -25,7 +28,6 @@ from .conflicts import ConflictInput, Node
 from .dsl import (
     DEFAULT_CONFIG,
     PATTERN_KEYS,
-    Concat,
     Condition,
     PatternDictionary,
     Predicate,
@@ -35,13 +37,12 @@ from .dsl import (
     Selection,
     SynthConfig,
     Transformation,
+    apply_entry,
     build_pattern_dictionary,
+    concat_entry,
     program_features,
-    program_score,
-    program_size,
+    rank_entry,
     remove_nodes,
-    selections_in,
-    struct_key,
 )
 
 logger = logging.getLogger(__name__)
@@ -70,12 +71,8 @@ class ExampleSpec:
         return tuple(conflict for conflict, _ in self.cases)
 
 
-def _scored(obj, config: SynthConfig):
-    """A rank entry: ``(score, size, struct_key, obj)``; entries sort by their first three."""
-    return (program_score(obj, config), program_size(obj), struct_key(obj), obj)
-
-
 def _rank_key(entry):
+    """Rank entries (``dsl.rank_entry``) sort by score, size, then structure."""
     return entry[:3]
 
 
@@ -83,8 +80,9 @@ def _rank_key(entry):
 class ProgramSet:
     """Transformations consistent with one spec, rank-ordered.
 
-    ``entries`` are the learner's ``(score, size, struct_key, transformation)``
-    tuples, best first, so later stages reuse them instead of recomputing.
+    ``entries`` are the learner's rank entries, ``(score, size, struct_key,
+    transformation, pattern_keys)``, best first, so later stages reuse them
+    instead of recomputing.
     """
 
     entries: tuple[tuple, ...]
@@ -93,7 +91,7 @@ class ProgramSet:
     @classmethod
     def from_programs(cls, programs, config: SynthConfig = DEFAULT_CONFIG) -> "ProgramSet":
         """Score and order transformations that did not come from the learner."""
-        return cls(tuple(sorted((_scored(t, config) for t in programs), key=_rank_key)))
+        return cls(tuple(sorted((rank_entry(t, config) for t in programs), key=_rank_key)))
 
     @property
     def programs(self) -> tuple[Transformation, ...]:
@@ -132,7 +130,7 @@ class RankedPrograms:
 def _ranked(entries, truncated: bool) -> RankedPrograms:
     """The one final order of ``learn`` and ``rank``: score, then AST size, then structure."""
     ordered = sorted(entries, key=_rank_key)
-    return RankedPrograms(tuple(RankedProgram(p, score) for score, _, _, p in ordered), truncated=truncated)
+    return RankedPrograms(tuple(RankedProgram(entry[3], entry[0]) for entry in ordered), truncated=truncated)
 
 
 def canonical_selections(conflict: ConflictInput, pdict: PatternDictionary):
@@ -204,8 +202,8 @@ def wf_remove(conflict: ConflictInput, target) -> list[tuple[Selection, tuple[No
 class _TransformationLearner:
     """Memoized candidate generation for one input.
 
-    Candidates are rank entries (see ``_scored``), so sets stay rank-sorted
-    and deduplicated by structure throughout.
+    Candidates are rank entries (``dsl.rank_entry``), so sets stay
+    rank-sorted and deduplicated by structure throughout.
     """
 
     def __init__(self, conflict: ConflictInput, pdict: PatternDictionary, config: SynthConfig):
@@ -218,16 +216,9 @@ class _TransformationLearner:
         self._core_memo: dict = {}
         self._base_memo: dict = {}
 
-    def _scored_concat(self, left, right):
-        return (
-            left[0] + right[0] + self.config.w_operators,
-            left[1] + right[1] + 1,
-            ("Concat", left[2], right[2]),
-            Concat(left[3], right[3]),
-        )
-
     def _merge_concats(self, left, right, sink: dict):
-        """Best-first product of two sorted candidate lists, capped."""
+        """Best-first product of two sorted candidate lists, capped; the heap
+        orders pairs by their arms' summed scores, as their own scores do."""
         if not left or not right:
             return
         cap = self.config.max_programs
@@ -239,7 +230,7 @@ class _TransformationLearner:
                 self.truncated = True
                 return
             _, i, j = heapq.heappop(heap)
-            cand = self._scored_concat(left[i], right[j])
+            cand = concat_entry(left[i], right[j], self.config)
             if cand[2] not in sink:
                 sink[cand[2]] = cand
                 emitted += 1
@@ -263,7 +254,7 @@ class _TransformationLearner:
         ts = [Select(sel) for sel in _matching(self.selections, target)]
         for source, removed in wf_remove(self.conflict, target):
             ts.extend(Remove(source, sel) for sel in _matching(self.removable, _multiset(removed)))
-        cands = {cand[2]: cand for cand in (_scored(t, self.config) for t in ts)}
+        cands = {cand[2]: cand for cand in (rank_entry(t, self.config) for t in ts)}
         self._base_memo[target] = cands
         return cands
 
@@ -287,7 +278,7 @@ class _TransformationLearner:
         if depth > 0 and target:
             for core_cand in self.core(target, depth - 1):
                 for empty_cand in self.core((), 0):
-                    cand = self._scored_concat(core_cand, empty_cand)
+                    cand = concat_entry(core_cand, empty_cand, self.config)
                     cands.setdefault(cand[2], cand)
         return self._finish(cands)
 
@@ -349,7 +340,7 @@ def rank(programs, config: SynthConfig = DEFAULT_CONFIG) -> RankedPrograms:
     Ties break on the serialized form: fewer AST nodes first, then the
     structural key. ``learn`` ends in the same ordering.
     """
-    return _ranked((_scored(p, config) for p in programs), False)
+    return _ranked((rank_entry(p, config) for p in programs), False)
 
 
 def _guard_candidates(condition: Condition, config: SynthConfig):
@@ -364,7 +355,7 @@ def _guard_candidates(condition: Condition, config: SynthConfig):
     else:
         subsets = [(p,) for p in preds]
         subsets.append(preds)
-    return sorted((_scored(Condition(subset), config) for subset in subsets), key=_rank_key)
+    return sorted((rank_entry(Condition(subset), config) for subset in subsets), key=_rank_key)
 
 
 def learn(spec: ExampleSpec, config: SynthConfig = DEFAULT_CONFIG) -> RankedPrograms:
@@ -389,15 +380,17 @@ def learn(spec: ExampleSpec, config: SynthConfig = DEFAULT_CONFIG) -> RankedProg
         logger.warning("candidate set truncated at %d programs; results may be incomplete",
                        config.max_programs)
 
-    # A Pattern selection's bonus is earned only under a guard naming its key.
+    # A Pattern selection's bonus is earned only under a guard naming its
+    # key, so each transformation pairs only with guards holding its keys;
+    # the heap orders pairs by their summed scores, which is then the
+    # program's score.
     guards = _guard_candidates(condition_full, config)
-    guard_tags = [frozenset(p.tag for p in guard[3].predicates) for guard in guards]
     ts = consistent.entries
-    mandatory = [frozenset(s.key for s in selections_in(t[3]) if s.tag == "Pattern") for t in ts]
+    mandatory = [frozenset(t[4]) for t in ts]
 
     def next_guard(start: int, required: frozenset[str]) -> int:
         gi = start
-        while gi < len(guards) and not required <= guard_tags[gi]:
+        while gi < len(guards) and not required <= guards[gi][4]:
             gi += 1
         return gi
 
@@ -412,13 +405,10 @@ def learn(spec: ExampleSpec, config: SynthConfig = DEFAULT_CONFIG) -> RankedProg
         if len(picked) >= config.max_programs:
             truncated = True
             break
-        total, ti, gi = heapq.heappop(heap)
-        picked.append((total, ts[ti], guards[gi]))
+        _, ti, gi = heapq.heappop(heap)
+        picked.append(apply_entry(guards[gi], ts[ti], config))
         ngi = next_guard(gi + 1, mandatory[ti])
         if ngi < len(guards):
             heapq.heappush(heap, (ts[ti][0] + guards[ngi][0], ti, ngi))
 
-    return _ranked(
-        ((total, g[1] + t[1], ("Apply", g[2], t[2]), Program(g[3], t[3])) for total, t, g in picked),
-        truncated,
-    )
+    return _ranked(picked, truncated)

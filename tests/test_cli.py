@@ -11,6 +11,7 @@ from mergelearn.dsl import (
     Predicate,
     Program,
     program_from_json,
+    program_to_json,
     serialize_program,
 )
 
@@ -248,6 +249,28 @@ def test_apply_bad_program_file_exit_1(tmp_path, capsys):
     target.write_text(fig_file_text("c"), encoding="utf-8")
     code = main(["apply", "--program", str(bad), str(target), "--print"])
     assert code == 1
+
+
+def _duplicate_predicates() -> bytes:
+    obj = program_to_json(FB_PROGRAM)
+    obj["apply"]["condition"] *= 2
+    return json.dumps(obj).encode()
+
+
+@pytest.mark.parametrize("command", ["apply", "eval"])
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", _duplicate_predicates()],
+                         ids=["not-utf8", "duplicate-predicates"])
+def test_bad_program_file_is_one_error_line(tmp_path, capsys, command, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    target = tmp_path / "c.cc"
+    target.write_text(fig_file_text("c"), encoding="utf-8")
+    corpus = write_fig_corpus(tmp_path / "corpus")
+    rest = [str(target), "--print"] if command == "apply" else [str(corpus), "--report", "-"]
+    code = main([command, "--program", str(bad), *rest])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_classify_reports_fig_corpus(tmp_path, capsys):

@@ -6,10 +6,11 @@ import logging
 import pytest
 
 from mergelearn.conflicts import parse_conflict_file, tokenize_nodes
-from mergelearn.dsl import Condition, Predicate, Program, Select, Selection, SynthConfig
+from mergelearn.dsl import Condition, Predicate, Program, Select, Selection, SynthConfig, build_pattern_dictionary
 from mergelearn.corpus import (
     SIZE_BUCKETS,
     EmptyCorpusError,
+    _header_reader,
     align_resolution,
     classify_file_type,
     classify_location,
@@ -109,6 +110,32 @@ def test_load_corpus_reads_headers(tmp_path):
         "ui/base/mojom/cursor_type.mojom-shared.h": "struct CursorType;\n",
         "ui/base/cursor/mojom/cursor_type.mojom-shared.h": "struct CursorType;\n",
     }
+
+
+def test_load_corpus_reads_headers_by_include_path(tmp_path):
+    # Same file name, different headers: the two includes are no duplicate.
+    root = tmp_path / "corpus"
+    case_dir = root / "merge-001" / "case-a"
+    case_dir.mkdir(parents=True)
+    case_dir.joinpath("conflict.txt").write_text(fig_file_text("a"), encoding="utf-8")
+    case_dir.joinpath("resolved.txt").write_text(fig_resolved_text("a"), encoding="utf-8")
+    case_dir.joinpath("meta.json").write_text(json.dumps({"file_path": "a.cc"}), encoding="utf-8")
+    contents = {
+        "ui/base/mojom/cursor_type.mojom-shared.h": "struct CursorType;\n",
+        "ui/base/cursor/mojom/cursor_type.mojom-shared.h": "enum class CursorType;\n",
+    }
+    for path, text in contents.items():
+        header = case_dir / "headers" / path
+        header.parent.mkdir(parents=True, exist_ok=True)
+        header.write_text(text, encoding="utf-8")
+    # Only a relative path without ".." is looked up in full.
+    case_dir.joinpath("escaped.h").write_text("outside\n", encoding="utf-8")
+    case_dir.joinpath("headers", "escaped.h").write_text("by name\n", encoding="utf-8")
+    assert _header_reader(case_dir)("../escaped.h") == "by name\n"
+    assert _header_reader(tmp_path) is None
+    (case,) = load_corpus(root)
+    assert case.conflict.header_contents == contents
+    assert "DuplicateMainFork" not in build_pattern_dictionary(case.conflict).patterns
 
 
 def test_load_corpus_honors_side_order(tmp_path):

@@ -1,5 +1,6 @@
 """Tests for the DSL: pattern dictionary, evaluation, serialization, scoring."""
 
+import copy
 import json
 
 import pytest
@@ -10,6 +11,8 @@ from mergelearn.conflicts import ConflictedFile, parse_conflict_file, tokenize_n
 from mergelearn.dsl import (
     DEFAULT_CONFIG,
     PATTERN_KEYS,
+    PREDICATE_TAGS,
+    SELECTION_TAGS,
     Concat,
     Condition,
     EvaluationFailed,
@@ -29,6 +32,7 @@ from mergelearn.dsl import (
     eval_transformation,
     program_features,
     program_score,
+    program_to_json,
     run_program,
     serialize_program,
 )
@@ -293,6 +297,9 @@ def test_deserialize_truncated_json_is_parse_error():
         lambda obj: obj["apply"].update(transform={"select": {"tag": "Nope"}}),
         lambda obj: obj["apply"].update(transform={"select": {"tag": "MainByIndex"}}),
         lambda obj: obj["apply"].update(transform={"concat": [{"select": {"tag": "Main"}}]}),
+        lambda obj: obj["apply"].update(condition=[{"tag": "Rename"}, {"tag": "Rename"}]),
+        lambda obj: obj["apply"].update(condition=[{"tag": "Rename", "k": 3, "bogus": True}]),
+        lambda obj: obj.update(dslv=True),
     ],
 )
 def test_deserialize_rejects_malformed(mutate):
@@ -389,6 +396,50 @@ program_strategy = st.builds(
 @given(program_strategy)
 def test_serialize_round_trip_generated(program):
     assert deserialize_program(serialize_program(program)) == program
+
+
+_names = st.sampled_from(("tag", "k", "path", "key", "dslv", "apply", "condition", "transform",
+                          "concat", "remove", "select", *PREDICATE_TAGS, *SELECTION_TAGS))
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text() | _names,
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(_names | st.text(), children, max_size=3),
+    max_leaves=10,
+)
+
+
+def _json_slots(value, path=()):
+    """The path of every object field and array item in a JSON value."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _json_slots(child, path + (key,))
+
+
+def _parses_or_parse_error(text):
+    try:
+        assert isinstance(deserialize_program(text), Program)
+    except ParseError:
+        pass
+
+
+@given(st.one_of(json_values.map(json.dumps), st.text()))
+def test_deserialize_arbitrary_json_raises_only_parse_error(text):
+    _parses_or_parse_error(text)
+
+
+@given(program_strategy, st.data())
+def test_deserialize_program_with_one_field_replaced_raises_only_parse_error(program, data):
+    # The new value is arbitrary JSON or a copy of a sibling's value, the way
+    # a hand-edited file repeats a predicate.
+    obj = program_to_json(program)
+    *parents, last = data.draw(st.sampled_from(list(_json_slots(obj))))
+    parent = obj
+    for key in parents:
+        parent = parent[key]
+    items = parent.items() if isinstance(parent, dict) else enumerate(parent)
+    siblings = [value for key, value in items if key != last]
+    parent[last] = copy.deepcopy(data.draw(json_values | st.sampled_from(siblings) if siblings else json_values))
+    _parses_or_parse_error(json.dumps(obj))
 
 
 def test_features_of_fb_program():

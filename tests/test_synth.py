@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -22,14 +23,14 @@ from mergelearn.dsl import (
     build_pattern_dictionary,
     eval_transformation,
     program_score,
-    program_size,
     program_to_json,
+    rank_entry,
     remove_nodes,
     run_program,
     serialize_program,
-    struct_key,
 )
 from mergelearn.synth import (
+    _MAX_SUBSET_PREDICATES,
     EmptyConditionError,
     ExampleSpec,
     ProgramSet,
@@ -47,6 +48,7 @@ from mergelearn.synth import (
 from conftest import (
     DUP_PROGRAM,
     FB_PROGRAM,
+    OUTSIDE_BEFORE,
     criterion3_cases,
     fig_chunk,
     fig_resolution_nodes,
@@ -406,6 +408,29 @@ def _collect_pattern_keys(t):
     return {s.key for s in sels if s.tag == "Pattern"}
 
 
+@pytest.mark.parametrize("includes", [10, 11])
+def test_guards_on_both_sides_of_the_subset_limit(includes):
+    # Keeping a fork of n includes, the first also on main and the last also
+    # outside: the condition is DuplicateMainFork, DuplicateForkOutside and n
+    # FrequentPattern predicates.
+    fork = [f'#include "wide/h{i}.h"' for i in range(includes)]
+    (chunk,) = parse_conflict_file(marker_text(fork, fork[:1], before=(*OUTSIDE_BEFORE, fork[-1])), "wide.cc")
+    spec = ExampleSpec(((chunk, chunk.fork_nodes),))
+    full = learn_condition(spec.inputs).predicates
+    assert len(full) == includes + 2
+    start = time.perf_counter()
+    ranked = learn(spec)
+    elapsed = time.perf_counter() - start
+    guards = {entry.program.condition.predicates for entry in ranked}
+    if len(full) <= _MAX_SUBSET_PREDICATES:
+        assert any(1 < len(guard) < len(full) for guard in guards)
+    else:
+        assert all(len(guard) == 1 or guard == full for guard in guards)
+        assert elapsed < 1.0
+    for entry in list(ranked)[:20]:
+        assert run_program(entry.program, chunk).nodes == chunk.fork_nodes
+
+
 def test_one_cost_model_with_non_dyadic_weights():
     # With weights that are not sums of powers of two, float addition order
     # matters: learned scores must be program_score exactly, not approximately.
@@ -428,7 +453,7 @@ def test_one_cost_model_with_non_dyadic_weights():
         for case_input, case_output in cases:
             for entry in learn_transformation(case_input, case_output, config=config).entries:
                 t = entry[3]
-                assert entry == (program_score(t, config), program_size(t), struct_key(t), t)
+                assert entry == rank_entry(t, config)
         ranked = learn(ExampleSpec(tuple(cases)), config)
         if not ranked:
             # A second example may need a program outside the learner's space.
