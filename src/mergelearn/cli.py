@@ -24,8 +24,8 @@ from .dsl import (
     Program,
     SynthConfig,
     config_to_json,
+    deserialize_programs,
     first_resolution,
-    program_from_json,
     program_to_json,
 )
 from .synth import ExampleSpec, learn
@@ -131,10 +131,7 @@ def _load_programs(paths) -> list[Program]:
     not JSON, not a program) raises a ValueError."""
     programs = []
     for path in paths:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        items = data if isinstance(data, list) else [data]
-        for item in items:
-            programs.append(program_from_json(item))
+        programs.extend(deserialize_programs(Path(path).read_text(encoding="utf-8")))
     return programs
 
 
@@ -198,11 +195,9 @@ def _replace_file(path: Path, text: str, newline: str) -> None:
 
 
 def _write_report(report_arg: str, json_dict: dict, table: str) -> None:
-    if report_arg == "-":
-        print(table)
-    else:
+    if report_arg != "-":
         Path(report_arg).write_text(json.dumps(json_dict, indent=2) + "\n", encoding="utf-8")
-        print(table)
+    print(table)
 
 
 def cmd_classify(args) -> int:

@@ -389,7 +389,8 @@ class ConflictedFile:
             else:
                 out.extend(self.chunk_blocks[payload])
         text = "\n".join(out)
-        if self.trailing_newline and text:
+        # Test the lines, not the text: a lone blank line joins to "".
+        if self.trailing_newline and out:
             text += "\n"
         return text
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 from .conflicts import INCLUDE, MACRO, ConflictInput, Node, match_index, match_key
 
@@ -141,15 +141,9 @@ class Program:
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Knobs shared by dictionary construction, synthesis and ranking."""
+    """What a user sets: ``learn --max-depth``, ``MERGELEARN_KEYWORDS`` and ``eval --order-insensitive-includes``."""
 
     max_concat_depth: int = 3
-    max_programs: int = 10_000
-    w_operators: float = 1.0
-    w_constants: float = 0.5
-    w_index: float = 2.0
-    w_pattern: float = 1.5
-    w_branch: float = 1.0
     fork_keywords: tuple[str, ...] = ("ANONYMOUS", "DISABLED")
     main_keywords: tuple[str, ...] = ()
     order_insensitive_includes: bool = False
@@ -475,12 +469,24 @@ def program_from_json(obj: dict) -> Program:
     return Program(condition, _transformation_from_json(apply_obj.get("transform"), "apply.transform"))
 
 
-def deserialize_program(text: str) -> Program:
+def _decode(text: str, build):
+    """``build`` of the JSON value of ``text``; bad JSON or too deep a nesting is a ParseError."""
     try:
-        obj = json.loads(text)
+        return build(json.loads(text))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at position {exc.pos}: {exc.msg}") from exc
-    return program_from_json(obj)
+    except RecursionError:
+        raise ParseError("program JSON is nested too deeply") from None
+
+
+def deserialize_program(text: str) -> Program:
+    return _decode(text, program_from_json)
+
+
+def deserialize_programs(text: str) -> list[Program]:
+    """The programs of a program file: one program or an array of them."""
+    return _decode(text, lambda data: [program_from_json(item)
+                                       for item in (data if isinstance(data, list) else [data])])
 
 
 # --- features and scoring ---------------------------------------------------
@@ -514,7 +520,16 @@ def program_features(obj: Program | Transformation) -> dict:
     }
 
 
-def rank_entry(obj, config: SynthConfig = DEFAULT_CONFIG) -> tuple:
+# The cost model's weights. Each is a multiple of 0.5, so every score is an
+# exact float whatever the order of its additions.
+W_OPERATORS = 1.0
+W_CONSTANTS = 0.5
+W_INDEX = 2.0
+W_PATTERN = 1.5
+W_BRANCH = 1.0
+
+
+def rank_entry(obj) -> tuple:
     """The rank entry ``(score, size, struct_key, obj, pattern_keys)`` of a
     program, condition, transformation or selection; entries sort by their
     first three fields. This one walk is the cost model (``program_score``),
@@ -526,7 +541,7 @@ def rank_entry(obj, config: SynthConfig = DEFAULT_CONFIG) -> tuple:
     and earns its generality; Remove is an operator plus its selections;
     Concat is its arms plus an operator; a condition costs its path
     literals; a program is its transformation plus its condition plus
-    ``w_pattern`` per Pattern selection whose key predicate the condition
+    ``W_PATTERN`` per Pattern selection whose key predicate the condition
     lacks. ``pattern_keys`` are the keys of a transformation's Pattern
     selections, duplicates included (a program's are its transformation's),
     or the set of a condition's predicate tags.
@@ -534,49 +549,49 @@ def rank_entry(obj, config: SynthConfig = DEFAULT_CONFIG) -> tuple:
     if isinstance(obj, Selection):
         tag = obj.tag
         if tag in ("Main", "Fork"):
-            return (-config.w_branch, 1, (tag,), obj, ())
+            return (-W_BRANCH, 1, (tag,), obj, ())
         if tag in ("MainByIndex", "ForkByIndex"):
-            return (config.w_constants + config.w_index, 1, (tag, str(obj.k)), obj, ())
+            return (W_CONSTANTS + W_INDEX, 1, (tag, str(obj.k)), obj, ())
         if tag in ("MainByPath", "ForkByPath"):
-            return (config.w_constants, 1, (tag, obj.path), obj, ())
-        return (-config.w_pattern, 1, (tag, obj.key), obj, (obj.key,))
+            return (W_CONSTANTS, 1, (tag, obj.path), obj, ())
+        return (-W_PATTERN, 1, (tag, obj.key), obj, (obj.key,))
     if isinstance(obj, Select):
-        selection = rank_entry(obj.selection, config)
+        selection = rank_entry(obj.selection)
         return (selection[0], 1, ("Select", selection[2]), obj, selection[4])
     if isinstance(obj, Remove):
-        source, removed = rank_entry(obj.source, config), rank_entry(obj.removed, config)
-        return (config.w_operators + source[0] + removed[0], 3, ("Remove", source[2], removed[2]), obj,
+        source, removed = rank_entry(obj.source), rank_entry(obj.removed)
+        return (W_OPERATORS + source[0] + removed[0], 3, ("Remove", source[2], removed[2]), obj,
                 source[4] + removed[4])
     if isinstance(obj, Concat):
-        return concat_entry(rank_entry(obj.left, config), rank_entry(obj.right, config), config)
+        return concat_entry(rank_entry(obj.left), rank_entry(obj.right))
     if isinstance(obj, Condition):
         preds = obj.predicates
         keys = tuple((p.tag,) if p.path is None else (p.tag, p.path) for p in preds)
-        return (config.w_constants * sum(p.path is not None for p in preds), len(preds), ("And",) + keys, obj,
+        return (W_CONSTANTS * sum(p.path is not None for p in preds), len(preds), ("And",) + keys, obj,
                 frozenset(p.tag for p in preds))
     if isinstance(obj, Program):
-        return apply_entry(rank_entry(obj.condition, config), rank_entry(obj.transformation, config), config)
+        return apply_entry(rank_entry(obj.condition), rank_entry(obj.transformation))
     raise TypeError(f"no rank entry for {type(obj).__name__}")
 
 
-def concat_entry(left: tuple, right: tuple, config: SynthConfig = DEFAULT_CONFIG) -> tuple:
+def concat_entry(left: tuple, right: tuple) -> tuple:
     """The rank entry of ``Concat`` over two transformation entries."""
-    return (left[0] + right[0] + config.w_operators, left[1] + right[1] + 1, ("Concat", left[2], right[2]),
+    return (left[0] + right[0] + W_OPERATORS, left[1] + right[1] + 1, ("Concat", left[2], right[2]),
             Concat(left[3], right[3]), left[4] + right[4])
 
 
-def apply_entry(guard: tuple, t: tuple, config: SynthConfig = DEFAULT_CONFIG) -> tuple:
+def apply_entry(guard: tuple, t: tuple) -> tuple:
     """The rank entry of the program guarding transformation entry ``t`` by
     condition entry ``guard``. A Pattern selection's bonus is credited only
     when its key predicate is in the guard."""
     uncredited = sum(key not in guard[4] for key in t[4])
-    return (t[0] + guard[0] + config.w_pattern * uncredited, guard[1] + t[1], ("Apply", guard[2], t[2]),
+    return (t[0] + guard[0] + W_PATTERN * uncredited, guard[1] + t[1], ("Apply", guard[2], t[2]),
             Program(guard[3], t[3]), t[4])
 
 
-def program_score(obj, config: SynthConfig = DEFAULT_CONFIG) -> float:
+def program_score(obj) -> float:
     """The cost model; lower is better. See ``rank_entry``."""
-    return rank_entry(obj, config)[0]
+    return rank_entry(obj)[0]
 
 
 def struct_key(obj) -> tuple:
@@ -590,8 +605,4 @@ def program_size(obj) -> int:
 
 
 def config_to_json(config: SynthConfig) -> dict:
-    out = {}
-    for f in fields(config):
-        value = getattr(config, f.name)
-        out[f.name] = list(value) if isinstance(value, tuple) else value
-    return out
+    return {name: list(value) if isinstance(value, tuple) else value for name, value in asdict(config).items()}

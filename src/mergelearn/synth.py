@@ -51,6 +51,10 @@ logger = logging.getLogger(__name__)
 # beyond it only singletons and the full conjunction are considered.
 _MAX_SUBSET_PREDICATES = 12
 
+# The cap on each candidate set and on guard pairing's output; a result cut
+# by it is marked ``truncated``.
+MAX_PROGRAMS = 10_000
+
 
 class EmptyConditionError(Exception):
     """No predicate holds on every example input."""
@@ -89,9 +93,9 @@ class ProgramSet:
     truncated: bool = False
 
     @classmethod
-    def from_programs(cls, programs, config: SynthConfig = DEFAULT_CONFIG) -> "ProgramSet":
+    def from_programs(cls, programs) -> "ProgramSet":
         """Score and order transformations that did not come from the learner."""
-        return cls(tuple(sorted((rank_entry(t, config) for t in programs), key=_rank_key)))
+        return cls(tuple(sorted((rank_entry(t) for t in programs), key=_rank_key)))
 
     @property
     def programs(self) -> tuple[Transformation, ...]:
@@ -206,9 +210,8 @@ class _TransformationLearner:
     rank-sorted and deduplicated by structure throughout.
     """
 
-    def __init__(self, conflict: ConflictInput, pdict: PatternDictionary, config: SynthConfig):
+    def __init__(self, conflict: ConflictInput, pdict: PatternDictionary):
         self.conflict = conflict
-        self.config = config
         self.selections = canonical_selections(conflict, pdict)
         # Remove matches its removed selection by multiset, the only thing its result depends on.
         self.removable = [(sel, _multiset(value)) for sel, value in self.selections if value]
@@ -221,16 +224,15 @@ class _TransformationLearner:
         orders pairs by their arms' summed scores, as their own scores do."""
         if not left or not right:
             return
-        cap = self.config.max_programs
         seen = {(0, 0)}
         heap = [(left[0][0] + right[0][0], 0, 0)]
         emitted = 0
         while heap:
-            if emitted >= cap:
+            if emitted >= MAX_PROGRAMS:
                 self.truncated = True
                 return
             _, i, j = heapq.heappop(heap)
-            cand = concat_entry(left[i], right[j], self.config)
+            cand = concat_entry(left[i], right[j])
             if cand[2] not in sink:
                 sink[cand[2]] = cand
                 emitted += 1
@@ -241,9 +243,9 @@ class _TransformationLearner:
 
     def _finish(self, cands: dict):
         ordered = sorted(cands.values(), key=_rank_key)
-        if len(ordered) > self.config.max_programs:
+        if len(ordered) > MAX_PROGRAMS:
             self.truncated = True
-            ordered = ordered[: self.config.max_programs]
+            ordered = ordered[:MAX_PROGRAMS]
         return tuple(ordered)
 
     def _base(self, target: tuple[Node, ...]) -> dict:
@@ -254,7 +256,7 @@ class _TransformationLearner:
         ts = [Select(sel) for sel in _matching(self.selections, target)]
         for source, removed in wf_remove(self.conflict, target):
             ts.extend(Remove(source, sel) for sel in _matching(self.removable, _multiset(removed)))
-        cands = {cand[2]: cand for cand in (rank_entry(t, self.config) for t in ts)}
+        cands = {cand[2]: cand for cand in (rank_entry(t) for t in ts)}
         self._base_memo[target] = cands
         return cands
 
@@ -278,22 +280,19 @@ class _TransformationLearner:
         if depth > 0 and target:
             for core_cand in self.core(target, depth - 1):
                 for empty_cand in self.core((), 0):
-                    cand = concat_entry(core_cand, empty_cand, self.config)
+                    cand = concat_entry(core_cand, empty_cand)
                     cands.setdefault(cand[2], cand)
         return self._finish(cands)
 
 
-def learn_transformation(conflict: ConflictInput, target, depth: int | None = None,
-                         config: SynthConfig = DEFAULT_CONFIG,
+def learn_transformation(conflict: ConflictInput, target, config: SynthConfig = DEFAULT_CONFIG,
                          pdict: PatternDictionary | None = None) -> ProgramSet:
-    """All transformations (within the concat-depth budget) mapping the
+    """All transformations within ``config.max_concat_depth`` mapping the
     input to exactly the target node list, rank-ordered."""
     if pdict is None:
         pdict = build_pattern_dictionary(conflict, config)
-    if depth is None:
-        depth = config.max_concat_depth
-    learner = _TransformationLearner(conflict, pdict, config)
-    return ProgramSet(learner.full(tuple(target), depth), truncated=learner.truncated)
+    learner = _TransformationLearner(conflict, pdict)
+    return ProgramSet(learner.full(tuple(target), config.max_concat_depth), truncated=learner.truncated)
 
 
 def learn_condition(inputs, config: SynthConfig = DEFAULT_CONFIG, pdicts=None) -> Condition:
@@ -334,16 +333,16 @@ def intersect_program_sets(sets) -> ProgramSet:
     return ProgramSet(tuple(survivors), truncated=any(s.truncated for s in sets))
 
 
-def rank(programs, config: SynthConfig = DEFAULT_CONFIG) -> RankedPrograms:
+def rank(programs) -> RankedPrograms:
     """Order programs or transformations by ``program_score``, best first.
 
     Ties break on the serialized form: fewer AST nodes first, then the
     structural key. ``learn`` ends in the same ordering.
     """
-    return _ranked((rank_entry(p, config) for p in programs), False)
+    return _ranked((rank_entry(p) for p in programs), False)
 
 
-def _guard_candidates(condition: Condition, config: SynthConfig):
+def _guard_candidates(condition: Condition):
     """Rank entries of the non-empty predicate subsets of the condition, cheapest first."""
     preds = condition.predicates
     if len(preds) <= _MAX_SUBSET_PREDICATES:
@@ -355,7 +354,7 @@ def _guard_candidates(condition: Condition, config: SynthConfig):
     else:
         subsets = [(p,) for p in preds]
         subsets.append(preds)
-    return sorted((rank_entry(Condition(subset), config) for subset in subsets), key=_rank_key)
+    return sorted((rank_entry(Condition(subset)) for subset in subsets), key=_rank_key)
 
 
 def learn(spec: ExampleSpec, config: SynthConfig = DEFAULT_CONFIG) -> RankedPrograms:
@@ -377,14 +376,13 @@ def learn(spec: ExampleSpec, config: SynthConfig = DEFAULT_CONFIG) -> RankedProg
         logger.info("no program found: no transformation is consistent with every example")
         return RankedPrograms((), truncated=consistent.truncated)
     if consistent.truncated:
-        logger.warning("candidate set truncated at %d programs; results may be incomplete",
-                       config.max_programs)
+        logger.warning("candidate set truncated at %d programs; results may be incomplete", MAX_PROGRAMS)
 
     # A Pattern selection's bonus is earned only under a guard naming its
     # key, so each transformation pairs only with guards holding its keys;
     # the heap orders pairs by their summed scores, which is then the
     # program's score.
-    guards = _guard_candidates(condition_full, config)
+    guards = _guard_candidates(condition_full)
     ts = consistent.entries
     mandatory = [frozenset(t[4]) for t in ts]
 
@@ -402,11 +400,11 @@ def learn(spec: ExampleSpec, config: SynthConfig = DEFAULT_CONFIG) -> RankedProg
     picked = []
     truncated = consistent.truncated
     while heap:
-        if len(picked) >= config.max_programs:
+        if len(picked) >= MAX_PROGRAMS:
             truncated = True
             break
         _, ti, gi = heapq.heappop(heap)
-        picked.append(apply_entry(guards[gi], ts[ti], config))
+        picked.append(apply_entry(guards[gi], ts[ti]))
         ngi = next_guard(gi + 1, mandatory[ti])
         if ngi < len(guards):
             heapq.heappush(heap, (ts[ti][0] + guards[ngi][0], ti, ngi))

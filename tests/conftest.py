@@ -265,3 +265,12 @@ def multi_example_cases(rng, sizes=(2, 3), depth=2, max_output=6, attempts=40):
                 cases.append((other, result.nodes))
         if len(cases) == want:
             yield tuple(cases)
+
+
+def deep_program_text(depth: int) -> str:
+    """Program JSON whose transformation is a chain of ``depth`` Concats,
+    built as text because ``json.dumps`` cannot nest that deep."""
+    t = '{"select": {"tag": "Main"}}'
+    for _ in range(depth):
+        t = '{"concat": [' + t + ', {"select": {"tag": "Fork"}}]}'
+    return '{"dslv": 1, "apply": {"condition": [{"tag": "Rename"}], "transform": ' + t + "}}"

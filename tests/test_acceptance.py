@@ -17,6 +17,11 @@ from mergelearn.conflicts import (
 from mergelearn.corpus import evaluate, load_corpus, report
 from mergelearn.dsl import (
     DEFAULT_CONFIG,
+    W_BRANCH,
+    W_CONSTANTS,
+    W_INDEX,
+    W_OPERATORS,
+    W_PATTERN,
     Concat,
     Condition,
     Predicate,
@@ -95,13 +100,7 @@ def test_criterion_2_ranking_reproduction():
         assert [e.program for e in ranked] == [remove_based, index_based]
         assert ranked.entries[0].score < ranked.entries[1].score
         # Regression-pin the default weights this ordering depends on.
-        assert (
-            DEFAULT_CONFIG.w_operators,
-            DEFAULT_CONFIG.w_constants,
-            DEFAULT_CONFIG.w_index,
-            DEFAULT_CONFIG.w_pattern,
-            DEFAULT_CONFIG.w_branch,
-        ) == (1.0, 0.5, 2.0, 1.5, 1.0)
+        assert (W_OPERATORS, W_CONSTANTS, W_INDEX, W_PATTERN, W_BRANCH) == (1.0, 0.5, 2.0, 1.5, 1.0)
 
 
 def test_criterion_3_pbe_consistency_500_specs():
@@ -216,7 +215,7 @@ def test_criterion_4_brute_force_oracle_equivalence():
                 target = tuple(nodes[: rng.randint(1, len(nodes))])
             else:
                 target = ()
-            learned = learn_transformation(conflict, target, depth=2, config=config, pdict=pdict)
+            learned = learn_transformation(conflict, target, config=config, pdict=pdict)
             assert not learned.truncated, "cap hit on a small instance; comparison would be unsound"
             learned_keys = {struct_key(t) for t in learned.programs}
             brute_keys = _brute_consistent_keys(conflict, pdict, target, depth=2)

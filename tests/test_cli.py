@@ -1,15 +1,18 @@
 """Tests for the command-line surface."""
 
+import argparse
+import dataclasses
 import json
 import os
 
 import pytest
 
-from mergelearn.cli import main
+from mergelearn.cli import _build_config, build_parser, main
 from mergelearn.dsl import (
     Condition,
     Predicate,
     Program,
+    SynthConfig,
     program_from_json,
     program_to_json,
     serialize_program,
@@ -18,6 +21,7 @@ from mergelearn.dsl import (
 from conftest import (
     DUP_PROGRAM,
     FB_PROGRAM,
+    deep_program_text,
     fig_file_text,
     fig_resolved_text,
     marker_text,
@@ -111,6 +115,19 @@ def test_bad_keywords_file_is_clean_error(tmp_path, capsys, monkeypatch, content
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: MERGELEARN_KEYWORDS") and err.count("\n") == 1
+
+
+def test_build_config_sets_every_field(tmp_path, monkeypatch):
+    keywords = tmp_path / "keywords.json"
+    keywords.write_text('{"fork": ["EDGE_ONLY"], "main": ["UPSTREAM_ONLY"]}', encoding="utf-8")
+    monkeypatch.setenv("MERGELEARN_KEYWORDS", str(keywords))
+    parser = build_parser()
+    learn_args = parser.parse_args(["learn", "--examples", "e.json", "--out", "o.json", "--max-depth", "2"])
+    eval_args = parser.parse_args(["eval", "--program", "p.json", "root", "--report", "-",
+                                   "--order-insensitive-includes"])
+    config = _build_config(argparse.Namespace(**(vars(learn_args) | vars(eval_args))))
+    for field in dataclasses.fields(SynthConfig):
+        assert getattr(config, field.name) != field.default, field.name
 
 
 def test_learn_unreadable_spec_exit_1(tmp_path, capsys):
@@ -271,6 +288,30 @@ def test_bad_program_file_is_one_error_line(tmp_path, capsys, command, content):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["apply", "eval"])
+@pytest.mark.parametrize("content", ["[" * 100_000, deep_program_text(600)], ids=["brackets", "concat-chain"])
+def test_deeply_nested_program_file_is_one_error_line(tmp_path, capsys, command, content):
+    deep = tmp_path / "deep.json"
+    deep.write_text(content, encoding="utf-8")
+    target = tmp_path / "c.cc"
+    target.write_text(fig_file_text("c"), encoding="utf-8")
+    corpus = write_fig_corpus(tmp_path / "corpus")
+    rest = [str(target), "--print"] if command == "apply" else [str(corpus), "--report", "-"]
+    code = main([command, "--program", str(deep), *rest])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_apply_in_place_keeps_a_lone_blank_line(tmp_path):
+    program = write_program(tmp_path, FB_PROGRAM)
+    target = tmp_path / "blank.cc"
+    target.write_text("\n", encoding="utf-8")
+    code = main(["apply", "--program", str(program), str(target), "--in-place"])
+    assert code == 0
+    assert target.read_text(encoding="utf-8") == "\n"
 
 
 def test_classify_reports_fig_corpus(tmp_path, capsys):

@@ -266,3 +266,32 @@ def test_render_empty_resolution_drops_region():
     text = marker_text(['#include "a/a.h"'], ['#include "b/b.h"'], before=("top",), after=("bottom",))
     parsed = ConflictedFile.parse(text, "a.cc")
     assert parsed.render({0: ()}) == "top\nbottom\n"
+
+
+def test_render_keeps_a_lone_blank_line_before_an_empty_resolution():
+    text = marker_text(['#include "a/a.h"'], ['#include "b/b.h"'], before=("",), after=())
+    parsed = ConflictedFile.parse(text, "a.cc")
+    assert parsed.render({0: ()}) == "\n"
+    assert ConflictedFile.parse("\n", "a.cc").render() == "\n"
+
+
+_region_line = st.sampled_from(("", "  ", '#include "a/b.h"', "FOO(x) {", "<<<<<<<<x", ">>>>>>>>")) | st.text(
+    st.characters(blacklist_characters="\r\n<>=|"), max_size=6)
+# Separator and base marker lines outside a chunk are plain text.
+_outside_line = _region_line | st.sampled_from(("=======", "|||||||"))
+_label = st.sampled_from(("", " fork", " HEAD", " abc123 (main)"))
+
+
+@st.composite
+def _chunk_lines(draw):
+    lines = ["<<<<<<<" + draw(_label), *draw(st.lists(_region_line, max_size=3))]
+    if draw(st.booleans()):  # a diff3 base section
+        lines += ["|||||||" + draw(_label), *draw(st.lists(_region_line, max_size=2))]
+    return lines + ["=======", *draw(st.lists(_region_line, max_size=3)), ">>>>>>>" + draw(_label)]
+
+
+@given(st.lists(_outside_line.map(lambda line: [line]) | _chunk_lines(), max_size=6),
+       st.sampled_from(("\n", "\r\n")), st.booleans())
+def test_parse_render_round_trip(pieces, newline, trailing):
+    text = newline.join(line for piece in pieces for line in piece) + (newline if trailing else "")
+    assert ConflictedFile.parse(text, "f.cc").render() == text.replace("\r\n", "\n")

@@ -2,9 +2,10 @@
 
 import copy
 import json
+import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from mergelearn.conflicts import ConflictedFile, parse_conflict_file, tokenize_nodes
@@ -26,6 +27,7 @@ from mergelearn.dsl import (
     SynthConfig,
     build_pattern_dictionary,
     deserialize_program,
+    deserialize_programs,
     eval_condition,
     eval_predicate,
     eval_selection,
@@ -38,7 +40,7 @@ from mergelearn.dsl import (
 )
 from mergelearn.synth import learn_condition
 
-from conftest import DUP_PROGRAM, FB_PROGRAM, fig_chunk, marker_text
+from conftest import DUP_PROGRAM, FB_PROGRAM, deep_program_text, fig_chunk, gen_conflict, marker_text
 
 
 def pdict_of(chunk, config=DEFAULT_CONFIG):
@@ -440,6 +442,29 @@ def test_deserialize_program_with_one_field_replaced_raises_only_parse_error(pro
     siblings = [value for key, value in items if key != last]
     parent[last] = copy.deepcopy(data.draw(json_values | st.sampled_from(siblings) if siblings else json_values))
     _parses_or_parse_error(json.dumps(obj))
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000, deep_program_text(600)], ids=["brackets", "concat-chain"])
+def test_deeply_nested_program_json_is_parse_error(text):
+    with pytest.raises(ParseError):
+        deserialize_program(text)
+    with pytest.raises(ParseError):
+        deserialize_programs(text)
+
+
+def test_deserialize_programs_reads_one_program_or_an_array():
+    text = serialize_program(FB_PROGRAM)
+    assert deserialize_programs(text) == [FB_PROGRAM]
+    assert deserialize_programs(f"[{text}, {serialize_program(DUP_PROGRAM)}]") == [FB_PROGRAM, DUP_PROGRAM]
+
+
+@settings(max_examples=400)
+@given(program_strategy, st.integers(0, 2**32))
+def test_run_program_never_raises(program, seed):
+    # The conflicts draw includes from the strategy's paths, so path
+    # selections and FrequentPattern guards can hit.
+    conflict = gen_conflict(random.Random(seed), pool=("base/a.h", "ui/b.h", "net/c.h", "base/logging.h"))
+    assert run_program(program, conflict).kind in ("resolved", "no-suggestion", "failed")
 
 
 def test_features_of_fb_program():

@@ -12,6 +12,7 @@ import pytest
 from mergelearn.conflicts import parse_conflict_file, tokenize_nodes
 from mergelearn.dsl import (
     DEFAULT_CONFIG,
+    W_OPERATORS,
     Concat,
     Condition,
     Predicate,
@@ -29,6 +30,7 @@ from mergelearn.dsl import (
     run_program,
     serialize_program,
 )
+from mergelearn import synth
 from mergelearn.synth import (
     _MAX_SUBSET_PREDICATES,
     EmptyConditionError,
@@ -309,13 +311,10 @@ def test_rank_equal_programs_equal_scores():
 
 
 def test_rank_score_is_additive_in_operators():
-    config = DEFAULT_CONFIG
     left = Select(Selection("Main"))
     right = Remove(Selection("Fork"), Selection("ForkByPath", path="base/logging.h"))
     combined = Concat(left, right)
-    assert program_score(combined, config) == pytest.approx(
-        program_score(left, config) + program_score(right, config) + config.w_operators
-    )
+    assert program_score(combined) == program_score(left) + program_score(right) + W_OPERATORS
 
 
 def test_rank_path_variant_never_below_index_variant():
@@ -356,9 +355,9 @@ def test_learn_contradictory_examples_yield_nothing(fig1c):
     assert len(learn(spec)) == 0
 
 
-def test_learn_respects_truncation_cap(fig1a):
-    config = SynthConfig(max_programs=5)
-    ranked = learn(ExampleSpec(((fig1a, fig1a.fork_nodes),)), config)
+def test_learn_respects_truncation_cap(fig1a, monkeypatch):
+    monkeypatch.setattr(synth, "MAX_PROGRAMS", 5)
+    ranked = learn(ExampleSpec(((fig1a, fig1a.fork_nodes),)))
     assert ranked.truncated
     assert 0 < len(ranked) <= 5
     assert ranked.top.program == DUP_PROGRAM
@@ -431,11 +430,10 @@ def test_guards_on_both_sides_of_the_subset_limit(includes):
         assert run_program(entry.program, chunk).nodes == chunk.fork_nodes
 
 
-def test_one_cost_model_with_non_dyadic_weights():
-    # With weights that are not sums of powers of two, float addition order
-    # matters: learned scores must be program_score exactly, not approximately.
-    config = SynthConfig(max_concat_depth=2, w_operators=0.7, w_constants=0.3, w_index=1.1,
-                         w_pattern=0.9, w_branch=0.6)
+def test_one_cost_model_for_learned_and_ranked_programs():
+    # Every learned entry is the one rank_entry computes, every learned score
+    # is program_score exactly, and rank keeps learn's order.
+    config = SynthConfig(max_concat_depth=2)
     rng = random.Random(20261018)
     checked = 0
     while checked < 40:
@@ -453,15 +451,15 @@ def test_one_cost_model_with_non_dyadic_weights():
         for case_input, case_output in cases:
             for entry in learn_transformation(case_input, case_output, config=config).entries:
                 t = entry[3]
-                assert entry == rank_entry(t, config)
+                assert entry == rank_entry(t)
         ranked = learn(ExampleSpec(tuple(cases)), config)
         if not ranked:
             # A second example may need a program outside the learner's space.
             assert len(cases) > 1, "no program learned for a realizable spec"
             continue
         for entry in ranked:
-            assert entry.score == program_score(entry.program, config)
-        reranked = rank([entry.program for entry in ranked], config)
+            assert entry.score == program_score(entry.program)
+        reranked = rank([entry.program for entry in ranked])
         assert [e.program for e in reranked] == [e.program for e in ranked]
         checked += 1
 
