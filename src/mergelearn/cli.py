@@ -128,10 +128,13 @@ def cmd_learn(args) -> int:
 def _load_programs(paths) -> list[Program]:
     """The programs of each file, one program or an array of them. An
     unreadable file raises OSError; anything else wrong with it (not UTF-8,
-    not JSON, not a program) raises a ValueError."""
+    not JSON, not a program) raises a ValueError that names the file."""
     programs = []
     for path in paths:
-        programs.extend(deserialize_programs(Path(path).read_text(encoding="utf-8")))
+        try:
+            programs.extend(deserialize_programs(Path(path).read_text(encoding="utf-8")))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     return programs
 
 
@@ -169,7 +172,8 @@ def cmd_apply(args) -> int:
         )
         sys.stdout.writelines(diff)
     else:  # --in-place
-        if suggested == total or (args.partial and suggested > 0):
+        # A file with no conflict chunks has nothing to resolve and stays as it is.
+        if suggested and (suggested == total or args.partial):
             _replace_file(Path(args.file), resolved_text, newline)
             written = True
     summary = {"file": args.file, "total": total, "suggested": suggested, "written": written}

@@ -10,6 +10,10 @@ constructors, ``rank_entry``, ``concat_entry`` and ``apply_entry``, and
 carries it through intersection and guard pairing, so ``rank`` computes
 the same entry from a finished program.
 
+Each candidate set is one best-first merge of its base candidates and its
+Concat products. A set cut at ``MAX_PROGRAMS`` holds exactly the first
+``MAX_PROGRAMS`` programs, in rank order, of the uncapped set.
+
 Candidates are kept in a normal form: a Concat arm that evaluates to
 nothing may appear only once, as the right arm of the root. Anything else
 is padding that a shorter equivalent program already expresses, and
@@ -18,6 +22,7 @@ admitting it makes the candidate space explode.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import logging
@@ -28,6 +33,7 @@ from .conflicts import ConflictInput, Node
 from .dsl import (
     DEFAULT_CONFIG,
     PATTERN_KEYS,
+    W_OPERATORS,
     Condition,
     PatternDictionary,
     Predicate,
@@ -52,7 +58,8 @@ logger = logging.getLogger(__name__)
 _MAX_SUBSET_PREDICATES = 12
 
 # The cap on each candidate set and on guard pairing's output; a result cut
-# by it is marked ``truncated``.
+# by it is marked ``truncated``. A cut candidate set holds the first
+# MAX_PROGRAMS programs, in rank order, of the uncapped one.
 MAX_PROGRAMS = 10_000
 
 
@@ -219,70 +226,63 @@ class _TransformationLearner:
         self._core_memo: dict = {}
         self._base_memo: dict = {}
 
-    def _merge_concats(self, left, right, sink: dict):
-        """Best-first product of two sorted candidate lists, capped; the heap
-        orders pairs by their arms' summed scores, as their own scores do."""
-        if not left or not right:
-            return
-        seen = {(0, 0)}
-        heap = [(left[0][0] + right[0][0], 0, 0)]
-        emitted = 0
+    def _merge(self, cands: dict, products):
+        """The first ``MAX_PROGRAMS``, in rank order, of ``cands`` and every Concat
+        over ``products``, a list of sorted ``(left, right)`` arm lists. One heap
+        walks the products best first, reaching ``(i, j)`` only from ``(i, j - 1)``
+        or, when ``j`` is 0, from ``(i - 1, 0)``. After each score level it stops if
+        the popped pairs and the ``cands`` scoring no higher reach the cap: Concat
+        is monotone in each arm's rank, so nothing left ranks before them."""
+        heap = [(left[0][0] + right[0][0] + W_OPERATORS, p, 0, 0)
+                for p, (left, right) in enumerate(products) if left and right]
+        heapq.heapify(heap)
+        # A product's key never equals one passed in, so those stay the first n_base.
+        n_base, base_scores = len(cands), None
         while heap:
-            if emitted >= MAX_PROGRAMS:
-                self.truncated = True
-                return
-            _, i, j = heapq.heappop(heap)
+            score, p, i, j = heapq.heappop(heap)
+            left, right = products[p]
             cand = concat_entry(left[i], right[j])
-            if cand[2] not in sink:
-                sink[cand[2]] = cand
-                emitted += 1
-            for ni, nj in ((i + 1, j), (i, j + 1)):
-                if ni < len(left) and nj < len(right) and (ni, nj) not in seen:
-                    seen.add((ni, nj))
-                    heapq.heappush(heap, (left[ni][0] + right[nj][0], ni, nj))
-
-    def _finish(self, cands: dict):
-        ordered = sorted(cands.values(), key=_rank_key)
-        if len(ordered) > MAX_PROGRAMS:
+            cands[cand[2]] = cand
+            if j == 0 and i + 1 < len(left):
+                heapq.heappush(heap, (left[i + 1][0] + right[0][0] + W_OPERATORS, p, i + 1, 0))
+            if j + 1 < len(right):
+                heapq.heappush(heap, (left[i][0] + right[j + 1][0] + W_OPERATORS, p, i, j + 1))
+            if len(cands) >= MAX_PROGRAMS and heap and heap[0][0] > score:
+                if base_scores is None:  # sorted only once the cap is in reach
+                    base_scores = sorted(entry[0] for entry in itertools.islice(cands.values(), n_base))
+                if len(cands) - n_base + bisect.bisect_right(base_scores, score) >= MAX_PROGRAMS:
+                    break
+        # Struct keys are unique in ``cands``, so entries compare on rank alone.
+        ordered = sorted(cands.values())
+        if heap or len(ordered) > MAX_PROGRAMS:
             self.truncated = True
             ordered = ordered[:MAX_PROGRAMS]
         return tuple(ordered)
 
     def _base(self, target: tuple[Node, ...]) -> dict:
         """Depth-independent candidates: selections and removes hitting target."""
-        cached = self._base_memo.get(target)
-        if cached is not None:
-            return cached
-        ts = [Select(sel) for sel in _matching(self.selections, target)]
-        for source, removed in wf_remove(self.conflict, target):
-            ts.extend(Remove(source, sel) for sel in _matching(self.removable, _multiset(removed)))
-        cands = {cand[2]: cand for cand in (rank_entry(t) for t in ts)}
-        self._base_memo[target] = cands
+        cands = self._base_memo.get(target)
+        if cands is None:
+            ts = [Select(sel) for sel in _matching(self.selections, target)]
+            for source, removed in wf_remove(self.conflict, target):
+                ts.extend(Remove(source, sel) for sel in _matching(self.removable, _multiset(removed)))
+            cands = self._base_memo[target] = {cand[2]: cand for cand in (rank_entry(t) for t in ts)}
         return cands
 
     def core(self, target: tuple[Node, ...], depth: int):
         """Candidates with no empty-evaluating Concat arm anywhere."""
-        memo_key = (target, depth)
-        cached = self._core_memo.get(memo_key)
-        if cached is not None:
-            return cached
-        cands = dict(self._base(target))
-        if depth > 0:
-            for left_out, right_out in wf_concat(target):
-                self._merge_concats(self.core(left_out, depth - 1), self.core(right_out, depth - 1), cands)
-        result = self._finish(cands)
-        self._core_memo[memo_key] = result
+        result = self._core_memo.get((target, depth))
+        if result is None:
+            splits = wf_concat(target) if depth > 0 else []
+            products = [(self.core(left, depth - 1), self.core(right, depth - 1)) for left, right in splits]
+            result = self._core_memo[target, depth] = self._merge(dict(self._base(target)), products)
         return result
 
     def full(self, target: tuple[Node, ...], depth: int):
         """Core candidates plus single right-padded variants."""
         cands = {cand[2]: cand for cand in self.core(target, depth)}
-        if depth > 0 and target:
-            for core_cand in self.core(target, depth - 1):
-                for empty_cand in self.core((), 0):
-                    cand = concat_entry(core_cand, empty_cand)
-                    cands.setdefault(cand[2], cand)
-        return self._finish(cands)
+        padded = [(self.core(target, depth - 1), self.core((), 0))] if depth > 0 and target else []
+        return self._merge(cands, padded)
 
 
 def learn_transformation(conflict: ConflictInput, target, config: SynthConfig = DEFAULT_CONFIG,

@@ -275,19 +275,21 @@ def _duplicate_predicates() -> bytes:
 
 
 @pytest.mark.parametrize("command", ["apply", "eval"])
-@pytest.mark.parametrize("content", [b"\xff\xfe{}", _duplicate_predicates()],
-                         ids=["not-utf8", "duplicate-predicates"])
+@pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe{}", _duplicate_predicates()],
+                         ids=["not-json", "not-utf8", "duplicate-predicates"])
 def test_bad_program_file_is_one_error_line(tmp_path, capsys, command, content):
+    # The bad file comes after a good one, and the error line names it.
+    good = write_program(tmp_path, FB_PROGRAM, "good.json")
     bad = tmp_path / "bad.json"
     bad.write_bytes(content)
     target = tmp_path / "c.cc"
     target.write_text(fig_file_text("c"), encoding="utf-8")
     corpus = write_fig_corpus(tmp_path / "corpus")
     rest = [str(target), "--print"] if command == "apply" else [str(corpus), "--report", "-"]
-    code = main([command, "--program", str(bad), *rest])
+    code = main([command, "--program", str(good), "--program", str(bad), *rest])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["apply", "eval"])
@@ -302,7 +304,7 @@ def test_deeply_nested_program_file_is_one_error_line(tmp_path, capsys, command,
     code = main([command, "--program", str(deep), *rest])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {deep}: ") and err.count("\n") == 1
 
 
 def test_apply_in_place_keeps_a_lone_blank_line(tmp_path):
@@ -312,6 +314,19 @@ def test_apply_in_place_keeps_a_lone_blank_line(tmp_path):
     code = main(["apply", "--program", str(program), str(target), "--in-place"])
     assert code == 0
     assert target.read_text(encoding="utf-8") == "\n"
+
+
+def test_apply_in_place_leaves_a_file_without_chunks_alone(tmp_path, capsys):
+    program = write_program(tmp_path, FB_PROGRAM)
+    target = tmp_path / "plain.cc"
+    target.write_text("int x;\n", encoding="utf-8")
+    inode = target.stat().st_ino
+    code = main(["apply", "--program", str(program), str(target), "--in-place"])
+    assert code == 0
+    assert target.stat().st_ino == inode
+    assert target.read_text(encoding="utf-8") == "int x;\n"
+    summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert summary == {"file": str(target), "total": 0, "suggested": 0, "written": False}
 
 
 def test_classify_reports_fig_corpus(tmp_path, capsys):

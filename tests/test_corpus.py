@@ -4,6 +4,8 @@ import json
 import logging
 
 import pytest
+from hypothesis import given
+import hypothesis.strategies as st
 
 from mergelearn.conflicts import parse_conflict_file, tokenize_nodes
 from mergelearn.dsl import Condition, Predicate, Program, Select, Selection, SynthConfig, build_pattern_dictionary
@@ -225,6 +227,55 @@ def test_align_adjacent_chunks_flagged():
     ) + "\n"
     results = align_resolution(conflict_text, "top\none\nthree\nbottom\n")
     assert [r.nodes for r in results] == [None, None]
+
+
+_plain_line = st.sampled_from(("", "  ", '#include "a/b.h"', "FOO(x) {")) | st.text(
+    st.characters(blacklist_characters="\r\n<>=|"), max_size=6)
+# Separator and base marker lines outside a chunk are plain text.
+_outside_line = _plain_line | st.sampled_from(("=======", "|||||||"))
+_label = st.sampled_from(("", " fork", " HEAD"))
+
+
+def _file_text(lines, newline, trailing):
+    """The lines joined by ``newline``, "" for none. A last blank line always
+    gets its newline: without it the text would read as one line shorter."""
+    if not lines:
+        return ""
+    return newline.join(lines) + (newline if trailing or lines[-1] == "" else "")
+
+
+@st.composite
+def _conflicted_and_resolved(draw):
+    """A conflicted file whose outside lines are distinct, the same file with
+    each chunk replaced by fresh lines, and those fresh lines per chunk."""
+    chunks = draw(st.integers(1, 3))
+    # Context before, between (at least one line, or the chunks share a gap) and after.
+    sizes = [draw(st.integers(0, 2)), *(draw(st.integers(1, 2)) for _ in range(chunks - 1)),
+             draw(st.integers(0, 2))]
+    outside = draw(st.lists(_outside_line, unique=True, min_size=sum(sizes), max_size=sum(sizes)))
+    fresh = [draw(st.lists(_plain_line.filter(lambda line: line not in outside), max_size=3))
+             for _ in range(chunks)]
+    conflicted, resolved, context = [], [], iter(outside)
+    for k, size in enumerate(sizes):
+        lines = [next(context) for _ in range(size)]
+        conflicted += lines
+        resolved += lines
+        if k < chunks:
+            conflicted += ["<<<<<<<" + draw(_label), *draw(st.lists(_plain_line, max_size=2))]
+            if draw(st.booleans()):  # a diff3 base section
+                conflicted += ["|||||||" + draw(_label), *draw(st.lists(_plain_line, max_size=2))]
+            conflicted += ["=======", *draw(st.lists(_plain_line, max_size=2)), ">>>>>>>" + draw(_label)]
+            resolved += fresh[k]
+    newlines, trailing = st.sampled_from(("\n", "\r\n")), st.booleans()
+    return (_file_text(conflicted, draw(newlines), draw(trailing)),
+            _file_text(resolved, draw(newlines), draw(trailing)), fresh)
+
+
+@given(_conflicted_and_resolved())
+def test_align_recovers_each_chunks_fresh_lines(case):
+    conflicted, resolved, fresh = case
+    aligned = align_resolution(conflicted, resolved)
+    assert [(a.nodes, a.reason) for a in aligned] == [(tokenize_nodes(lines), None) for lines in fresh]
 
 
 @pytest.mark.parametrize(

@@ -363,6 +363,24 @@ def test_learn_respects_truncation_cap(fig1a, monkeypatch):
     assert ranked.top.program == DUP_PROGRAM
 
 
+def test_capped_set_is_the_uncapped_sets_prefix(monkeypatch):
+    # A set cut by the cap holds exactly the first MAX_PROGRAMS programs, in
+    # rank order, of the set the learner would build without it, and is
+    # marked truncated exactly when that set is longer.
+    specs = [cases[0] for cases in itertools.islice(criterion3_cases(random.Random(11)), 1000)
+             if len(cases[0][1]) <= 5][:400]
+    monkeypatch.setattr(synth, "MAX_PROGRAMS", 20_001)
+    uncapped = [(spec, learned.entries) for spec, learned in
+                ((spec, learn_transformation(*spec)) for spec in specs) if not learned.truncated]
+    assert len(uncapped) > 390
+    for cap in (1, 3, 8, 40, 300):
+        monkeypatch.setattr(synth, "MAX_PROGRAMS", cap)
+        for (conflict, output), entries in uncapped:
+            capped = learn_transformation(conflict, output)
+            assert capped.entries == entries[:cap], (cap, output)
+            assert capped.truncated == (len(entries) > cap), (cap, output)
+
+
 def test_learn_fuzz_consistency_quick():
     rng = random.Random(20260808)
     checked = 0
@@ -480,3 +498,23 @@ def test_learned_output_is_pinned():
             digest.update(f"{entry.score!r} {serialize_program(entry.program)}\n".encode())
         digest.update(b"\n")
     assert digest.hexdigest() == LEARNED_OUTPUT_DIGEST
+
+
+# sha256 of learn's whole ranked list (score and program JSON) on criterion-3
+# specs that hit the cap, so a change at the MAX_PROGRAMS boundary shows. The
+# JSON is compact: serialize_program's indented form takes seconds on 50 000.
+TRUNCATED_OUTPUT_DIGEST = "11c5bc3f17960b916a679edd54216cbbc46458e7368818237a2b7965be54afbe"
+
+
+def test_truncated_learned_lists_are_pinned():
+    picked = (6, 8, 113, 153, 187)
+    specs = [cases for index, cases in enumerate(itertools.islice(criterion3_cases(random.Random(0xC0FFEE)),
+                                                                  max(picked) + 1)) if index in picked]
+    digest = hashlib.sha256()
+    for cases in specs:
+        ranked = learn(ExampleSpec(cases))
+        assert ranked.truncated and len(ranked) == synth.MAX_PROGRAMS
+        for entry in ranked:
+            digest.update(f"{entry.score!r} {json.dumps(program_to_json(entry.program))}\n".encode())
+        digest.update(b"\n")
+    assert digest.hexdigest() == TRUNCATED_OUTPUT_DIGEST
