@@ -1,18 +1,21 @@
 """Learning resolution programs from example (conflict, resolution) pairs.
 
 Learning is top-down: each operator's inverse maps a desired output to the
-sub-outputs its arguments must produce, recursion bottoms out at selections,
-and per-example candidate sets are intersected so only programs consistent
-with every example survive. One additive score, ``dsl.program_score``,
-ranks candidates. The learner builds every candidate's rank entry (score,
-size, structural key, program, Pattern keys) bottom-up with dsl's own
-constructors, ``rank_entry``, ``concat_entry`` and ``apply_entry``, and
-carries it through intersection and guard pairing, so ``rank`` computes
+sub-outputs its arguments must produce, and recursion bottoms out at
+selections. It runs over every example at once: a candidate set is keyed
+by one target per example and keeps only programs that every example's
+inverses produce, so the set consistent with all examples is generated
+directly rather than intersected from per-example sets. One additive
+score, ``dsl.program_score``, ranks candidates. The learner builds every
+candidate's rank entry (score, size, structural key, program, Pattern keys)
+bottom-up with dsl's own constructors, ``rank_entry``, ``concat_entry`` and
+``apply_entry``, and carries it through guard pairing, so ``rank`` computes
 the same entry from a finished program.
 
 Each candidate set is one best-first merge of its base candidates and its
 Concat products. A set cut at ``MAX_PROGRAMS`` holds exactly the first
-``MAX_PROGRAMS`` programs, in rank order, of the uncapped set.
+``MAX_PROGRAMS`` programs, in rank order, of the uncapped set; with several
+examples that is the uncapped intersection.
 
 Candidates are kept in a normal form: a Concat arm that evaluates to
 nothing may appear only once, as the right arm of the root. Anything else
@@ -93,7 +96,9 @@ class ProgramSet:
 
     ``entries`` are the learner's rank entries, ``(score, size, struct_key,
     transformation, pattern_keys)``, best first, so later stages reuse them
-    instead of recomputing.
+    instead of recomputing. ``truncated`` means the set was cut at
+    ``MAX_PROGRAMS``; for a set learned from several examples at once, the
+    joint set was cut, not a per-example one.
     """
 
     entries: tuple[tuple, ...]
@@ -211,20 +216,28 @@ def wf_remove(conflict: ConflictInput, target) -> list[tuple[Selection, tuple[No
 
 
 class _TransformationLearner:
-    """Memoized candidate generation for one input.
+    """Memoized candidate generation over every example of a spec at once.
 
+    A memo key holds one target per example, and a set holds the
+    transformations that map each example's input to its own target.
     Candidates are rank entries (``dsl.rank_entry``), so sets stay
-    rank-sorted and deduplicated by structure throughout.
+    rank-sorted and deduplicated by structure throughout. A Concat's split
+    on each example is fixed by its left arm's output there, so products
+    over different tuples of split points never share a structure, and the
+    set built for a target tuple is the intersection of the per-example
+    sets, cut at ``MAX_PROGRAMS`` only after intersecting.
     """
 
-    def __init__(self, conflict: ConflictInput, pdict: PatternDictionary):
-        self.conflict = conflict
-        self.selections = canonical_selections(conflict, pdict)
+    def __init__(self, conflicts, pdicts):
+        self.conflicts = tuple(conflicts)
+        self.selections = [canonical_selections(conflict, pdict) for conflict, pdict in zip(self.conflicts, pdicts)]
         # Remove matches its removed selection by multiset, the only thing its result depends on.
-        self.removable = [(sel, _multiset(value)) for sel, value in self.selections if value]
+        self.removable = [[(sel, _multiset(value)) for sel, value in selections if value]
+                          for selections in self.selections]
         self.truncated = False
         self._core_memo: dict = {}
         self._base_memo: dict = {}
+        self._emitted_memo: dict = {}
 
     def _merge(self, cands: dict, products):
         """The first ``MAX_PROGRAMS``, in rank order, of ``cands`` and every Concat
@@ -259,30 +272,66 @@ class _TransformationLearner:
             ordered = ordered[:MAX_PROGRAMS]
         return tuple(ordered)
 
-    def _base(self, target: tuple[Node, ...]) -> dict:
-        """Depth-independent candidates: selections and removes hitting target."""
-        cands = self._base_memo.get(target)
+    def _emitted(self, example: int, target: tuple[Node, ...]) -> dict:
+        """The selections and removes that one example's inverses emit for
+        target, as the keys of a dict (ordered, with fast membership)."""
+        emitted = self._emitted_memo.get((example, target))
+        if emitted is None:
+            ts = [Select(sel) for sel in _matching(self.selections[example], target)]
+            for source, removed in wf_remove(self.conflicts[example], target):
+                ts.extend(Remove(source, sel) for sel in _matching(self.removable[example], _multiset(removed)))
+            emitted = self._emitted_memo[example, target] = dict.fromkeys(ts)
+        return emitted
+
+    def _base(self, targets: tuple) -> dict:
+        """Depth-independent candidates: the selections and removes that every
+        example's inverses emit for its target. Two transformations are equal
+        exactly when their structural keys are, so the first example's
+        candidates are filtered by membership in the others'."""
+        cands = self._base_memo.get(targets)
         if cands is None:
-            ts = [Select(sel) for sel in _matching(self.selections, target)]
-            for source, removed in wf_remove(self.conflict, target):
-                ts.extend(Remove(source, sel) for sel in _matching(self.removable, _multiset(removed)))
-            cands = self._base_memo[target] = {cand[2]: cand for cand in (rank_entry(t) for t in ts)}
+            first, *others = (self._emitted(example, target) for example, target in enumerate(targets))
+            ts = [t for t in first if all(t in other for other in others)]
+            cands = self._base_memo[targets] = {cand[2]: cand for cand in (rank_entry(t) for t in ts)}
         return cands
 
-    def core(self, target: tuple[Node, ...], depth: int):
+    def _products(self, splits, depth: int) -> list:
+        """Concat arm pairs over ``splits``, each a tuple of one ``(left, right)``
+        split per example; a right arm is built only when its left arm's set is
+        non-empty."""
+        products = []
+        for split in splits:
+            left = self.core(tuple(left for left, _ in split), depth)
+            if left:
+                products.append((left, self.core(tuple(right for _, right in split), depth)))
+        return products
+
+    def core(self, targets: tuple, depth: int):
         """Candidates with no empty-evaluating Concat arm anywhere."""
-        result = self._core_memo.get((target, depth))
+        result = self._core_memo.get((targets, depth))
         if result is None:
-            splits = wf_concat(target) if depth > 0 else []
-            products = [(self.core(left, depth - 1), self.core(right, depth - 1)) for left, right in splits]
-            result = self._core_memo[target, depth] = self._merge(dict(self._base(target)), products)
+            splits = itertools.product(*map(wf_concat, targets)) if depth > 0 else ()
+            products = self._products(splits, depth - 1)
+            result = self._core_memo[targets, depth] = self._merge(dict(self._base(targets)), products)
         return result
 
-    def full(self, target: tuple[Node, ...], depth: int):
-        """Core candidates plus single right-padded variants."""
-        cands = {cand[2]: cand for cand in self.core(target, depth)}
-        padded = [(self.core(target, depth - 1), self.core((), 0))] if depth > 0 and target else []
-        return self._merge(cands, padded)
+    def full(self, targets: tuple, depth: int):
+        """Core candidates plus root Concats whose right arm is empty on some example."""
+        cands = {cand[2]: cand for cand in self.core(targets, depth)}
+        padded = []
+        if depth > 0 and all(targets):
+            # Each example splits as in core, or keeps its whole target in the left arm.
+            splits = itertools.product(*([*wf_concat(t), (t, ())] for t in targets))
+            padded = [split for split in splits if any(not right for _, right in split)]
+        return self._merge(cands, self._products(padded, depth - 1))
+
+
+def _learn_transformations(conflicts, targets, pdicts, config: SynthConfig) -> ProgramSet:
+    """All transformations within ``config.max_concat_depth`` mapping each input
+    to exactly its target node list, rank-ordered."""
+    learner = _TransformationLearner(conflicts, pdicts)
+    entries = learner.full(tuple(tuple(target) for target in targets), config.max_concat_depth)
+    return ProgramSet(entries, truncated=learner.truncated)
 
 
 def learn_transformation(conflict: ConflictInput, target, config: SynthConfig = DEFAULT_CONFIG,
@@ -291,8 +340,7 @@ def learn_transformation(conflict: ConflictInput, target, config: SynthConfig = 
     input to exactly the target node list, rank-ordered."""
     if pdict is None:
         pdict = build_pattern_dictionary(conflict, config)
-    learner = _TransformationLearner(conflict, pdict)
-    return ProgramSet(learner.full(tuple(target), config.max_concat_depth), truncated=learner.truncated)
+    return _learn_transformations((conflict,), (target,), (pdict,), config)
 
 
 def learn_condition(inputs, config: SynthConfig = DEFAULT_CONFIG, pdicts=None) -> Condition:
@@ -323,7 +371,8 @@ def intersect_program_sets(sets) -> ProgramSet:
     holds only programs that reproduce its own example, because the inverses
     emit nothing else, and ``struct_key`` identifies a program, so a key in
     every set is a program that reproduces every example. The first set's
-    rank order is kept.
+    rank order is kept. ``learn`` does not call this: it builds the joint set
+    directly, and where no input set is cut the two agree entry for entry.
     """
     sets = list(sets)
     if not sets:
@@ -360,6 +409,8 @@ def _guard_candidates(condition: Condition):
 def learn(spec: ExampleSpec, config: SynthConfig = DEFAULT_CONFIG) -> RankedPrograms:
     """Learn ranked programs consistent with every example.
 
+    The transformations are generated for all examples jointly, so a cut at
+    ``MAX_PROGRAMS`` keeps the best programs consistent with every example.
     Returns an empty result (never raises) when no predicate holds on all
     inputs or no transformation reproduces all outputs.
     """
@@ -369,9 +420,7 @@ def learn(spec: ExampleSpec, config: SynthConfig = DEFAULT_CONFIG) -> RankedProg
     except EmptyConditionError:
         logger.info("no program found: no predicate holds on every example")
         return RankedPrograms(())
-    sets = [learn_transformation(conflict, output, config=config, pdict=pdict)
-            for (conflict, output), pdict in zip(spec.cases, pdicts)]
-    consistent = intersect_program_sets(sets)
+    consistent = _learn_transformations(spec.inputs, (output for _, output in spec.cases), pdicts, config)
     if not consistent.entries:
         logger.info("no program found: no transformation is consistent with every example")
         return RankedPrograms((), truncated=consistent.truncated)

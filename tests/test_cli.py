@@ -29,16 +29,16 @@ from conftest import (
 )
 
 
-def write_example_spec(tmp_path, names):
-    """Write conflict/resolution files plus the JSON example spec."""
+def write_example_spec(tmp_path, names, newline="\n"):
+    """Write conflict/resolution files, with ``newline`` line endings, plus the JSON example spec."""
     entries = []
     for name in names:
         conflict = tmp_path / f"conflict_{name}.txt"
-        conflict.write_text(fig_file_text(name), encoding="utf-8")
+        conflict.write_bytes(fig_file_text(name).replace("\n", newline).encode("utf-8"))
         resolution = tmp_path / f"resolution_{name}.txt"
         from conftest import FIG1_REGIONS
 
-        resolution.write_text("\n".join(FIG1_REGIONS[name]["resolution"]) + "\n", encoding="utf-8")
+        resolution.write_bytes(newline.join((*FIG1_REGIONS[name]["resolution"], "")).encode("utf-8"))
         entries.append(
             {
                 "conflict": conflict.name,
@@ -413,6 +413,25 @@ def test_learn_apply_round_trip(tmp_path, capsys):
         target.write_text(fig_file_text(name), encoding="utf-8")
         assert main(["apply", "--program", str(out), str(target), "--in-place"]) == 0
         assert target.read_text(encoding="utf-8") == fig_resolved_text(name)
+    capsys.readouterr()
+
+
+def test_learn_and_apply_agree_on_line_endings(tmp_path, capsys):
+    # Examples in CRLF files teach the same program as in LF files, and that
+    # program resolves a CRLF file in place with its line endings kept.
+    learned = {}
+    for label, newline in (("lf", "\n"), ("crlf", "\r\n")):
+        (tmp_path / label).mkdir()
+        spec = write_example_spec(tmp_path / label, ["c", "d"], newline=newline)
+        out = tmp_path / label / "learned.json"
+        assert main(["learn", "--examples", str(spec), "--out", str(out)]) == 0
+        learned[label] = json.loads(out.read_text(encoding="utf-8"))
+        del learned[label]["meta"]["spec_hash"]
+    assert learned["lf"] == learned["crlf"]
+    target = tmp_path / "d.cc"
+    target.write_bytes(fig_file_text("d").replace("\n", "\r\n").encode("utf-8"))
+    assert main(["apply", "--program", str(tmp_path / "crlf" / "learned.json"), str(target), "--in-place"]) == 0
+    assert target.read_bytes() == fig_resolved_text("d").replace("\n", "\r\n").encode("utf-8")
     capsys.readouterr()
 
 

@@ -254,10 +254,16 @@ def test_intersect_set_algebra():
     assert set(intersect_program_sets([left]).programs) == {a, b}
 
 
+def _joint_set(cases, pdicts, config=DEFAULT_CONFIG):
+    """The candidates ``learn`` builds for every example at once."""
+    return synth._learn_transformations([c for c, _ in cases], [o for _, o in cases], pdicts, config)
+
+
 def test_learned_sets_and_their_intersection_reproduce_every_example():
     # Intersection is membership on structure alone; that is sound only
     # because the inverses emit nothing but candidates that produce their
-    # target. Check the inverses directly, on one- and multi-example specs.
+    # target. Check the inverses directly, on one- and multi-example specs,
+    # and the joint learner's set, built from the same inverses.
     specs = [*itertools.islice(criterion3_cases(random.Random(0xC0FFEE)), 200),
              *itertools.islice(multi_example_cases(random.Random(0x1A7E)), 100)]
     shared = 0
@@ -270,12 +276,34 @@ def test_learned_sets_and_their_intersection_reproduce_every_example():
             for entry in learned.entries:
                 assert eval_transformation(entry[3], conflict, pdict) == output, entry[3]
         consistent = intersect_program_sets(sets).entries
-        for entry in consistent:
+        joint = _joint_set(cases, pdicts).entries if len(cases) > 1 else ()
+        for entry in (*consistent, *joint):
             for (conflict, output), pdict in zip(cases, pdicts):
                 assert eval_transformation(entry[3], conflict, pdict) == output, entry[3]
-        shared += len(cases) > 1 and bool(consistent)
+        shared += len(cases) > 1 and bool(consistent) and bool(joint)
     # Not vacuous: nearly every multi-example spec keeps a shared program.
     assert shared >= 90
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+def test_joint_learning_is_the_intersection_of_per_example_sets(depth):
+    # Where no per-example set is cut, learning every example at once gives
+    # exactly the intersection of the per-example sets, in rank order.
+    config = SynthConfig(max_concat_depth=depth)
+    sizes, shared = Counter(), 0
+    for cases in itertools.islice(multi_example_cases(random.Random(0x501E + depth), depth=depth), 80):
+        pdicts = [build_pattern_dictionary(conflict) for conflict, _ in cases]
+        sets = [learn_transformation(conflict, output, config, pdict)
+                for (conflict, output), pdict in zip(cases, pdicts)]
+        if any(learned.truncated for learned in sets):
+            continue
+        joint = _joint_set(cases, pdicts, config)
+        assert not joint.truncated
+        assert joint.entries == intersect_program_sets(sets).entries, [output for _, output in cases]
+        sizes[len(cases)] += 1
+        shared += bool(joint.entries)
+    assert sizes.keys() == {2, 3}
+    assert sum(sizes.values()) >= 65 and shared >= 60
 
 
 def test_intersect_cd_keeps_shared_remove(fig1c, fig1d):
@@ -379,6 +407,39 @@ def test_capped_set_is_the_uncapped_sets_prefix(monkeypatch):
             capped = learn_transformation(conflict, output)
             assert capped.entries == entries[:cap], (cap, output)
             assert capped.truncated == (len(entries) > cap), (cap, output)
+
+
+def _is_subsequence(short, long):
+    rest = iter(long)
+    return all(item in rest for item in short)
+
+
+def test_cut_joint_set_keeps_what_cut_per_example_sets_shared(monkeypatch):
+    # Under a small cap, every learned program still reproduces every
+    # example, a cut joint set is the uncapped joint set's prefix, and an
+    # uncut one keeps, in order, all that cut per-example sets had in common.
+    specs = list(itertools.islice(multi_example_cases(random.Random(0xC07)), 150))
+    pdicts = [[build_pattern_dictionary(conflict) for conflict, _ in cases] for cases in specs]
+    monkeypatch.setattr(synth, "MAX_PROGRAMS", 20_001)
+    uncapped = [_joint_set(cases, spec_pdicts) for cases, spec_pdicts in zip(specs, pdicts)]
+    assert not any(joint.truncated for joint in uncapped)
+    monkeypatch.setattr(synth, "MAX_PROGRAMS", 30)
+    recovered = 0
+    for cases, spec_pdicts, exact in zip(specs, pdicts, (joint.entries for joint in uncapped)):
+        for entry in learn(ExampleSpec(cases)):
+            for conflict, output in cases:
+                result = run_program(entry.program, conflict)
+                assert result.is_resolved and result.nodes == output, entry.program
+        joint = _joint_set(cases, spec_pdicts)
+        assert joint.entries == exact[:30] and joint.truncated == (len(exact) > 30)
+        if joint.truncated:
+            continue
+        consistent = intersect_program_sets(learn_transformation(conflict, output, pdict=pdict)
+                                            for (conflict, output), pdict in zip(cases, spec_pdicts)).entries
+        assert _is_subsequence(consistent, joint.entries)
+        recovered += consistent != joint.entries
+    # Not vacuous: the per-example cut loses shared programs on many specs.
+    assert recovered >= 50
 
 
 def test_learn_fuzz_consistency_quick():
