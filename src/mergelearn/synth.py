@@ -225,7 +225,10 @@ class _TransformationLearner:
     on each example is fixed by its left arm's output there, so products
     over different tuples of split points never share a structure, and the
     set built for a target tuple is the intersection of the per-example
-    sets, cut at ``MAX_PROGRAMS`` only after intersecting.
+    sets, cut at ``MAX_PROGRAMS`` only after intersecting. Split points are
+    chosen one example at a time, and a choice whose arms no program
+    produces on the examples so far is dropped at once, so the walk follows
+    what the examples share instead of the product of their splits.
     """
 
     def __init__(self, conflicts, pdicts):
@@ -238,6 +241,7 @@ class _TransformationLearner:
         self._core_memo: dict = {}
         self._base_memo: dict = {}
         self._emitted_memo: dict = {}
+        self._feasible_memo: dict = {}
 
     def _merge(self, cands: dict, products):
         """The first ``MAX_PROGRAMS``, in rank order, of ``cands`` and every Concat
@@ -246,8 +250,7 @@ class _TransformationLearner:
         or, when ``j`` is 0, from ``(i - 1, 0)``. After each score level it stops if
         the popped pairs and the ``cands`` scoring no higher reach the cap: Concat
         is monotone in each arm's rank, so nothing left ranks before them."""
-        heap = [(left[0][0] + right[0][0] + W_OPERATORS, p, 0, 0)
-                for p, (left, right) in enumerate(products) if left and right]
+        heap = [(left[0][0] + right[0][0] + W_OPERATORS, p, 0, 0) for p, (left, right) in enumerate(products)]
         heapq.heapify(heap)
         # A product's key never equals one passed in, so those stay the first n_base.
         n_base, base_scores = len(cands), None
@@ -283,35 +286,62 @@ class _TransformationLearner:
             emitted = self._emitted_memo[example, target] = dict.fromkeys(ts)
         return emitted
 
+    def _shared(self, targets: tuple) -> list:
+        """The selections and removes that every example's inverses emit for
+        its target. Two transformations are equal exactly when their
+        structural keys are, so the first example's candidates are filtered
+        by membership in the others'. ``targets`` may cover only the first
+        examples."""
+        first, *others = (self._emitted(example, target) for example, target in enumerate(targets))
+        return [t for t in first if all(t in other for other in others)]
+
     def _base(self, targets: tuple) -> dict:
-        """Depth-independent candidates: the selections and removes that every
-        example's inverses emit for its target. Two transformations are equal
-        exactly when their structural keys are, so the first example's
-        candidates are filtered by membership in the others'."""
+        """Depth-independent candidates, as rank entries keyed by structure."""
         cands = self._base_memo.get(targets)
         if cands is None:
-            first, *others = (self._emitted(example, target) for example, target in enumerate(targets))
-            ts = [t for t in first if all(t in other for other in others)]
-            cands = self._base_memo[targets] = {cand[2]: cand for cand in (rank_entry(t) for t in ts)}
+            cands = self._base_memo[targets] = {cand[2]: cand for cand in map(rank_entry, self._shared(targets))}
         return cands
 
+    def _feasible(self, targets: tuple, depth: int) -> bool:
+        """Whether some candidate within ``depth`` maps each of the first
+        ``len(targets)`` examples to its target: ``core`` is non-empty."""
+        found = self._feasible_memo.get((targets, depth))
+        if found is None:
+            found = bool(self._shared(targets)) or (
+                depth > 0 and next(self._splits(targets, depth - 1), None) is not None)
+            self._feasible_memo[targets, depth] = found
+        return found
+
+    def _splits(self, targets: tuple, depth: int, pad: bool = False):
+        """The ``(left, right)`` target tuples of the Concats over ``targets``
+        whose arms both have candidates at ``depth``. Each example splits its
+        target in two non-empty parts or, with ``pad``, keeps it whole on the
+        left. Split points are chosen one example at a time, and a choice is
+        dropped as soon as either arm has no candidate on the examples chosen
+        so far, so only split tuples some program could take are walked."""
+        def grow(left, right):
+            k = len(left)
+            if k == len(targets):
+                yield left, right
+                return
+            options = wf_concat(targets[k])
+            if pad:
+                options.append((targets[k], ()))
+            for l, r in options:
+                l, r = (*left, l), (*right, r)
+                if self._feasible(l, depth) and self._feasible(r, depth):
+                    yield from grow(l, r)
+        return grow((), ())
+
     def _products(self, splits, depth: int) -> list:
-        """Concat arm pairs over ``splits``, each a tuple of one ``(left, right)``
-        split per example; a right arm is built only when its left arm's set is
-        non-empty."""
-        products = []
-        for split in splits:
-            left = self.core(tuple(left for left, _ in split), depth)
-            if left:
-                products.append((left, self.core(tuple(right for _, right in split), depth)))
-        return products
+        """Concat arm pairs over ``splits``, tuples of ``(left, right)`` targets."""
+        return [(self.core(left, depth), self.core(right, depth)) for left, right in splits]
 
     def core(self, targets: tuple, depth: int):
         """Candidates with no empty-evaluating Concat arm anywhere."""
         result = self._core_memo.get((targets, depth))
         if result is None:
-            splits = itertools.product(*map(wf_concat, targets)) if depth > 0 else ()
-            products = self._products(splits, depth - 1)
+            products = self._products(self._splits(targets, depth - 1), depth - 1) if depth > 0 else ()
             result = self._core_memo[targets, depth] = self._merge(dict(self._base(targets)), products)
         return result
 
@@ -320,9 +350,7 @@ class _TransformationLearner:
         cands = {cand[2]: cand for cand in self.core(targets, depth)}
         padded = []
         if depth > 0 and all(targets):
-            # Each example splits as in core, or keeps its whole target in the left arm.
-            splits = itertools.product(*([*wf_concat(t), (t, ())] for t in targets))
-            padded = [split for split in splits if any(not right for _, right in split)]
+            padded = [(left, right) for left, right in self._splits(targets, depth - 1, pad=True) if not all(right)]
         return self._merge(cands, self._products(padded, depth - 1))
 
 

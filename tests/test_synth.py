@@ -442,6 +442,39 @@ def test_cut_joint_set_keeps_what_cut_per_example_sets_shared(monkeypatch):
     assert recovered >= 50
 
 
+def test_many_long_examples_split_only_where_a_program_can(monkeypatch):
+    # Four to six examples with 10-20-node outputs. Walking every tuple of
+    # per-example split points takes millions of splits here; choosing them
+    # one example at a time, and dropping a choice as soon as no program
+    # produces its arms on the examples so far, takes a few thousand.
+    budget = 20_000
+    splits = Counter()
+
+    def counted(output):
+        splits["calls"] += 1
+        assert splits["calls"] <= budget, "split budget spent"
+        return wf_concat(output)
+
+    monkeypatch.setattr(synth, "wf_concat", counted)
+    main, fork = Select(Selection("Main")), Select(Selection("Fork"))
+    transformation = Concat(Concat(main, fork), Concat(Select(Selection("ForkByIndex", k=0)), main))
+    rng = random.Random(1)
+    for size in (4, 5, 6):
+        cases = []
+        while len(cases) < size:
+            conflict = gen_conflict(rng, max_nodes=5, force_paths=("base/alpha.h",))
+            output = eval_transformation(transformation, conflict, build_pattern_dictionary(conflict))
+            if 10 <= len(output) <= 20:
+                cases.append((conflict, output))
+        splits.clear()
+        ranked = learn(ExampleSpec(tuple(cases)))
+        assert ranked and not ranked.truncated
+        assert transformation in {entry.program.transformation for entry in ranked}
+        for entry in ranked:
+            for conflict, output in cases:
+                assert run_program(entry.program, conflict).nodes == output, entry.program
+
+
 def test_learn_fuzz_consistency_quick():
     rng = random.Random(20260808)
     checked = 0
