@@ -534,8 +534,8 @@ def rank_entry(obj) -> tuple:
     program, condition, transformation or selection; entries sort by their
     first three fields. This one walk is the cost model (``program_score``),
     the AST size and the structural key, and the learner builds its
-    candidates with the same constructors (``concat_entry``,
-    ``apply_entry``), so a learned entry equals this one exactly.
+    transformations with the same constructor (``concat_entry``), so a
+    learned entry equals this one exactly.
 
     The score is additive, lower is better: a selection costs its literals
     and earns its generality; Remove is an operator plus its selections;
@@ -570,7 +570,9 @@ def rank_entry(obj) -> tuple:
         return (W_CONSTANTS * sum(p.path is not None for p in preds), len(preds), ("And",) + keys, obj,
                 frozenset(p.tag for p in preds))
     if isinstance(obj, Program):
-        return apply_entry(rank_entry(obj.condition), rank_entry(obj.transformation))
+        guard, t = rank_entry(obj.condition), rank_entry(obj.transformation)
+        uncredited = sum(key not in guard[4] for key in t[4])
+        return (t[0] + guard[0] + W_PATTERN * uncredited, guard[1] + t[1], ("Apply", guard[2], t[2]), obj, t[4])
     raise TypeError(f"no rank entry for {type(obj).__name__}")
 
 
@@ -578,15 +580,6 @@ def concat_entry(left: tuple, right: tuple) -> tuple:
     """The rank entry of ``Concat`` over two transformation entries."""
     return (left[0] + right[0] + W_OPERATORS, left[1] + right[1] + 1, ("Concat", left[2], right[2]),
             Concat(left[3], right[3]), left[4] + right[4])
-
-
-def apply_entry(guard: tuple, t: tuple) -> tuple:
-    """The rank entry of the program guarding transformation entry ``t`` by
-    condition entry ``guard``. A Pattern selection's bonus is credited only
-    when its key predicate is in the guard."""
-    uncredited = sum(key not in guard[4] for key in t[4])
-    return (t[0] + guard[0] + W_PATTERN * uncredited, guard[1] + t[1], ("Apply", guard[2], t[2]),
-            Program(guard[3], t[3]), t[4])
 
 
 def program_score(obj) -> float:

@@ -7,10 +7,20 @@ by one target per example and keeps only programs that every example's
 inverses produce, so the set consistent with all examples is generated
 directly rather than intersected from per-example sets. One additive
 score, ``dsl.program_score``, ranks candidates. The learner builds every
-candidate's rank entry (score, size, structural key, program, Pattern keys)
-bottom-up with dsl's own constructors, ``rank_entry``, ``concat_entry`` and
-``apply_entry``, and carries it through guard pairing, so ``rank`` computes
-the same entry from a finished program.
+transformation's rank entry (score, size, structural key, transformation,
+Pattern keys) bottom-up with dsl's own constructors, ``rank_entry`` and
+``concat_entry``, so ``rank`` computes the same entry from a finished
+transformation.
+
+Guard pairing works on indices (``_pair_guards``). A guarded program
+scores its transformation's score plus its guard's. Past ``MAX_PROGRAMS``
+pairs, the cut score is found by bisecting per-guard streams of
+transformation indices, and the pairs tied at it are taken in index order.
+The kept pairs sort on the flat key ``(score, size, guard's rank by
+structural key, transformation index)``. That is the programs' rank order:
+with score, size and guard equal, the transformations' scores and sizes
+are equal too, and the transformations are already in structural order.
+Only the kept pairs become ``Program`` objects.
 
 Each candidate set is one best-first merge of its base candidates and its
 Concat products. A set cut at ``MAX_PROGRAMS`` holds exactly the first
@@ -46,7 +56,6 @@ from .dsl import (
     Selection,
     SynthConfig,
     Transformation,
-    apply_entry,
     build_pattern_dictionary,
     concat_entry,
     program_features,
@@ -141,12 +150,6 @@ class RankedPrograms:
     @property
     def top(self) -> RankedProgram | None:
         return self.entries[0] if self.entries else None
-
-
-def _ranked(entries, truncated: bool) -> RankedPrograms:
-    """The one final order of ``learn`` and ``rank``: score, then AST size, then structure."""
-    ordered = sorted(entries, key=_rank_key)
-    return RankedPrograms(tuple(RankedProgram(entry[3], entry[0]) for entry in ordered), truncated=truncated)
 
 
 def canonical_selections(conflict: ConflictInput, pdict: PatternDictionary):
@@ -414,9 +417,10 @@ def rank(programs) -> RankedPrograms:
     """Order programs or transformations by ``program_score``, best first.
 
     Ties break on the serialized form: fewer AST nodes first, then the
-    structural key. ``learn`` ends in the same ordering.
+    structural key. ``learn`` returns its programs in the same order.
     """
-    return _ranked((rank_entry(p) for p in programs), False)
+    ordered = sorted(map(rank_entry, programs), key=_rank_key)
+    return RankedPrograms(tuple(RankedProgram(entry[3], entry[0]) for entry in ordered))
 
 
 def _guard_candidates(condition: Condition):
@@ -434,11 +438,57 @@ def _guard_candidates(condition: Condition):
     return sorted((rank_entry(Condition(subset)) for subset in subsets), key=_rank_key)
 
 
+def _pair_guards(ts, guards, cap: int):
+    """Guarded programs over transformation entries ``ts`` and guard entries
+    ``guards``, both rank-ordered: the first ``cap`` admissible pairs by
+    ``(score, ti, gi)``, as ``(score, size, guard rank, ti, gi)`` in rank
+    order, and whether any admissible pair was left out.
+
+    A Pattern selection's bonus is earned only under a guard naming its key,
+    so a transformation pairs only with guards holding all its keys, and the
+    program then scores ``t.score + g.score``. Transformations with the same
+    keys form a group; under each admissible guard a group is a stream whose
+    scores rise with ``ti``. Past the cap, every pair below the cut score is
+    kept, then the ties at it in ``(ti, gi)`` order: exactly the pairs a
+    best-first merge of the streams would take.
+    """
+    groups: dict = {}
+    for ti, t in enumerate(ts):
+        groups.setdefault(frozenset(t[4]), []).append(ti)
+    streams = []  # (guard score, gi, group, the group's scores)
+    levels = set()  # every score a pair can have
+    for keys, group in groups.items():
+        scores = [ts[ti][0] for ti in group]
+        admissible = [(guard[0], gi, group, scores) for gi, guard in enumerate(guards) if keys <= guard[4]]
+        levels.update(g + s for s in set(scores) for g in {stream[0] for stream in admissible})
+        streams += admissible
+    cut = sum(len(group) for _, _, group, _ in streams) > cap
+    if not cut:
+        pairs = [(ti, gi) for _, gi, group, _ in streams for ti in group]
+    else:
+        levels = sorted(levels)
+        limit = levels[bisect.bisect_left(levels, cap, key=lambda score: sum(
+            bisect.bisect_right(scores, score - g) for g, _, _, scores in streams))]
+        pairs, tied = [], []
+        for g, gi, group, scores in streams:
+            low, high = bisect.bisect_left(scores, limit - g), bisect.bisect_right(scores, limit - g)
+            pairs += [(ti, gi) for ti in group[:low]]
+            tied += [(ti, gi) for ti in group[low:high]]
+        pairs += sorted(tied)[:cap - len(pairs)]
+    order = sorted(range(len(guards)), key=lambda gi: guards[gi][2])
+    guard_rank = {gi: rank for rank, gi in enumerate(order)}
+    ranked = sorted((ts[ti][0] + guards[gi][0], ts[ti][1] + guards[gi][1], guard_rank[gi], ti, gi)
+                    for ti, gi in pairs)
+    return ranked, cut
+
+
 def learn(spec: ExampleSpec, config: SynthConfig = DEFAULT_CONFIG) -> RankedPrograms:
     """Learn ranked programs consistent with every example.
 
     The transformations are generated for all examples jointly, so a cut at
     ``MAX_PROGRAMS`` keeps the best programs consistent with every example.
+    A result cut there, in the transformations or in guard pairing, is
+    marked ``truncated`` and logged as a warning.
     Returns an empty result (never raises) when no predicate holds on all
     inputs or no transformation reproduces all outputs.
     """
@@ -452,38 +502,12 @@ def learn(spec: ExampleSpec, config: SynthConfig = DEFAULT_CONFIG) -> RankedProg
     if not consistent.entries:
         logger.info("no program found: no transformation is consistent with every example")
         return RankedPrograms((), truncated=consistent.truncated)
-    if consistent.truncated:
-        logger.warning("candidate set truncated at %d programs; results may be incomplete", MAX_PROGRAMS)
 
-    # A Pattern selection's bonus is earned only under a guard naming its
-    # key, so each transformation pairs only with guards holding its keys;
-    # the heap orders pairs by their summed scores, which is then the
-    # program's score.
     guards = _guard_candidates(condition_full)
     ts = consistent.entries
-    mandatory = [frozenset(t[4]) for t in ts]
-
-    def next_guard(start: int, required: frozenset[str]) -> int:
-        gi = start
-        while gi < len(guards) and not required <= guards[gi][4]:
-            gi += 1
-        return gi
-
-    heap = []
-    for ti, cand in enumerate(ts):
-        gi = next_guard(0, mandatory[ti])
-        if gi < len(guards):
-            heapq.heappush(heap, (cand[0] + guards[gi][0], ti, gi))
-    picked = []
-    truncated = consistent.truncated
-    while heap:
-        if len(picked) >= MAX_PROGRAMS:
-            truncated = True
-            break
-        _, ti, gi = heapq.heappop(heap)
-        picked.append(apply_entry(guards[gi], ts[ti]))
-        ngi = next_guard(gi + 1, mandatory[ti])
-        if ngi < len(guards):
-            heapq.heappush(heap, (ts[ti][0] + guards[ngi][0], ti, ngi))
-
-    return _ranked(picked, truncated)
+    pairs, cut = _pair_guards(ts, guards, MAX_PROGRAMS)
+    truncated = consistent.truncated or cut
+    if truncated:
+        logger.warning("learned programs truncated at %d; results may be incomplete", MAX_PROGRAMS)
+    return RankedPrograms(tuple(RankedProgram(Program(guards[gi][3], ts[ti][3]), score)
+                                for score, _, _, ti, gi in pairs), truncated=truncated)

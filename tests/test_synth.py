@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import logging
 import random
 import time
 from collections import Counter
@@ -389,6 +390,66 @@ def test_learn_respects_truncation_cap(fig1a, monkeypatch):
     assert ranked.truncated
     assert 0 < len(ranked) <= 5
     assert ranked.top.program == DUP_PROGRAM
+
+
+def test_warns_whenever_the_ranked_list_is_cut(fig1a, monkeypatch, caplog):
+    # At the size of the spec's joint set, the transformation set is whole
+    # and only guard pairing cuts; the cut is logged all the same.
+    cases = ((fig1a, fig1a.fork_nodes),)
+    pdicts = [build_pattern_dictionary(fig1a)]
+    size = len(_joint_set(cases, pdicts).entries)
+    with caplog.at_level(logging.WARNING, logger="mergelearn.synth"):
+        assert not learn(ExampleSpec(cases)).truncated
+        assert "results may be incomplete" not in caplog.text
+        monkeypatch.setattr(synth, "MAX_PROGRAMS", size)
+        assert not _joint_set(cases, pdicts).truncated
+        ranked = learn(ExampleSpec(cases))
+    assert ranked.truncated and len(ranked) == size
+    assert "results may be incomplete" in caplog.text
+
+
+def _guarded_by_brute_force(cases, cap):
+    """``learn``'s programs and ``truncated`` flag at ``cap``, from every
+    admissible (transformation, guard) pair, and whether the cap splits a
+    score tie."""
+    pdicts = [build_pattern_dictionary(conflict) for conflict, _ in cases]
+    consistent = _joint_set(cases, pdicts)
+    ts = consistent.entries
+    guards = synth._guard_candidates(learn_condition([conflict for conflict, _ in cases], pdicts=pdicts))
+    keys = [_collect_pattern_keys(t[3]) for t in ts]
+    tags = [{p.tag for p in g[3].predicates} for g in guards]
+    pairs = sorted((t[0] + g[0], ti, gi) for ti, t in enumerate(ts) for gi, g in enumerate(guards)
+                   if keys[ti] <= tags[gi])
+    programs = sorted((Program(guards[gi][3], ts[ti][3]) for _, ti, gi in pairs[:cap]),
+                      key=lambda program: rank_entry(program)[:3])
+    cut = len(pairs) > cap
+    return ([(rank_entry(program)[0], program) for program in programs], consistent.truncated or cut,
+            cut and pairs[cap - 1][0] == pairs[cap][0])
+
+
+def test_guard_pairing_keeps_the_first_admissible_pairs(monkeypatch):
+    # learn keeps the first MAX_PROGRAMS admissible pairs by (score, ti, gi),
+    # ties at the cut included, and returns them in rank order. The specs
+    # have at most 500 transformations, so the last cap cuts nothing and the
+    # brute force over every pair stays quick.
+    def small(cases):
+        return len(_joint_set(cases, [build_pattern_dictionary(conflict) for conflict, _ in cases]).entries) <= 500
+
+    specs = [cases for cases in itertools.islice(criterion3_cases(random.Random(0x6A1D)), 200)
+             if len(cases[0][1]) <= 5 and small(cases)][:100]
+    specs += itertools.islice(multi_example_cases(random.Random(0x6A1E)), 40)
+    assert len(specs) == 140 and all(map(small, specs))
+    ties = 0
+    for cap in (1, 2, 3, 7, 30, 300, 1_000_000):
+        monkeypatch.setattr(synth, "MAX_PROGRAMS", cap)
+        for cases in specs:
+            expected, truncated, tie = _guarded_by_brute_force(cases, cap)
+            ranked = learn(ExampleSpec(cases))
+            assert [(entry.score, entry.program) for entry in ranked] == expected, (cap, cases[0][1])
+            assert ranked.truncated == truncated and not (truncated and cap == 1_000_000)
+            ties += tie
+    # Not vacuous: the cap often falls inside a score tie.
+    assert ties >= 50
 
 
 def test_capped_set_is_the_uncapped_sets_prefix(monkeypatch):
