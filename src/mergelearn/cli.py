@@ -67,6 +67,15 @@ def _load_example_spec(path: Path, side_order: str) -> ExampleSpec:
     base = path.parent
     cases = []
     for i, entry in enumerate(entries):
+        where = f"{path}: example {i}"
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where}: expected an object, found {json.dumps(entry)}")
+        for key in ("conflict", "resolution"):
+            if key not in entry:
+                raise ValueError(f'{where}: missing "{key}"')
+        for key in ("conflict", "resolution", "file_path"):
+            if key in entry and not isinstance(entry[key], str):
+                raise ValueError(f'{where}: "{key}" must be a string, found {json.dumps(entry[key])}')
         conflict_path = base / entry["conflict"]
         resolution_path = base / entry["resolution"]
         file_path = entry.get("file_path", str(conflict_path))

@@ -12,20 +12,23 @@ Pattern keys) bottom-up with dsl's own constructors, ``rank_entry`` and
 ``concat_entry``, so ``rank`` computes the same entry from a finished
 transformation.
 
-Guard pairing works on indices (``_pair_guards``). A guarded program
-scores its transformation's score plus its guard's. Past ``MAX_PROGRAMS``
-pairs, the cut score is found by bisecting per-guard streams of
-transformation indices, and the pairs tied at it are taken in index order.
-The kept pairs sort on the flat key ``(score, size, guard's rank by
-structural key, transformation index)``. That is the programs' rank order:
-with score, size and guard equal, the transformations' scores and sizes
-are equal too, and the transformations are already in structural order.
-Only the kept pairs become ``Program`` objects.
+Each candidate set is a lazy stream (``_Stream``): one heap merges its base
+candidates and its Concat products best first, pulling an arm's next entry
+only when it is needed, so a set is listed in rank order only as far as a
+reader pulls it. No set is cut; ``learn_transformation`` lists the first
+``MAX_PROGRAMS``.
 
-Each candidate set is one best-first merge of its base candidates and its
-Concat products. A set cut at ``MAX_PROGRAMS`` holds exactly the first
-``MAX_PROGRAMS`` programs, in rank order, of the uncapped set; with several
-examples that is the uncapped intersection.
+Guard pairing works on indices (``_pair_guards``). A guarded program
+scores its transformation's score plus its guard's. It pulls
+transformations from the stream only until no later one can enter its
+first ``MAX_PROGRAMS`` pairs. Past that cap, the cut score is found by
+bisecting per-guard streams of transformation indices, and the pairs tied
+at it are taken in index order. The kept pairs sort on the flat key
+``(score, size, guard's rank by structural key, transformation index)``.
+That is the programs' rank order: with score, size and guard equal, the
+transformations' scores and sizes are equal too, and the transformations
+are already in structural order. Only the kept pairs become ``Program``
+objects.
 
 Candidates are kept in a normal form: a Concat arm that evaluates to
 nothing may appear only once, as the right arm of the root. Anything else
@@ -46,7 +49,6 @@ from .conflicts import ConflictInput, Node
 from .dsl import (
     DEFAULT_CONFIG,
     PATTERN_KEYS,
-    W_OPERATORS,
     Condition,
     PatternDictionary,
     Predicate,
@@ -69,9 +71,8 @@ logger = logging.getLogger(__name__)
 # beyond it only singletons and the full conjunction are considered.
 _MAX_SUBSET_PREDICATES = 12
 
-# The cap on each candidate set and on guard pairing's output; a result cut
-# by it is marked ``truncated``. A cut candidate set holds the first
-# MAX_PROGRAMS programs, in rank order, of the uncapped one.
+# How many transformations are listed from the root set, and how many pairs
+# guard pairing keeps; a result cut by it is marked ``truncated``.
 MAX_PROGRAMS = 10_000
 
 
@@ -105,9 +106,9 @@ class ProgramSet:
 
     ``entries`` are the learner's rank entries, ``(score, size, struct_key,
     transformation, pattern_keys)``, best first, so later stages reuse them
-    instead of recomputing. ``truncated`` means the set was cut at
-    ``MAX_PROGRAMS``; for a set learned from several examples at once, the
-    joint set was cut, not a per-example one.
+    instead of recomputing. ``truncated`` means the learner's set holds more
+    than the ``MAX_PROGRAMS`` listed here; for a set learned from several
+    examples at once, that is the joint set, not a per-example one.
     """
 
     entries: tuple[tuple, ...]
@@ -218,20 +219,63 @@ def wf_remove(conflict: ConflictInput, target) -> list[tuple[Selection, tuple[No
     return out
 
 
+class _Stream:
+    """A candidate set, listed lazily in rank order.
+
+    ``entries`` is the prefix listed so far. A set with Concat products keeps
+    one heap over the next unlisted base entry and the next reachable entry
+    of each product, keyed by the full rank key: Concat is monotone in each
+    arm's rank and struct keys are unique, so the heap pops the set in rank
+    order. Product ``(i, j)`` is reached only from ``(i, j - 1)`` or, when
+    ``j`` is 0, from ``(i - 1, 0)``, and an arm's next entry is pulled from
+    its own stream only then. A set with no products is its sorted base list.
+    """
+
+    def __init__(self, base: list, products: list):
+        self._base, self._products = base, products
+        if not products:
+            self.entries, self._heap = base, []
+            return
+        self.entries = []
+        self._heap = [(concat_entry(left.entries[0], right.entries[0]), p, 0, 0)
+                      for p, (left, right) in enumerate(products) if left.pull(1) and right.pull(1)]
+        if base:
+            self._heap.append((base[0], -1, 0, 0))
+        heapq.heapify(self._heap)
+
+    def pull(self, n: int) -> bool:
+        """List the first ``n`` entries, or every entry of a shorter set;
+        whether the set has ``n``."""
+        entries, heap = self.entries, self._heap
+        while len(entries) < n and heap:
+            cand, p, i, j = heapq.heappop(heap)
+            entries.append(cand)
+            if p < 0:
+                if i + 1 < len(self._base):
+                    heapq.heappush(heap, (self._base[i + 1], -1, i + 1, 0))
+                continue
+            left, right = self._products[p]
+            if j == 0 and (i + 1 < len(left.entries) or left.pull(i + 2)):
+                heapq.heappush(heap, (concat_entry(left.entries[i + 1], right.entries[0]), p, i + 1, 0))
+            if j + 1 < len(right.entries) or right.pull(j + 2):
+                heapq.heappush(heap, (concat_entry(left.entries[i], right.entries[j + 1]), p, i, j + 1))
+        return len(entries) >= n
+
+
 class _TransformationLearner:
     """Memoized candidate generation over every example of a spec at once.
 
     A memo key holds one target per example, and a set holds the
     transformations that map each example's input to its own target.
-    Candidates are rank entries (``dsl.rank_entry``), so sets stay
-    rank-sorted and deduplicated by structure throughout. A Concat's split
-    on each example is fixed by its left arm's output there, so products
-    over different tuples of split points never share a structure, and the
-    set built for a target tuple is the intersection of the per-example
-    sets, cut at ``MAX_PROGRAMS`` only after intersecting. Split points are
-    chosen one example at a time, and a choice whose arms no program
-    produces on the examples so far is dropped at once, so the walk follows
-    what the examples share instead of the product of their splits.
+    Candidates are rank entries (``dsl.rank_entry``) and each set is a
+    ``_Stream``, listed in rank order only as far as a reader pulls it. A
+    Concat's split on each example is fixed by its left arm's output there,
+    so products over different tuples of split points never share a
+    structure, and the set built for a target tuple is the intersection of
+    the per-example sets. Split points are chosen one example at a time,
+    and a choice whose arms no program produces on the examples so far is
+    dropped at once, so the walk follows what the examples share instead of
+    the product of their splits.
     """
 
     def __init__(self, conflicts, pdicts):
@@ -240,43 +284,10 @@ class _TransformationLearner:
         # Remove matches its removed selection by multiset, the only thing its result depends on.
         self.removable = [[(sel, _multiset(value)) for sel, value in selections if value]
                           for selections in self.selections]
-        self.truncated = False
         self._core_memo: dict = {}
         self._base_memo: dict = {}
         self._emitted_memo: dict = {}
         self._feasible_memo: dict = {}
-
-    def _merge(self, cands: dict, products):
-        """The first ``MAX_PROGRAMS``, in rank order, of ``cands`` and every Concat
-        over ``products``, a list of sorted ``(left, right)`` arm lists. One heap
-        walks the products best first, reaching ``(i, j)`` only from ``(i, j - 1)``
-        or, when ``j`` is 0, from ``(i - 1, 0)``. After each score level it stops if
-        the popped pairs and the ``cands`` scoring no higher reach the cap: Concat
-        is monotone in each arm's rank, so nothing left ranks before them."""
-        heap = [(left[0][0] + right[0][0] + W_OPERATORS, p, 0, 0) for p, (left, right) in enumerate(products)]
-        heapq.heapify(heap)
-        # A product's key never equals one passed in, so those stay the first n_base.
-        n_base, base_scores = len(cands), None
-        while heap:
-            score, p, i, j = heapq.heappop(heap)
-            left, right = products[p]
-            cand = concat_entry(left[i], right[j])
-            cands[cand[2]] = cand
-            if j == 0 and i + 1 < len(left):
-                heapq.heappush(heap, (left[i + 1][0] + right[0][0] + W_OPERATORS, p, i + 1, 0))
-            if j + 1 < len(right):
-                heapq.heappush(heap, (left[i][0] + right[j + 1][0] + W_OPERATORS, p, i, j + 1))
-            if len(cands) >= MAX_PROGRAMS and heap and heap[0][0] > score:
-                if base_scores is None:  # sorted only once the cap is in reach
-                    base_scores = sorted(entry[0] for entry in itertools.islice(cands.values(), n_base))
-                if len(cands) - n_base + bisect.bisect_right(base_scores, score) >= MAX_PROGRAMS:
-                    break
-        # Struct keys are unique in ``cands``, so entries compare on rank alone.
-        ordered = sorted(cands.values())
-        if heap or len(ordered) > MAX_PROGRAMS:
-            self.truncated = True
-            ordered = ordered[:MAX_PROGRAMS]
-        return tuple(ordered)
 
     def _emitted(self, example: int, target: tuple[Node, ...]) -> dict:
         """The selections and removes that one example's inverses emit for
@@ -298,11 +309,11 @@ class _TransformationLearner:
         first, *others = (self._emitted(example, target) for example, target in enumerate(targets))
         return [t for t in first if all(t in other for other in others)]
 
-    def _base(self, targets: tuple) -> dict:
-        """Depth-independent candidates, as rank entries keyed by structure."""
+    def _base(self, targets: tuple) -> list:
+        """Depth-independent candidates, as rank entries in rank order."""
         cands = self._base_memo.get(targets)
         if cands is None:
-            cands = self._base_memo[targets] = {cand[2]: cand for cand in map(rank_entry, self._shared(targets))}
+            cands = self._base_memo[targets] = sorted(map(rank_entry, self._shared(targets)))
         return cands
 
     def _feasible(self, targets: tuple, depth: int) -> bool:
@@ -340,29 +351,36 @@ class _TransformationLearner:
         """Concat arm pairs over ``splits``, tuples of ``(left, right)`` targets."""
         return [(self.core(left, depth), self.core(right, depth)) for left, right in splits]
 
-    def core(self, targets: tuple, depth: int):
+    def core(self, targets: tuple, depth: int) -> _Stream:
         """Candidates with no empty-evaluating Concat arm anywhere."""
-        result = self._core_memo.get((targets, depth))
-        if result is None:
-            products = self._products(self._splits(targets, depth - 1), depth - 1) if depth > 0 else ()
-            result = self._core_memo[targets, depth] = self._merge(dict(self._base(targets)), products)
-        return result
+        stream = self._core_memo.get((targets, depth))
+        if stream is None:
+            products = self._products(self._splits(targets, depth - 1), depth - 1) if depth > 0 else []
+            stream = self._core_memo[targets, depth] = _Stream(self._base(targets), products)
+        return stream
 
-    def full(self, targets: tuple, depth: int):
-        """Core candidates plus root Concats whose right arm is empty on some example."""
-        cands = {cand[2]: cand for cand in self.core(targets, depth)}
-        padded = []
-        if depth > 0 and all(targets):
-            padded = [(left, right) for left, right in self._splits(targets, depth - 1, pad=True) if not all(right)]
-        return self._merge(cands, self._products(padded, depth - 1))
+    def full(self, targets: tuple, depth: int) -> _Stream:
+        """Core candidates plus root Concats whose right arm is empty on some
+        example. The padded splits include the core ones, and no other set
+        uses the core set of the root, so one stream merges them all."""
+        if depth == 0 or not all(targets):
+            return self.core(targets, depth)
+        return _Stream(self._base(targets), self._products(self._splits(targets, depth - 1, pad=True), depth - 1))
+
+
+def _candidates(conflicts, targets, pdicts, config: SynthConfig) -> _Stream:
+    """Every transformation within ``config.max_concat_depth`` mapping each
+    input to exactly its target node list, as a stream in rank order."""
+    learner = _TransformationLearner(conflicts, pdicts)
+    return learner.full(tuple(tuple(target) for target in targets), config.max_concat_depth)
 
 
 def _learn_transformations(conflicts, targets, pdicts, config: SynthConfig) -> ProgramSet:
-    """All transformations within ``config.max_concat_depth`` mapping each input
-    to exactly its target node list, rank-ordered."""
-    learner = _TransformationLearner(conflicts, pdicts)
-    entries = learner.full(tuple(tuple(target) for target in targets), config.max_concat_depth)
-    return ProgramSet(entries, truncated=learner.truncated)
+    """The first ``MAX_PROGRAMS`` of ``_candidates``, marked ``truncated`` when
+    there are more."""
+    root = _candidates(conflicts, targets, pdicts, config)
+    truncated = root.pull(MAX_PROGRAMS + 1)
+    return ProgramSet(tuple(root.entries[:MAX_PROGRAMS]), truncated=truncated)
 
 
 def learn_transformation(conflict: ConflictInput, target, config: SynthConfig = DEFAULT_CONFIG,
@@ -438,32 +456,54 @@ def _guard_candidates(condition: Condition):
     return sorted((rank_entry(Condition(subset)) for subset in subsets), key=_rank_key)
 
 
-def _pair_guards(ts, guards, cap: int):
-    """Guarded programs over transformation entries ``ts`` and guard entries
-    ``guards``, both rank-ordered: the first ``cap`` admissible pairs by
-    ``(score, ti, gi)``, as ``(score, size, guard rank, ti, gi)`` in rank
-    order, and whether any admissible pair was left out.
+def _pair_guards(root: _Stream, guards, cap: int):
+    """Guarded programs over the first ``MAX_PROGRAMS`` transformations of
+    ``root`` and guard entries ``guards``, both rank-ordered: the first
+    ``cap`` admissible pairs by ``(score, ti, gi)``, as ``(score, size, guard
+    rank, ti, gi)`` in rank order, and whether any admissible pair was left
+    out.
 
     A Pattern selection's bonus is earned only under a guard naming its key,
     so a transformation pairs only with guards holding all its keys, and the
     program then scores ``t.score + g.score``. Transformations with the same
     keys form a group; under each admissible guard a group is a stream whose
-    scores rise with ``ti``. Past the cap, every pair below the cut score is
-    kept, then the ties at it in ``(ti, gi)`` order: exactly the pairs a
-    best-first merge of the streams would take.
+    scores rise with ``ti``. Transformations are pulled from ``root`` until
+    the pairs scoring below the next one's score plus the cheapest guard's
+    reach the cap: no later pair can then be kept or tie with a kept one,
+    and one is left out, since every transformation admits the full
+    condition. The rule is checked at each new score once the first
+    ``ceil(cap / len(guards))``, too few to reach the cap, are in. Past the
+    cap, every pair below the cut score is kept, then the ties at it in
+    ``(ti, gi)`` order: exactly the pairs a best-first merge of the streams
+    would take.
     """
-    groups: dict = {}
-    for ti, t in enumerate(ts):
-        groups.setdefault(frozenset(t[4]), []).append(ti)
+    ts, first = root.entries, -(-cap // len(guards))
+    cheapest = min(guard[0] for guard in guards)
+    groups: dict = {}  # pattern keys -> (group, the group's scores, admissible (guard score, gi))
+    stopped, n = False, 0
+    root.pull(min(first, MAX_PROGRAMS))
+    while n < MAX_PROGRAMS and (n < len(ts) or root.pull(n + 1)):
+        t = ts[n]
+        if n >= first and t[0] > ts[n - 1][0]:
+            below = sum(bisect.bisect_left(scores, t[0] + cheapest - g)
+                        for _, scores, admissible in groups.values() for g, _ in admissible)
+            if below >= cap:
+                stopped = True
+                break
+        keys = frozenset(t[4])
+        if keys not in groups:
+            groups[keys] = ([], [], [(guard[0], gi) for gi, guard in enumerate(guards) if keys <= guard[4]])
+        group, scores, _ = groups[keys]
+        group.append(n)
+        scores.append(t[0])
+        n += 1
     streams = []  # (guard score, gi, group, the group's scores)
     levels = set()  # every score a pair can have
-    for keys, group in groups.items():
-        scores = [ts[ti][0] for ti in group]
-        admissible = [(guard[0], gi, group, scores) for gi, guard in enumerate(guards) if keys <= guard[4]]
-        levels.update(g + s for s in set(scores) for g in {stream[0] for stream in admissible})
-        streams += admissible
-    cut = sum(len(group) for _, _, group, _ in streams) > cap
-    if not cut:
+    for group, scores, admissible in groups.values():
+        levels.update(g + s for s in set(scores) for g in {g for g, _ in admissible})
+        streams += [(g, gi, group, scores) for g, gi in admissible]
+    total = sum(len(group) for _, _, group, _ in streams)
+    if total <= cap:
         pairs = [(ti, gi) for _, gi, group, _ in streams for ti in group]
     else:
         levels = sorted(levels)
@@ -479,16 +519,17 @@ def _pair_guards(ts, guards, cap: int):
     guard_rank = {gi: rank for rank, gi in enumerate(order)}
     ranked = sorted((ts[ti][0] + guards[gi][0], ts[ti][1] + guards[gi][1], guard_rank[gi], ti, gi)
                     for ti, gi in pairs)
-    return ranked, cut
+    return ranked, stopped or total > cap
 
 
 def learn(spec: ExampleSpec, config: SynthConfig = DEFAULT_CONFIG) -> RankedPrograms:
     """Learn ranked programs consistent with every example.
 
-    The transformations are generated for all examples jointly, so a cut at
-    ``MAX_PROGRAMS`` keeps the best programs consistent with every example.
-    A result cut there, in the transformations or in guard pairing, is
-    marked ``truncated`` and logged as a warning.
+    The transformations are generated for all examples jointly, as one
+    stream in rank order, and guard pairing pulls from it only as many as
+    can reach its ``MAX_PROGRAMS`` cap. The result is marked ``truncated``,
+    and a warning logged, when the stream holds more than ``MAX_PROGRAMS``
+    transformations or guard pairing left a pair out.
     Returns an empty result (never raises) when no predicate holds on all
     inputs or no transformation reproduces all outputs.
     """
@@ -498,16 +539,16 @@ def learn(spec: ExampleSpec, config: SynthConfig = DEFAULT_CONFIG) -> RankedProg
     except EmptyConditionError:
         logger.info("no program found: no predicate holds on every example")
         return RankedPrograms(())
-    consistent = _learn_transformations(spec.inputs, (output for _, output in spec.cases), pdicts, config)
-    if not consistent.entries:
+    root = _candidates(spec.inputs, (output for _, output in spec.cases), pdicts, config)
+    if not root.pull(1):
         logger.info("no program found: no transformation is consistent with every example")
-        return RankedPrograms((), truncated=consistent.truncated)
+        return RankedPrograms(())
 
     guards = _guard_candidates(condition_full)
-    ts = consistent.entries
-    pairs, cut = _pair_guards(ts, guards, MAX_PROGRAMS)
-    truncated = consistent.truncated or cut
+    pairs, cut = _pair_guards(root, guards, MAX_PROGRAMS)
+    truncated = cut or root.pull(MAX_PROGRAMS + 1)
     if truncated:
         logger.warning("learned programs truncated at %d; results may be incomplete", MAX_PROGRAMS)
+    ts = root.entries
     return RankedPrograms(tuple(RankedProgram(Program(guards[gi][3], ts[ti][3]), score)
                                 for score, _, _, ti, gi in pairs), truncated=truncated)

@@ -135,6 +135,25 @@ def test_learn_unreadable_spec_exit_1(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("change, message", [
+    (lambda entry: [1], "expected an object, found [1]"),
+    (lambda entry: {"resolution": entry["resolution"]}, 'missing "conflict"'),
+    (lambda entry: {"conflict": entry["conflict"]}, 'missing "resolution"'),
+    (lambda entry: entry | {"conflict": 5}, '"conflict" must be a string, found 5'),
+    (lambda entry: entry | {"resolution": None}, '"resolution" must be a string, found null'),
+    (lambda entry: entry | {"file_path": 7}, '"file_path" must be a string, found 7'),
+])
+def test_learn_malformed_example_entry_is_clean_error(tmp_path, capsys, change, message):
+    spec = write_example_spec(tmp_path, ["c", "d"])
+    entries = json.loads(spec.read_text(encoding="utf-8"))
+    entries[1] = change(entries[1])
+    spec.write_text(json.dumps(entries), encoding="utf-8")
+    code = main(["learn", "--examples", str(spec), "--out", str(tmp_path / "x.json")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {spec}: example 1: {message}\n"
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_apply_print_resolves_fig1c(tmp_path, capsys):
     program = write_program(tmp_path, FB_PROGRAM)
     target = tmp_path / "conflicted.cc"

@@ -452,6 +452,43 @@ def test_guard_pairing_keeps_the_first_admissible_pairs(monkeypatch):
     assert ties >= 50
 
 
+def _cut_by_guard_pairing():
+    """Specs whose ranked list guard pairing cuts at the default cap: criterion-3
+    spec 6 (over MAX_PROGRAMS transformations), criterion-3 spec 113 (2 196)
+    and a two-example spec (800)."""
+    single = list(itertools.islice(criterion3_cases(random.Random(0xC0FFEE)), 114))
+    return [single[6], single[113], next(itertools.islice(multi_example_cases(random.Random(0x5EC0)), 76, None))]
+
+
+def test_guard_pairing_keeps_the_first_admissible_pairs_at_the_default_cap():
+    # Guard pairing stops pulling transformations once no later one can enter
+    # the list; at the real cap, with the cut inside a score tie, the list is
+    # still the brute force's.
+    for cases in _cut_by_guard_pairing():
+        expected, truncated, tie = _guarded_by_brute_force(cases, synth.MAX_PROGRAMS)
+        assert truncated and tie
+        ranked = learn(ExampleSpec(cases))
+        assert [(entry.score, entry.program) for entry in ranked] == expected, cases[0][1]
+        assert ranked.truncated
+
+
+def test_guard_pairing_pulls_fewer_transformations_than_the_set_holds(monkeypatch):
+    # The spec has more than MAX_PROGRAMS transformations; learn lists from
+    # their stream only the 1 380 that guard pairing needs to settle its cut.
+    roots = []
+    full = synth._TransformationLearner.full
+
+    def recorded(self, targets, depth):
+        roots.append(full(self, targets, depth))
+        return roots[-1]
+
+    monkeypatch.setattr(synth._TransformationLearner, "full", recorded)
+    (conflict, output), = _cut_by_guard_pairing()[0]
+    assert learn(ExampleSpec(((conflict, output),))).truncated
+    assert len(roots[0].entries) < synth.MAX_PROGRAMS // 5
+    assert learn_transformation(conflict, output).truncated
+
+
 def test_capped_set_is_the_uncapped_sets_prefix(monkeypatch):
     # A set cut by the cap holds exactly the first MAX_PROGRAMS programs, in
     # rank order, of the set the learner would build without it, and is
@@ -656,15 +693,17 @@ def test_learned_output_is_pinned():
 
 
 # sha256 of learn's whole ranked list (score and program JSON) on criterion-3
-# specs that hit the cap, so a change at the MAX_PROGRAMS boundary shows. The
-# JSON is compact: serialize_program's indented form takes seconds on 50 000.
-TRUNCATED_OUTPUT_DIGEST = "11c5bc3f17960b916a679edd54216cbbc46458e7368818237a2b7965be54afbe"
+# specs that hit the cap, so a change at the MAX_PROGRAMS boundary shows, and
+# on a two-example spec whose 800 transformations only guard pairing cuts.
+# The JSON is compact: serialize_program's indented form takes seconds on 60 000.
+TRUNCATED_OUTPUT_DIGEST = "3bb6b30fc05ea42641f6c5327db9816acd2bc92c8e445634863c37c88c413f7a"
 
 
 def test_truncated_learned_lists_are_pinned():
     picked = (6, 8, 113, 153, 187)
     specs = [cases for index, cases in enumerate(itertools.islice(criterion3_cases(random.Random(0xC0FFEE)),
                                                                   max(picked) + 1)) if index in picked]
+    specs.append(next(itertools.islice(multi_example_cases(random.Random(0x5EC0)), 76, None)))
     digest = hashlib.sha256()
     for cases in specs:
         ranked = learn(ExampleSpec(cases))
