@@ -60,8 +60,19 @@ def _build_config(args) -> SynthConfig:
     return SynthConfig(**kwargs)
 
 
+def _read_text(path: Path) -> str:
+    """The file's text; a file that is not UTF-8 raises a ValueError that names it."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _load_example_spec(path: Path, side_order: str) -> ExampleSpec:
-    entries = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        entries = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(entries, list) or not entries:
         raise ValueError(f"{path}: expected a non-empty JSON array of examples")
     base = path.parent
@@ -80,11 +91,11 @@ def _load_example_spec(path: Path, side_order: str) -> ExampleSpec:
         resolution_path = base / entry["resolution"]
         file_path = entry.get("file_path", str(conflict_path))
         chunks = ConflictedFile.parse(
-            conflict_path.read_text(encoding="utf-8"), file_path, side_order=side_order
+            _read_text(conflict_path), file_path, side_order=side_order
         ).chunks
         if len(chunks) != 1:
             raise ValueError(f"{conflict_path}: example files must contain exactly one conflict, found {len(chunks)}")
-        resolution_lines = resolution_path.read_text(encoding="utf-8").split("\n")
+        resolution_lines = _read_text(resolution_path).split("\n")
         if resolution_lines and resolution_lines[-1] == "":
             resolution_lines.pop()
         cases.append((chunks[0], tokenize_nodes(resolution_lines)))
@@ -120,7 +131,7 @@ def cmd_learn(args) -> int:
         print("error: no consistent program found for the given examples", file=sys.stderr)
         return 1
     spec_hash = hashlib.sha256(spec_path.read_bytes()).hexdigest()
-    top = list(ranked)[: args.top]
+    top = ranked[: args.top]
     payload = [_program_file_json(entry, config, spec_hash, i) for i, entry in enumerate(top)]
     out_path = Path(args.out)
     out_path.write_text(

@@ -27,8 +27,9 @@ at it are taken in index order. The kept pairs sort on the flat key
 ``(score, size, guard's rank by structural key, transformation index)``.
 That is the programs' rank order: with score, size and guard equal, the
 transformations' scores and sizes are equal too, and the transformations
-are already in structural order. Only the kept pairs become ``Program``
-objects.
+are already in structural order. ``learn`` returns the kept pairs as a
+``RankedPrograms``, which builds each ``Program`` only when it is read, so
+a caller that reads the top program builds one, not ``MAX_PROGRAMS``.
 
 Candidates are kept in a normal form: a Concat arm that evaluates to
 nothing may appear only once, as the right arm of the root. Anything else
@@ -43,6 +44,7 @@ import heapq
 import itertools
 import logging
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .conflicts import ConflictInput, Node
@@ -134,23 +136,58 @@ class RankedProgram:
         return program_features(self.program)
 
 
-@dataclass(frozen=True)
-class RankedPrograms:
-    entries: tuple[RankedProgram, ...]
-    truncated: bool = False
+class RankedPrograms(Sequence):
+    """Ranked programs, best first, each built the first time it is read.
+
+    ``learn`` hands over its sorted index pairs, ``(score, size, guard rank,
+    ti, gi)``, with ``sources``, the transformation and guard rank entries
+    they index. Entry ``i`` becomes a ``RankedProgram`` when first read and
+    takes its pair's place in the list, so a pair and its program are never
+    both held; once every entry is built the sources are dropped. ``len``,
+    truth and ``truncated`` build nothing; ``top``, indexing, slicing and
+    iteration build only what they touch; ``entries`` builds every one.
+    """
+
+    def __init__(self, entries=(), truncated: bool = False, sources: tuple | None = None):
+        """``entries`` are built ``RankedProgram``s or, when ``sources`` is
+        ``(transformation entries, guard entries)``, index pairs into them."""
+        self._entries, self._sources = list(entries), sources
+        self._unbuilt = len(self._entries) if sources else 0
+        self.truncated = truncated
+
+    def _entry(self, i: int) -> RankedProgram:
+        entry = self._entries[i]
+        if isinstance(entry, tuple):
+            ts, guards = self._sources
+            score, _, _, ti, gi = entry
+            entry = self._entries[i] = RankedProgram(Program(guards[gi][3], ts[ti][3]), score)
+            self._unbuilt -= 1
+            if not self._unbuilt:
+                self._sources = None
+        return entry
+
+    def __getitem__(self, index):
+        positions = range(len(self._entries))[index]
+        if isinstance(index, slice):
+            return [self._entry(i) for i in positions]
+        return self._entry(positions)
 
     def __iter__(self):
-        return iter(self.entries)
+        return map(self._entry, range(len(self._entries)))
 
     def __len__(self):
-        return len(self.entries)
+        return len(self._entries)
 
     def __bool__(self):
-        return bool(self.entries)
+        return bool(self._entries)
 
     @property
     def top(self) -> RankedProgram | None:
-        return self.entries[0] if self.entries else None
+        return self._entry(0) if self._entries else None
+
+    @property
+    def entries(self) -> tuple[RankedProgram, ...]:
+        return tuple(self)
 
 
 def canonical_selections(conflict: ConflictInput, pdict: PatternDictionary):
@@ -438,7 +475,7 @@ def rank(programs) -> RankedPrograms:
     structural key. ``learn`` returns its programs in the same order.
     """
     ordered = sorted(map(rank_entry, programs), key=_rank_key)
-    return RankedPrograms(tuple(RankedProgram(entry[3], entry[0]) for entry in ordered))
+    return RankedPrograms([RankedProgram(entry[3], entry[0]) for entry in ordered])
 
 
 def _guard_candidates(condition: Condition):
@@ -529,26 +566,25 @@ def learn(spec: ExampleSpec, config: SynthConfig = DEFAULT_CONFIG) -> RankedProg
     stream in rank order, and guard pairing pulls from it only as many as
     can reach its ``MAX_PROGRAMS`` cap. The result is marked ``truncated``,
     and a warning logged, when the stream holds more than ``MAX_PROGRAMS``
-    transformations or guard pairing left a pair out.
-    Returns an empty result (never raises) when no predicate holds on all
-    inputs or no transformation reproduces all outputs.
+    transformations or guard pairing left a pair out. The result holds the
+    kept index pairs and builds each entry's ``Program`` the first time it
+    is read. Returns an empty result (never raises) when no predicate holds
+    on all inputs or no transformation reproduces all outputs.
     """
     pdicts = [build_pattern_dictionary(conflict, config) for conflict in spec.inputs]
     try:
         condition_full = learn_condition(spec.inputs, config, pdicts)
     except EmptyConditionError:
         logger.info("no program found: no predicate holds on every example")
-        return RankedPrograms(())
+        return RankedPrograms()
     root = _candidates(spec.inputs, (output for _, output in spec.cases), pdicts, config)
     if not root.pull(1):
         logger.info("no program found: no transformation is consistent with every example")
-        return RankedPrograms(())
+        return RankedPrograms()
 
     guards = _guard_candidates(condition_full)
     pairs, cut = _pair_guards(root, guards, MAX_PROGRAMS)
     truncated = cut or root.pull(MAX_PROGRAMS + 1)
     if truncated:
         logger.warning("learned programs truncated at %d; results may be incomplete", MAX_PROGRAMS)
-    ts = root.entries
-    return RankedPrograms(tuple(RankedProgram(Program(guards[gi][3], ts[ti][3]), score)
-                                for score, _, _, ti, gi in pairs), truncated=truncated)
+    return RankedPrograms(pairs, truncated, sources=(root.entries, guards))

@@ -2,12 +2,13 @@
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
 
 import pytest
 
-from mergelearn.cli import _build_config, build_parser, main
+from mergelearn.cli import _build_config, _load_example_spec, _program_file_json, build_parser, main
 from mergelearn.dsl import (
     Condition,
     Predicate,
@@ -17,6 +18,7 @@ from mergelearn.dsl import (
     program_to_json,
     serialize_program,
 )
+from mergelearn.synth import learn
 
 from conftest import (
     DUP_PROGRAM,
@@ -95,6 +97,24 @@ def test_learn_top_n_emits_rank_ordered_array(tmp_path, capsys):
     assert scores == sorted(scores)
 
 
+def test_learn_top_writes_the_first_programs_of_the_ranked_list(tmp_path, capsys):
+    # --top reads a prefix of the ranked list; at every length, including
+    # one past its end, the file and rank lines are those of the full list.
+    spec_path = write_example_spec(tmp_path, ["c", "d"])
+    ranked = list(learn(_load_example_spec(spec_path, "fork-first")))
+    spec_hash = hashlib.sha256(spec_path.read_bytes()).hexdigest()
+    for top in (1, 3, len(ranked) + 5):
+        out = tmp_path / f"top{top}.json"
+        assert main(["learn", "--examples", str(spec_path), "--out", str(out), "--top", str(top)]) == 0
+        expected = [_program_file_json(entry, SynthConfig(), spec_hash, i) for i, entry in enumerate(ranked[:top])]
+        data = json.loads(out.read_text(encoding="utf-8"))
+        assert data == (expected[0] if top == 1 else expected)
+        lines = capsys.readouterr().out.splitlines()
+        rank_lines = [f"rank={i} score={entry.score:g} " + " ".join(f"{k}={v}" for k, v in entry.features.items())
+                      for i, entry in enumerate(ranked[:top])]
+        assert lines == [*rank_lines, f"wrote {len(expected)} program(s) to {out}"]
+
+
 def test_learn_max_depth_zero_is_usage_error(tmp_path, capsys):
     spec = write_example_spec(tmp_path, ["c", "d"])
     code = main(["learn", "--examples", str(spec), "--out", str(tmp_path / "x.json"), "--max-depth", "0"])
@@ -151,6 +171,22 @@ def test_learn_malformed_example_entry_is_clean_error(tmp_path, capsys, change, 
     code = main(["learn", "--examples", str(spec), "--out", str(tmp_path / "x.json")])
     assert code == 1
     assert capsys.readouterr().err == f"error: {spec}: example 1: {message}\n"
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("target, content", [
+    ("examples.json", b"{not json"),
+    ("examples.json", b"\xff[]"),
+    ("conflict_d.txt", b"\xff<<<<<<<"),
+    ("resolution_d.txt", b"\xff"),
+])
+def test_learn_unparsable_example_file_is_named(tmp_path, capsys, target, content):
+    spec = write_example_spec(tmp_path, ["c", "d"])
+    (tmp_path / target).write_bytes(content)
+    code = main(["learn", "--examples", str(spec), "--out", str(tmp_path / "x.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / target}: ") and err.count("\n") == 1
     assert not (tmp_path / "x.json").exists()
 
 

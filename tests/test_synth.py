@@ -489,6 +489,60 @@ def test_guard_pairing_pulls_fewer_transformations_than_the_set_holds(monkeypatc
     assert learn_transformation(conflict, output).truncated
 
 
+def test_learn_builds_only_the_programs_read(monkeypatch):
+    # A spec at the MAX_PROGRAMS cap: learning it and asking its size builds
+    # no Program, and each read builds only the entries it touches, once.
+    built = Counter()
+
+    def counted(*args):
+        built["programs"] += 1
+        return Program(*args)
+
+    monkeypatch.setattr(synth, "Program", counted)
+    ranked = learn(ExampleSpec(_cut_by_guard_pairing()[0]))
+    assert len(ranked) == synth.MAX_PROGRAMS and ranked and ranked.truncated
+    assert built["programs"] == 0
+    ranked.top
+    assert built["programs"] == 1
+    ranked[:20]
+    assert built["programs"] == 20
+    ranked[-1], ranked[:20], ranked.top
+    assert built["programs"] == 21
+    list(ranked)
+    assert built["programs"] == synth.MAX_PROGRAMS
+    # Once every entry is built, the pairs' sources are let go.
+    assert ranked._sources is None
+
+
+@pytest.mark.parametrize("which", [0, 2])
+def test_every_read_of_a_learned_list_agrees_with_the_full_list(which):
+    # One truncated one-example spec and one truncated two-example spec; the
+    # reads run on one result, out of rank order, against a fully read one.
+    spec = ExampleSpec(_cut_by_guard_pairing()[which])
+    full = list(learn(spec))
+    ranked = learn(spec)
+    n = len(ranked)
+    assert n == len(full)
+    assert ranked[-1] == full[-1] and ranked[-n] == full[0]
+    assert ranked.top == full[0]
+    for k in (1, 20, n + 5):
+        assert ranked[:k] == full[:k]
+    assert ranked[5:40:3] == full[5:40:3] and ranked[::-1] == full[::-1]
+    assert list(ranked) == full and list(iter(ranked)) == full
+    assert ranked.entries == tuple(full)
+    for index in (n, -n - 1):
+        with pytest.raises(IndexError):
+            ranked[index]
+
+
+def test_ranked_programs_reads_agree_on_an_empty_and_a_ranked_list():
+    empty = learn(ExampleSpec(((fig_chunk("c"), tokenize_nodes(['#include "not/in/either/branch.h"'])),)))
+    assert not empty and len(empty) == 0 and empty.top is None
+    assert empty[:5] == [] and list(empty) == [] and empty.entries == ()
+    ranked = rank((FB_PROGRAM, DUP_PROGRAM))
+    assert ranked.entries == tuple(ranked) == tuple(ranked[:5]) and ranked[-1] == ranked.entries[1]
+
+
 def test_capped_set_is_the_uncapped_sets_prefix(monkeypatch):
     # A set cut by the cap holds exactly the first MAX_PROGRAMS programs, in
     # rank order, of the set the learner would build without it, and is
