@@ -18,7 +18,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from .conflicts import ConflictedFile, tokenize_nodes
+from .conflicts import ConflictedFile, UnbalancedMarkersError, tokenize_nodes
 from .corpus import EmptyCorpusError, evaluate, load_corpus, report
 from .dsl import (
     Program,
@@ -90,9 +90,11 @@ def _load_example_spec(path: Path, side_order: str) -> ExampleSpec:
         conflict_path = base / entry["conflict"]
         resolution_path = base / entry["resolution"]
         file_path = entry.get("file_path", str(conflict_path))
-        chunks = ConflictedFile.parse(
-            _read_text(conflict_path), file_path, side_order=side_order
-        ).chunks
+        try:
+            chunks = ConflictedFile.parse(_read_text(conflict_path), file_path, side_order=side_order).chunks
+        except UnbalancedMarkersError as exc:
+            # ``file_path`` is the logical path used for header lookup; name the file on disk.
+            raise ValueError(f"{conflict_path}{exc.detail}") from exc
         if len(chunks) != 1:
             raise ValueError(f"{conflict_path}: example files must contain exactly one conflict, found {len(chunks)}")
         resolution_lines = _read_text(resolution_path).split("\n")

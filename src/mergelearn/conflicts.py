@@ -5,13 +5,16 @@ Each chunk carries two regions (main and fork); region lines are tokenized
 into nodes, the atomic units that resolution programs select and combine.
 The chunks of one file share a read-only ``FileContext``, built once per
 parse, that holds what every chunk's pattern dictionary reads of the rest
-of the file.
+of the file. What it derives from the outside text (the outside lines'
+match index and the stem search behind the Dependency pattern) is computed
+the first time a pattern reads it, once per file, and then kept.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Mapping
 
@@ -32,7 +35,19 @@ _END_RE = re.compile(r"^>{7}(\s.*)?$")
 
 
 class UnbalancedMarkersError(ValueError):
-    """Conflict markers in the file do not nest properly."""
+    """Conflict markers in the file do not nest properly.
+
+    The message is the file's path followed by ``detail``, which is
+    ``":<line>: <why>"`` or ``": <why>"``, so a caller can name the file
+    another way.
+    """
+
+    def __init__(self, file_path: str, detail: str):
+        super().__init__(file_path, detail)
+        self.detail = detail
+
+    def __str__(self) -> str:
+        return "".join(self.args)
 
 
 @dataclass(frozen=True)
@@ -154,54 +169,67 @@ def _stem_users(paths, outside_code: str, chunk_codes) -> dict[str, frozenset[in
     return {path: users[_stem(path)] for path in paths}
 
 
+def _include_paths(regions) -> dict[str, None]:
+    """The distinct include paths of every region, first-occurrence order."""
+    return dict.fromkeys(n.include_path for main, fork, _, _ in regions for n in main + fork if n.kind == INCLUDE)
+
+
 @dataclass(frozen=True, eq=False)
 class FileContext:
     """What every chunk of one conflicted file shares, built once per parse.
 
-    ``outside_index`` is the ``match_index`` of the outside lines, which
-    are tokenized once. ``regions`` holds each chunk's ``(main_nodes,
-    fork_nodes, main_lines, fork_lines)`` in file order.
-    ``header_contents`` maps include paths to header text when the corpus
-    ships headers (empty otherwise). ``stem_users`` backs the Dependency
-    pattern (see ``_stem_users``); it is empty for a lone chunk, which has
-    no siblings.
+    ``regions`` holds each chunk's ``(main_nodes, fork_nodes, main_lines,
+    fork_lines)`` in file order. ``header_contents`` maps include paths to
+    header text when the corpus ships headers (empty otherwise); headers
+    are read when the file is parsed. ``outside_index`` (the
+    ``match_index`` of the outside lines) and ``stem_users`` (which backs
+    the Dependency pattern, see ``_stem_users``; empty for a lone chunk,
+    which has no siblings) are computed on first read and cached, so the
+    outside lines are tokenized at most once per file and only when a
+    pattern reads them. The caches are write-once and a recomputation gives
+    the same value, so a context is safe to share across workers.
     """
 
     file_path: str
     outside_content: tuple[str, ...]
-    outside_index: Mapping[tuple, tuple[Node, ...]]
     regions: tuple[tuple[tuple, ...], ...]
     header_contents: Mapping[str, str]
-    stem_users: Mapping[str, frozenset[int]]
 
     @classmethod
     def build(cls, file_path: str, outside, regions, header_text=None) -> "FileContext":
-        outside_nodes = tokenize_nodes(outside)
-        paths = dict.fromkeys(
-            n.include_path for main, fork, _, _ in regions for n in main + fork if n.kind == INCLUDE
-        )
         headers = {}
         if header_text is not None:
-            headers = {path: text for path in paths if (text := header_text(path)) is not None}
-        stem_users = {}
-        if len(regions) > 1:
-            chunk_codes = [_code(ml + fl, mn + fn) for mn, fn, ml, fl in regions]
-            stem_users = _stem_users(paths, _code(outside, outside_nodes), chunk_codes)
-        return _read_only_context(file_path, tuple(outside), match_index(outside_nodes), tuple(regions),
-                                  headers, stem_users)
+            headers = {path: text for path in _include_paths(regions) if (text := header_text(path)) is not None}
+        return _read_only_context(file_path, tuple(outside), tuple(regions), headers)
+
+    @cached_property
+    def _outside_nodes(self) -> tuple[Node, ...]:
+        return tokenize_nodes(self.outside_content)
+
+    @cached_property
+    def outside_index(self) -> Mapping[tuple, tuple[Node, ...]]:
+        return MappingProxyType(match_index(self._outside_nodes))
+
+    @cached_property
+    def stem_users(self) -> Mapping[str, frozenset[int]]:
+        users = {}
+        if len(self.regions) > 1:
+            chunk_codes = [_code(ml + fl, mn + fn) for mn, fn, ml, fl in self.regions]
+            users = _stem_users(_include_paths(self.regions), _code(self.outside_content, self._outside_nodes),
+                                chunk_codes)
+        return MappingProxyType(users)
 
     def __reduce__(self):
-        # Mapping proxies do not pickle; the copy wraps plain dicts again.
-        return _read_only_context, (self.file_path, self.outside_content, dict(self.outside_index),
-                                    self.regions, dict(self.header_contents), dict(self.stem_users))
+        # Only the inputs: mapping proxies do not pickle, and a copy
+        # recomputes its caches on first read.
+        return _read_only_context, (self.file_path, self.outside_content, self.regions, dict(self.header_contents))
 
     def chunk(self, index: int) -> "ConflictInput":
         return ConflictInput(self.file_path, *self.regions[index], context=self, index=index)
 
 
-def _read_only_context(file_path, outside, outside_index, regions, headers, stem_users) -> FileContext:
-    return FileContext(file_path, outside, MappingProxyType(outside_index), regions,
-                       MappingProxyType(headers), MappingProxyType(stem_users))
+def _read_only_context(file_path, outside, regions, headers) -> FileContext:
+    return FileContext(file_path, outside, regions, MappingProxyType(headers))
 
 
 _EMPTY_CONTEXT = FileContext.build("", (), ())
@@ -214,7 +242,8 @@ class ConflictInput:
     Read-only, so safe to share across workers. The chunk is the
     ``index``-th of its file; what the file's chunks share (outside text,
     header contents, sibling regions) sits in one ``FileContext`` built by
-    ``ConflictedFile.parse``. Two chunks are equal when they have the same
+    ``ConflictedFile.parse``, whose outside index and stem search are
+    computed on first read. Two chunks are equal when they have the same
     regions at the same index of the same parsed file.
     """
 
@@ -241,15 +270,6 @@ class ConflictInput:
 
     def region_nodes(self) -> tuple[Node, ...]:
         return self.main_nodes + self.fork_nodes
-
-    def include_paths(self) -> tuple[str, ...]:
-        """Distinct include paths in both regions, first-occurrence order."""
-        seen: dict[str, None] = {}
-        for node in self.region_nodes():
-            path = node.include_path
-            if path is not None and path not in seen:
-                seen[path] = None
-        return tuple(seen)
 
 
 def conflict_kind(conflict: ConflictInput) -> str:
@@ -310,7 +330,7 @@ class ConflictedFile:
         block: list[str] = []
 
         def fail(lineno, why):
-            raise UnbalancedMarkersError(f"{file_path}:{lineno + 1}: {why}")
+            raise UnbalancedMarkersError(file_path, f":{lineno + 1}: {why}")
 
         for lineno, line in enumerate(lines):
             if state == "outside":
@@ -356,7 +376,7 @@ class ConflictedFile:
                     second.append(line)
 
         if state != "outside":
-            raise UnbalancedMarkersError(f"{file_path}: unterminated conflict at end of file")
+            raise UnbalancedMarkersError(file_path, ": unterminated conflict at end of file")
         if pending_text:
             segments.append(("text", tuple(pending_text)))
 

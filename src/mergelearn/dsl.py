@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields
 
 from .conflicts import INCLUDE, MACRO, ConflictInput, Node, match_index, match_key
@@ -160,12 +161,15 @@ DEFAULT_CONFIG = SynthConfig()
 class PatternDictionary:
     """Per-conflict map from pattern name to the nodes it matched.
 
-    Only non-empty matches are stored, so a predicate holds exactly when
+    Only non-empty matches are entries, so a predicate holds exactly when
     its entry exists. ``frequent`` keeps per-path matches for the
-    FrequentPattern predicate.
+    FrequentPattern predicate. ``build_pattern_dictionary`` computes each
+    pattern's entry on first lookup and keeps it, so replaying a program
+    computes only the patterns it reads; iterating ``patterns``, or
+    comparing it, computes them all. ``patterns`` may also be a plain dict.
     """
 
-    patterns: dict[str, tuple[Node, ...]] = field(default_factory=dict)
+    patterns: Mapping[str, tuple[Node, ...]] = field(default_factory=dict)
     frequent: dict[str, tuple[Node, ...]] = field(default_factory=dict)
 
     def entry(self, key: str) -> tuple[Node, ...]:
@@ -227,26 +231,62 @@ def _dependency_nodes(conflict: ConflictInput) -> tuple[Node, ...]:
     )
 
 
-def build_pattern_dictionary(conflict: ConflictInput, config: SynthConfig = DEFAULT_CONFIG) -> PatternDictionary:
-    """Compute every pattern's matching nodes for one conflict."""
-    outside = conflict.context.outside_index
-    fork = match_index(conflict.fork_nodes)
+_PATTERN_ENTRIES = {
+    "DuplicateMainFork": lambda c, config: _duplicate_nodes(c, c.main_nodes, match_index(c.fork_nodes)),
+    "DuplicateMainOutside": lambda c, config: _duplicate_nodes(c, c.main_nodes, c.context.outside_index),
+    "DuplicateForkOutside": lambda c, config: _duplicate_nodes(c, c.fork_nodes, c.context.outside_index),
+    "MainSpecific": lambda c, config: _keyword_nodes(c.main_nodes, config.main_keywords),
+    "ForkSpecific": lambda c, config: _keyword_nodes(c.fork_nodes, config.fork_keywords),
+    "Dependency": lambda c, config: _dependency_nodes(c),
+    "Rename": lambda c, config: _rename_nodes(c),
+}
 
-    entries = {
-        "DuplicateMainFork": _duplicate_nodes(conflict, conflict.main_nodes, fork),
-        "DuplicateMainOutside": _duplicate_nodes(conflict, conflict.main_nodes, outside),
-        "DuplicateForkOutside": _duplicate_nodes(conflict, conflict.fork_nodes, outside),
-        "MainSpecific": _keyword_nodes(conflict.main_nodes, config.main_keywords),
-        "ForkSpecific": _keyword_nodes(conflict.fork_nodes, config.fork_keywords),
-        "Dependency": _dependency_nodes(conflict),
-        "Rename": _rename_nodes(conflict),
-    }
-    frequent: dict[str, tuple[Node, ...]] = {}
-    for path in conflict.include_paths():
-        frequent[path] = tuple(n for n in conflict.region_nodes() if n.include_path == path)
+
+class _PatternEntries(Mapping):
+    """The non-empty pattern entries of one conflict, each computed on first lookup."""
+
+    __slots__ = ("_conflict", "_config", "_memo")
+
+    def __init__(self, conflict: ConflictInput, config: SynthConfig):
+        self._conflict, self._config, self._memo = conflict, config, {}
+
+    def _nodes(self, key) -> tuple[Node, ...]:
+        memo = self._memo
+        if key not in memo:
+            compute = _PATTERN_ENTRIES.get(key)
+            if compute is None:
+                return ()
+            memo[key] = compute(self._conflict, self._config)
+        return memo[key]
+
+    def __getitem__(self, key) -> tuple[Node, ...]:
+        nodes = self._nodes(key)
+        if not nodes:
+            raise KeyError(key)
+        return nodes
+
+    def get(self, key, default=None):
+        return self._nodes(key) or default
+
+    def __iter__(self):
+        return iter([key for key in _PATTERN_ENTRIES if self._nodes(key)])
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
+def build_pattern_dictionary(conflict: ConflictInput, config: SynthConfig = DEFAULT_CONFIG) -> PatternDictionary:
+    """The pattern dictionary of one conflict; its pattern entries are computed on first lookup."""
+    frequent: dict[str, list[Node]] = {}
+    for node in conflict.region_nodes():
+        if node.kind == INCLUDE:
+            frequent.setdefault(node.include_path, []).append(node)
     return PatternDictionary(
-        patterns={k: v for k, v in entries.items() if v},
-        frequent=frequent,
+        patterns=_PatternEntries(conflict, config),
+        frequent={path: tuple(nodes) for path, nodes in frequent.items()},
     )
 
 

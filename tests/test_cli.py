@@ -190,6 +190,20 @@ def test_learn_unparsable_example_file_is_named(tmp_path, capsys, target, conten
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("content, detail", [
+    ("<<<<<<< a\nx\n", ": unterminated conflict at end of file"),
+    ("x\n>>>>>>> b\n", ":2: end marker without a matching start marker"),
+])
+def test_learn_unbalanced_example_names_the_conflict_file(tmp_path, capsys, content, detail):
+    # The entry's file_path is a logical path that need not exist on disk.
+    spec = write_example_spec(tmp_path, ["c", "d"])
+    (tmp_path / "conflict_d.txt").write_text(content, encoding="utf-8")
+    code = main(["learn", "--examples", str(spec), "--out", str(tmp_path / "x.json")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {tmp_path / 'conflict_d.txt'}{detail}\n"
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_apply_print_resolves_fig1c(tmp_path, capsys):
     program = write_program(tmp_path, FB_PROGRAM)
     target = tmp_path / "conflicted.cc"

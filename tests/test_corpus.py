@@ -140,6 +140,18 @@ def test_load_corpus_reads_headers_by_include_path(tmp_path):
     assert "DuplicateMainFork" not in build_pattern_dictionary(case.conflict).patterns
 
 
+def test_unreadable_header_skips_its_case_at_load(tmp_path, caplog):
+    # Headers are read when the file is parsed, not when a pattern first reads them.
+    root = write_fig_corpus(tmp_path / "corpus")
+    headers = root / "merge-001" / "case-a" / "headers"
+    headers.mkdir()
+    headers.joinpath("cursor_type.mojom-shared.h").write_bytes(b"\xff\n")
+    with caplog.at_level(logging.WARNING, logger="mergelearn.corpus"):
+        cases = load_corpus(root)
+    assert [case.conflict.file_path for case in cases] == [f"ui/base/sample_{n}.cc" for n in "bcd"]
+    assert any("skipping" in record.message and "case-a" in record.message for record in caplog.records)
+
+
 def test_load_corpus_honors_side_order(tmp_path):
     root = tmp_path / "corpus"
     case_dir = root / "merge-001" / "case-a"

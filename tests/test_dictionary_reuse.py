@@ -6,7 +6,9 @@ The differential test below checks each chunk's dictionary against a
 reference built the way it was before the context existed: every line
 tokenized on its own, the outside text and the siblings' code joined and
 searched once per chunk. The counting tests check that ``apply``, ``eval``
-and ``learn`` build each dictionary once, whatever the number of programs.
+and ``learn`` build each dictionary once, whatever the number of programs,
+and that entries and the file's outside index are computed only when a
+program reads them.
 """
 
 from __future__ import annotations
@@ -14,15 +16,28 @@ from __future__ import annotations
 import pickle
 import random
 import re
+import sys
+import threading
 
 import pytest
 
 import mergelearn
-from mergelearn import cli, corpus, dsl, synth
+from mergelearn import cli, conflicts, corpus, dsl, synth
 from mergelearn.cli import main
 from mergelearn.conflicts import INCLUDE, MACRO, ConflictedFile, tokenize_nodes
 from mergelearn.corpus import evaluate, load_corpus
-from mergelearn.dsl import PatternDictionary, SynthConfig, build_pattern_dictionary, serialize_program
+from mergelearn.dsl import (
+    Condition,
+    PatternDictionary,
+    Predicate,
+    Program,
+    Remove,
+    Select,
+    Selection,
+    SynthConfig,
+    build_pattern_dictionary,
+    serialize_program,
+)
 from mergelearn.synth import ExampleSpec, learn
 
 from conftest import (
@@ -31,6 +46,7 @@ from conftest import (
     fig_chunk,
     fig_file_text,
     fig_resolution_nodes,
+    fig_resolved_text,
     write_fig_corpus,
 )
 
@@ -218,6 +234,29 @@ def test_every_chunk_dictionary_equals_the_line_by_line_reference():
     assert crlf and all(seen.values()), (crlf, seen)
 
 
+def test_entries_read_in_any_order_equal_the_line_by_line_reference():
+    # The fuzz of the test above; a second generator picks the chunk order and
+    # the entries read before the whole dictionary is compared.
+    config = SynthConfig(main_keywords=("ANONYMOUS",), fork_keywords=("DISABLED",))
+    rng = random.Random(20210)
+    order = random.Random(7)
+    for _ in range(400):
+        text, header_text = fuzz_file(rng)
+        parsed = ConflictedFile.parse(text, "fuzz.cc", header_text=header_text)
+        indexed = list(enumerate(parsed.chunks))
+        order.shuffle(indexed)
+        for i, chunk in indexed:
+            siblings = [c for j, c in enumerate(parsed.chunks) if j != i]
+            expected = reference_dictionary(chunk, siblings, header_text, config)
+            pdict = build_pattern_dictionary(chunk, config)
+            for key in order.sample(dsl.PREDICATE_TAGS, order.randint(0, len(dsl.PREDICATE_TAGS))):
+                if order.random() < 0.5:
+                    assert pdict.entry(key) == expected.entry(key), (text, i, key)
+                else:
+                    assert (key in pdict.patterns) == (key in expected.patterns), (text, i, key)
+            assert pdict == expected, (text, i)
+
+
 def test_stem_users_match_word_boundaries_at_the_edges():
     text = "\n".join([
         "x.y_tail();",  # "x.y" followed by a word character: no match
@@ -271,6 +310,61 @@ def test_pickled_chunks_keep_their_context():
             copy.header_contents["x.h"] = ""
 
 
+def test_chunks_pickled_before_and_after_reading_give_the_same_dictionaries():
+    text, header_text = fuzz_file(random.Random(5))
+    parsed = ConflictedFile.parse(fig_file_text("a") + text, "p.cc", header_text=header_text)
+    unread = pickle.dumps(parsed.chunks)
+    originals = [build_pattern_dictionary(chunk) for chunk in parsed.chunks]
+    assert sum(len(pdict.patterns) for pdict in originals)  # computes every entry, and so the file's caches
+    read = pickle.dumps(parsed.chunks)
+    # A copy carries the inputs only and recomputes its caches.
+    assert read == unread
+    for copies in (pickle.loads(unread), pickle.loads(read)):
+        assert [build_pattern_dictionary(copy) for copy in copies] == originals
+
+
+def test_threads_sharing_a_file_and_its_dictionaries_read_the_same_entries():
+    # More threads than cores, switching often, all filling the same file's
+    # caches and the same dictionaries' entries in different orders.
+    rng = random.Random(11)
+    files = [fuzz_file(rng) for _ in range(30)]
+    expected = [[build_pattern_dictionary(c) for c in ConflictedFile.parse(text, "t.cc", header_text=h).chunks]
+                for text, h in files]
+    shared = [[build_pattern_dictionary(c) for c in ConflictedFile.parse(text, "t.cc", header_text=h).chunks]
+              for text, h in files]
+    results, errors = {}, []
+
+    def read(worker):
+        try:
+            order = random.Random(worker)
+            keys = list(dsl.PREDICATE_TAGS)
+            out = []
+            for pdicts in shared:
+                for pdict in pdicts:
+                    order.shuffle(keys)
+                    for key in keys:
+                        pdict.entry(key)
+                out.append([dict(pdict.patterns) for pdict in pdicts])
+            results[worker] = out
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(w,)) for w in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and not errors, errors
+    want = [[dict(pdict.patterns) for pdict in pdicts] for pdicts in expected]
+    assert all(results[w] == want for w in range(len(threads)))
+    assert shared == expected
+
+
 # --- one dictionary per chunk --------------------------------------------------
 
 
@@ -318,3 +412,90 @@ def test_learn_builds_one_dictionary_per_example(dictionary_builds, names):
     spec = ExampleSpec(tuple((fig_chunk(n), fig_resolution_nodes(n)) for n in names))
     assert learn(spec)
     assert dictionary_builds == list(spec.inputs)
+
+
+# --- entries and the outside index on first read ---------------------------------
+
+THREE_CHUNKS = ("c", "a", "d")
+THREE_TEXT = "".join(fig_file_text(n) for n in THREE_CHUNKS)
+THREE = ConflictedFile.parse(THREE_TEXT, "three.cc").chunks
+
+# ForkSpecific holds on no worked example under the default keywords, so FB is
+# tried after it on every chunk.
+FS_PROGRAM = Program(
+    Condition((Predicate("ForkSpecific"),)),
+    Remove(Selection("Fork"), Selection("Pattern", key="ForkSpecific")),
+)
+# No main line of a worked example repeats an outside line: the guard is read on every chunk.
+OUTSIDE_PROGRAM = Program(Condition((Predicate("DuplicateMainOutside"),)), Select(Selection("Main")))
+
+
+@pytest.fixture
+def outside_reads(monkeypatch):
+    """Record the lines of each ``tokenize_nodes`` call of the parser, each
+    ``match_index`` call it makes and each stem search."""
+    calls = {"tokenized": [], "indexed": 0, "stem_searches": 0}
+    real_tokenize, real_index, real_stem_users = conflicts.tokenize_nodes, conflicts.match_index, conflicts._stem_users
+
+    def tokenize(lines):
+        lines = tuple(lines)
+        calls["tokenized"].append(lines)
+        return real_tokenize(lines)
+
+    def index(nodes):
+        calls["indexed"] += 1
+        return real_index(nodes)
+
+    def stem_users(*args):
+        calls["stem_searches"] += 1
+        return real_stem_users(*args)
+
+    monkeypatch.setattr(conflicts, "tokenize_nodes", tokenize)
+    monkeypatch.setattr(conflicts, "match_index", index)
+    monkeypatch.setattr(conflicts, "_stem_users", stem_users)
+    return calls
+
+
+def _region_lines(chunks):
+    return sum(len(c.main_lines) + len(c.fork_lines) for c in chunks)
+
+
+def _apply(tmp_path, programs):
+    args = []
+    for i, program in enumerate(programs):
+        path = tmp_path / f"p{i}.json"
+        path.write_text(serialize_program(program), encoding="utf-8")
+        args += ["--program", str(path)]
+    target = tmp_path / "three.cc"
+    target.write_text(THREE_TEXT, encoding="utf-8")
+    assert main(["apply", *args, str(target), "--print"]) == 0
+
+
+def test_apply_with_frequent_and_keyword_programs_reads_no_outside_line(tmp_path, capsys, outside_reads):
+    _apply(tmp_path, [FS_PROGRAM, FB_PROGRAM])
+    assert "<<<<<<<" in capsys.readouterr().out  # FB resolves c and d, not a
+    # Only the region lines were tokenized, and no stem was searched for.
+    assert sum(map(len, outside_reads["tokenized"])) == _region_lines(THREE)
+    assert outside_reads["indexed"] == 0 and outside_reads["stem_searches"] == 0
+
+
+def test_evaluate_with_frequent_and_keyword_programs_reads_no_outside_line(tmp_path, outside_reads):
+    root = write_fig_corpus(tmp_path / "corpus")
+    case_dir = root / "merge-003" / "case-three"
+    case_dir.mkdir(parents=True)
+    (case_dir / "conflict.txt").write_text(THREE_TEXT, encoding="utf-8")
+    (case_dir / "resolved.txt").write_text("".join(fig_resolved_text(n) for n in THREE_CHUNKS), encoding="utf-8")
+    cases = load_corpus(root)
+    assert len(cases) == 4 + len(THREE_CHUNKS)
+    result = evaluate([FS_PROGRAM, FB_PROGRAM], cases)
+    assert result.suggested == 4  # c and d, alone and in the three-chunk file
+    assert sum(map(len, outside_reads["tokenized"])) == _region_lines(case.conflict for case in cases)
+    assert outside_reads["indexed"] == 0 and outside_reads["stem_searches"] == 0
+
+
+def test_outside_index_is_built_once_per_file(tmp_path, capsys, outside_reads):
+    _apply(tmp_path, [OUTSIDE_PROGRAM])
+    assert '"suggested": 0' in capsys.readouterr().err
+    # The outside lines were tokenized once, for all three chunks.
+    assert sum(map(len, outside_reads["tokenized"])) == _region_lines(THREE) + len(THREE[0].outside_content)
+    assert outside_reads["indexed"] == 1 and outside_reads["stem_searches"] == 0
