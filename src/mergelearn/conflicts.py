@@ -28,10 +28,21 @@ _INCLUDE_RE = re.compile(r'^#\s*include\s*("[^"]+"|<[^>]+>)$')
 _MACRO_RE = re.compile(r"^([A-Z][A-Z0-9_]*)\s*(\(.*)$")
 _SPACE_RE = re.compile(r"\s+")
 
-_START_RE = re.compile(r"^<{7}(\s.*)?$")
-_BASE_RE = re.compile(r"^\|{7}(\s.*)?$")
-_SEP_RE = re.compile(r"^={7}\s*$")
-_END_RE = re.compile(r"^>{7}(\s.*)?$")
+# A marker line is exactly seven marker characters, then whitespace or the
+# line's end; a separator takes nothing but whitespace after it.
+START_MARKER = r"<{7}(?:\s.*)?$"
+_MARKER_RE = re.compile(
+    rf"(?P<start>{START_MARKER})|(?P<base>\|{{7}}(?:\s.*)?$)|(?P<sep>={{7}}\s*$)|(?P<end>>{{7}}(?:\s.*)?$)")
+
+# Parser state -> (the state each marker it accepts leads to, why any other
+# marker is misplaced there). None marks a marker that is plain text there:
+# outside a chunk, separator and base lines are.
+_TRANSITIONS = {
+    "outside": ({"start": "first", "sep": None, "base": None}, "end marker without a matching start marker"),
+    "first": ({"sep": "second", "base": "base"}, "marker inside an open conflict section"),
+    "base": ({"sep": "second"}, "marker inside a base section"),
+    "second": ({"end": "outside"}, "marker inside the second conflict section"),
+}
 
 
 class UnbalancedMarkersError(ValueError):
@@ -318,75 +329,43 @@ class ConflictedFile:
         if trailing:
             lines.pop()
 
-        segments: list[tuple[str, object]] = []
-        raw_chunks: list[dict] = []
-        chunk_blocks: list[tuple[str, ...]] = []
-        outside: list[str] = []
-        pending_text: list[str] = []
-
+        spans: list[dict[str, int]] = []  # each chunk's marker line numbers
         state = "outside"
-        first: list[str] = []
-        second: list[str] = []
-        block: list[str] = []
-
-        def fail(lineno, why):
-            raise UnbalancedMarkersError(file_path, f":{lineno + 1}: {why}")
-
         for lineno, line in enumerate(lines):
-            if state == "outside":
-                if _START_RE.match(line):
-                    if pending_text:
-                        segments.append(("text", tuple(pending_text)))
-                        pending_text = []
-                    first, second, block = [], [], [line]
-                    state = "first"
-                elif _END_RE.match(line):
-                    fail(lineno, "end marker without a matching start marker")
-                else:
-                    # Separator/base lines outside a chunk are plain text.
-                    pending_text.append(line)
-                    outside.append(line)
-            elif state == "first":
-                block.append(line)
-                if _SEP_RE.match(line):
-                    state = "second"
-                elif _BASE_RE.match(line):
-                    state = "base"
-                elif _START_RE.match(line) or _END_RE.match(line):
-                    fail(lineno, "marker inside an open conflict section")
-                else:
-                    first.append(line)
-            elif state == "base":
-                block.append(line)
-                if _SEP_RE.match(line):
-                    state = "second"
-                elif _START_RE.match(line) or _END_RE.match(line) or _BASE_RE.match(line):
-                    fail(lineno, "marker inside a base section")
-                # base section content is dropped
-            elif state == "second":
-                block.append(line)
-                if _END_RE.match(line):
-                    segments.append(("chunk", len(raw_chunks)))
-                    raw_chunks.append({"first": tuple(first), "second": tuple(second)})
-                    chunk_blocks.append(tuple(block))
-                    state = "outside"
-                elif _START_RE.match(line) or _SEP_RE.match(line) or _BASE_RE.match(line):
-                    fail(lineno, "marker inside the second conflict section")
-                else:
-                    second.append(line)
-
+            m = _MARKER_RE.match(line)
+            if m is None:
+                continue
+            moves, misplaced = _TRANSITIONS[state]
+            marker = m.lastgroup
+            if marker not in moves:
+                raise UnbalancedMarkersError(file_path, f":{lineno + 1}: {misplaced}")
+            if moves[marker] is None:
+                continue
+            state = moves[marker]
+            if marker == "start":
+                spans.append({})
+            spans[-1][marker] = lineno
         if state != "outside":
             raise UnbalancedMarkersError(file_path, ": unterminated conflict at end of file")
-        if pending_text:
-            segments.append(("text", tuple(pending_text)))
 
+        segments: list[tuple[str, object]] = []
+        chunk_blocks: list[tuple[str, ...]] = []
         regions = []
-        for raw in raw_chunks:
-            if side_order == "fork-first":
-                fork_lines, main_lines = raw["first"], raw["second"]
-            else:
-                main_lines, fork_lines = raw["first"], raw["second"]
+        done = 0  # lines before this one are in a segment
+        for marks in spans:
+            start, sep, end = marks["start"], marks["sep"], marks["end"]
+            if start > done:
+                segments.append(("text", tuple(lines[done:start])))
+            segments.append(("chunk", len(chunk_blocks)))
+            chunk_blocks.append(tuple(lines[start:end + 1]))
+            # A base section's content is dropped.
+            first, second = tuple(lines[start + 1:marks.get("base", sep)]), tuple(lines[sep + 1:end])
+            main_lines, fork_lines = (second, first) if side_order == "fork-first" else (first, second)
             regions.append((tokenize_nodes(main_lines), tokenize_nodes(fork_lines), main_lines, fork_lines))
+            done = end + 1
+        if done < len(lines):
+            segments.append(("text", tuple(lines[done:])))
+        outside = [line for tag, payload in segments if tag == "text" for line in payload]
         context = FileContext.build(file_path, outside, regions, header_text)
         chunks = [context.chunk(i) for i in range(len(regions))]
         return cls(file_path, segments, chunks, chunk_blocks, trailing)

@@ -12,12 +12,14 @@ import difflib
 import json
 import logging
 import re
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass
 from pathlib import Path, PurePosixPath
 
 from .conflicts import (
     INCLUDE,
     MACRO,
+    START_MARKER,
     ConflictedFile,
     ConflictInput,
     Node,
@@ -36,10 +38,10 @@ FILE_TYPES = ("C++", "Dependency", "Headers", "Build", "Python", "Data", "Text",
 LOCATIONS = ("Condition", "Declare", "Expression", "Include", "Loop", "Macro", "Method", "Others")
 
 SIZE_BUCKETS = (
-    "1-2", "3-4", "5-6", "7-8", "9-10", "11-15",
+    "0", "1-2", "3-4", "5-6", "7-8", "9-10", "11-15",
     "16-20", "21-25", "26-30", "31-40", "41-50", ">50",
 )
-_BUCKET_TOPS = (2, 4, 6, 8, 10, 15, 20, 25, 30, 40, 50)
+_BUCKET_TOPS = (0, 2, 4, 6, 8, 10, 15, 20, 25, 30, 40, 50)
 
 
 class EmptyCorpusError(Exception):
@@ -169,7 +171,7 @@ def _load_case_dir(merge_id: str, case_dir: Path) -> list[CorpusCase]:
         label = meta.get("label")
         conflict_text = conflict_file.read_text(encoding="utf-8")
         resolved_text = resolved_file.read_text(encoding="utf-8")
-        if re.search(r"^<{7}(\s|$)", resolved_text, flags=re.M):
+        if re.search(f"^{START_MARKER}", resolved_text, flags=re.M):
             logger.warning("skipping %s: resolved file still contains markers", case_dir)
             return []
         parsed = ConflictedFile.parse(conflict_text, file_path, side_order=side_order,
@@ -256,10 +258,7 @@ def _classify_node(node: Node) -> str:
 
 def classify_location(conflict: ConflictInput) -> str:
     """Majority vote of per-line classes over both regions; ties go to Others."""
-    votes: dict[str, int] = {}
-    for node in conflict.region_nodes():
-        cls = _classify_node(node)
-        votes[cls] = votes.get(cls, 0) + 1
+    votes = Counter(map(_classify_node, conflict.region_nodes()))
     if not votes:
         return "Others"
     best = max(votes.values())
@@ -277,14 +276,7 @@ class ClassificationReport:
     labels: dict[str, int]
 
     def to_json_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "file_types": dict(self.file_types),
-            "main_sizes": dict(self.main_sizes),
-            "fork_sizes": dict(self.fork_sizes),
-            "locations": dict(self.locations),
-            "labels": dict(self.labels),
-        }
+        return asdict(self)
 
     def render_table(self) -> str:
         sections = [
@@ -304,60 +296,43 @@ class ClassificationReport:
         return "\n".join(lines)
 
 
-def _ordered_counts(order, counts):
-    out = {key: counts.get(key, 0) for key in order if counts.get(key, 0)}
-    for key in sorted(counts):
-        if key not in out and counts[key]:
-            out[key] = counts[key]
-    return out
+def _ordered_counts(order, values) -> dict[str, int]:
+    """How often each value occurs: the keys of ``order`` first, in that
+    order, then any others sorted."""
+    counts = Counter(values)
+    return {key: counts.pop(key) for key in order if key in counts} | dict(sorted(counts.items()))
 
 
 def report(cases) -> ClassificationReport:
     """Aggregate the three classifiers plus provided labels over a corpus."""
     cases = list(cases)
-    file_types: dict[str, int] = {}
-    main_sizes: dict[str, int] = {}
-    fork_sizes: dict[str, int] = {}
-    locations: dict[str, int] = {}
-    labels: dict[str, int] = {}
-    for case in cases:
-        file_type = classify_file_type(case.file_path)
-        file_types[file_type] = file_types.get(file_type, 0) + 1
-        main_bucket, fork_bucket = classify_size(case.conflict)
-        main_sizes[main_bucket] = main_sizes.get(main_bucket, 0) + 1
-        fork_sizes[fork_bucket] = fork_sizes.get(fork_bucket, 0) + 1
-        location = classify_location(case.conflict)
-        locations[location] = locations.get(location, 0) + 1
-        label = case.label or "unlabeled"
-        labels[label] = labels.get(label, 0) + 1
+    sizes = [classify_size(case.conflict) for case in cases]
     return ClassificationReport(
         total=len(cases),
-        file_types=_ordered_counts(FILE_TYPES, file_types),
-        main_sizes=_ordered_counts(SIZE_BUCKETS, main_sizes),
-        fork_sizes=_ordered_counts(SIZE_BUCKETS, fork_sizes),
-        locations=_ordered_counts(LOCATIONS, locations),
-        labels=_ordered_counts(RESOLUTION_LABELS + ("unlabeled",), labels),
+        file_types=_ordered_counts(FILE_TYPES, (classify_file_type(case.file_path) for case in cases)),
+        main_sizes=_ordered_counts(SIZE_BUCKETS, (main for main, _ in sizes)),
+        fork_sizes=_ordered_counts(SIZE_BUCKETS, (fork for _, fork in sizes)),
+        locations=_ordered_counts(LOCATIONS, (classify_location(case.conflict) for case in cases)),
+        labels=_ordered_counts(RESOLUTION_LABELS + ("unlabeled",), (case.label or "unlabeled" for case in cases)),
     )
 
 
 # --- evaluation -------------------------------------------------------------
 
-@dataclass
-class _Tally:
-    matched: int = 0
-    mismatched: int = 0
-    no_suggestion: int = 0
+class _Tally(Counter):
+    """Cases by outcome: ``matched``, ``mismatched`` or ``no_suggestion``."""
 
     def as_dict(self) -> dict:
-        suggested = self.matched + self.mismatched
-        total = suggested + self.no_suggestion
+        matched, mismatched, no_suggestion = self["matched"], self["mismatched"], self["no_suggestion"]
+        suggested = matched + mismatched
+        total = suggested + no_suggestion
         return {
             "total": total,
             "suggested": suggested,
-            "matched": self.matched,
-            "mismatched": self.mismatched,
-            "no_suggestion": self.no_suggestion,
-            "accuracy": (self.matched / suggested) if suggested else None,
+            "matched": matched,
+            "mismatched": mismatched,
+            "no_suggestion": no_suggestion,
+            "accuracy": (matched / suggested) if suggested else None,
             "coverage": (suggested / total) if total else None,
         }
 
@@ -384,17 +359,9 @@ class EvalReport:
         return self.suggested / self.total if self.total else 0.0
 
     def to_json_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "suggested": self.suggested,
-            "matched": self.matched,
-            "mismatched": self.mismatched,
-            "no_suggestion": self.no_suggestion,
-            "accuracy": self.accuracy,
-            "coverage": self.coverage,
-            "by_label": self.by_label,
-            "per_program": list(self.per_program),
-        }
+        overall = _Tally(matched=self.matched, mismatched=self.mismatched, no_suggestion=self.no_suggestion)
+        return {**overall.as_dict(), "coverage": self.coverage, "by_label": self.by_label,
+                "per_program": list(self.per_program)}
 
     def render_table(self) -> str:
         def pct(value):
@@ -442,27 +409,23 @@ def evaluate(programs, cases, config: SynthConfig = DEFAULT_CONFIG) -> EvalRepor
     by_label: dict[str, _Tally] = {}
     per_program = [_Tally() for _ in programs]
     for case in cases:
-        label_tally = by_label.setdefault(case.label or "unlabeled", _Tally())
         fired, nodes, failures = first_resolution(programs, case.conflict, config)
         for i, error in failures:
             logger.debug("program %d failed on %s#%d: %s", i, case.file_path, case.chunk_index, error)
+        tallies = [overall, by_label.setdefault(case.label or "unlabeled", _Tally())]
         if fired is None:
-            overall.no_suggestion += 1
-            label_tally.no_suggestion += 1
-            continue
-        if resolutions_match(nodes, case.human_resolution, case.conflict, config):
-            overall.matched += 1
-            label_tally.matched += 1
-            per_program[fired].matched += 1
+            outcome = "no_suggestion"
         else:
-            overall.mismatched += 1
-            label_tally.mismatched += 1
-            per_program[fired].mismatched += 1
+            tallies.append(per_program[fired])
+            matched = resolutions_match(nodes, case.human_resolution, case.conflict, config)
+            outcome = "matched" if matched else "mismatched"
+        for tally in tallies:
+            tally[outcome] += 1
     return EvalReport(
         total=len(cases),
-        matched=overall.matched,
-        mismatched=overall.mismatched,
-        no_suggestion=overall.no_suggestion,
+        matched=overall["matched"],
+        mismatched=overall["mismatched"],
+        no_suggestion=overall["no_suggestion"],
         by_label={label: tally.as_dict() for label, tally in sorted(by_label.items())},
         per_program=tuple({"program": i, **tally.as_dict()} for i, tally in enumerate(per_program)),
     )

@@ -408,37 +408,25 @@ def first_resolution(programs, conflict: ConflictInput, config: SynthConfig = DE
 
 # --- serialization ----------------------------------------------------------
 
-def _predicate_to_json(p: Predicate) -> dict:
-    out = {"tag": p.tag}
-    if p.path is not None:
-        out["path"] = p.path
-    return out
-
-
-def _selection_to_json(s: Selection) -> dict:
-    out = {"tag": s.tag}
-    if s.k is not None:
-        out["k"] = s.k
-    if s.path is not None:
-        out["path"] = s.path
-    if s.key is not None:
-        out["key"] = s.key
-    return out
+def _literal_to_json(literal: Predicate | Selection) -> dict:
+    """A Predicate's or Selection's JSON object: its set fields, in
+    declaration order; the mirror of ``_literal_node``."""
+    return {f.name: value for f in fields(literal) if (value := getattr(literal, f.name)) is not None}
 
 
 def _transformation_to_json(t: Transformation) -> dict:
     if isinstance(t, Concat):
         return {"concat": [_transformation_to_json(t.left), _transformation_to_json(t.right)]}
     if isinstance(t, Remove):
-        return {"remove": [_selection_to_json(t.source), _selection_to_json(t.removed)]}
-    return {"select": _selection_to_json(t.selection)}
+        return {"remove": [_literal_to_json(t.source), _literal_to_json(t.removed)]}
+    return {"select": _literal_to_json(t.selection)}
 
 
 def program_to_json(program: Program) -> dict:
     return {
         "dslv": DSL_VERSION,
         "apply": {
-            "condition": [_predicate_to_json(p) for p in program.condition.predicates],
+            "condition": [_literal_to_json(p) for p in program.condition.predicates],
             "transform": _transformation_to_json(program.transformation),
         },
     }

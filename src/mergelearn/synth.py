@@ -116,11 +116,6 @@ class ProgramSet:
     entries: tuple[tuple, ...]
     truncated: bool = False
 
-    @classmethod
-    def from_programs(cls, programs) -> "ProgramSet":
-        """Score and order transformations that did not come from the learner."""
-        return cls(tuple(sorted((rank_entry(t) for t in programs), key=_rank_key)))
-
     @property
     def programs(self) -> tuple[Transformation, ...]:
         return tuple(entry[3] for entry in self.entries)
@@ -178,9 +173,6 @@ class RankedPrograms(Sequence):
     def __len__(self):
         return len(self._entries)
 
-    def __bool__(self):
-        return bool(self._entries)
-
     @property
     def top(self) -> RankedProgram | None:
         return self._entry(0) if self._entries else None
@@ -218,14 +210,6 @@ def canonical_selections(conflict: ConflictInput, pdict: PatternDictionary):
 def _matching(selections, value) -> tuple[Selection, ...]:
     """The selections paired with exactly this value."""
     return tuple(sel for sel, v in selections if v == value)
-
-
-def learn_selection(conflict: ConflictInput, target, pdict: PatternDictionary | None = None,
-                    config: SynthConfig = DEFAULT_CONFIG) -> tuple[Selection, ...]:
-    """All selections whose value is exactly the target node list."""
-    if pdict is None:
-        pdict = build_pattern_dictionary(conflict, config)
-    return _matching(canonical_selections(conflict, pdict), tuple(target))
 
 
 def wf_concat(output) -> list[tuple[tuple[Node, ...], tuple[Node, ...]]]:
@@ -493,12 +477,12 @@ def _guard_candidates(condition: Condition):
     return sorted((rank_entry(Condition(subset)) for subset in subsets), key=_rank_key)
 
 
-def _pair_guards(root: _Stream, guards, cap: int):
+def _pair_guards(root: _Stream, guards):
     """Guarded programs over the first ``MAX_PROGRAMS`` transformations of
     ``root`` and guard entries ``guards``, both rank-ordered: the first
-    ``cap`` admissible pairs by ``(score, ti, gi)``, as ``(score, size, guard
-    rank, ti, gi)`` in rank order, and whether any admissible pair was left
-    out.
+    ``MAX_PROGRAMS`` admissible pairs by ``(score, ti, gi)``, as ``(score,
+    size, guard rank, ti, gi)`` in rank order, and whether any admissible
+    pair was left out.
 
     A Pattern selection's bonus is earned only under a guard naming its key,
     so a transformation pairs only with guards holding all its keys, and the
@@ -509,22 +493,22 @@ def _pair_guards(root: _Stream, guards, cap: int):
     reach the cap: no later pair can then be kept or tie with a kept one,
     and one is left out, since every transformation admits the full
     condition. The rule is checked at each new score once the first
-    ``ceil(cap / len(guards))``, too few to reach the cap, are in. Past the
-    cap, every pair below the cut score is kept, then the ties at it in
-    ``(ti, gi)`` order: exactly the pairs a best-first merge of the streams
-    would take.
+    ``ceil(MAX_PROGRAMS / len(guards))``, too few to reach the cap, are in.
+    Past the cap, every pair below the cut score is kept, then the ties at
+    it in ``(ti, gi)`` order: exactly the pairs a best-first merge of the
+    streams would take.
     """
-    ts, first = root.entries, -(-cap // len(guards))
+    ts, first = root.entries, -(-MAX_PROGRAMS // len(guards))
     cheapest = min(guard[0] for guard in guards)
     groups: dict = {}  # pattern keys -> (group, the group's scores, admissible (guard score, gi))
     stopped, n = False, 0
-    root.pull(min(first, MAX_PROGRAMS))
+    root.pull(first)
     while n < MAX_PROGRAMS and (n < len(ts) or root.pull(n + 1)):
         t = ts[n]
         if n >= first and t[0] > ts[n - 1][0]:
             below = sum(bisect.bisect_left(scores, t[0] + cheapest - g)
                         for _, scores, admissible in groups.values() for g, _ in admissible)
-            if below >= cap:
+            if below >= MAX_PROGRAMS:
                 stopped = True
                 break
         keys = frozenset(t[4])
@@ -540,23 +524,23 @@ def _pair_guards(root: _Stream, guards, cap: int):
         levels.update(g + s for s in set(scores) for g in {g for g, _ in admissible})
         streams += [(g, gi, group, scores) for g, gi in admissible]
     total = sum(len(group) for _, _, group, _ in streams)
-    if total <= cap:
+    if total <= MAX_PROGRAMS:
         pairs = [(ti, gi) for _, gi, group, _ in streams for ti in group]
     else:
         levels = sorted(levels)
-        limit = levels[bisect.bisect_left(levels, cap, key=lambda score: sum(
+        limit = levels[bisect.bisect_left(levels, MAX_PROGRAMS, key=lambda score: sum(
             bisect.bisect_right(scores, score - g) for g, _, _, scores in streams))]
         pairs, tied = [], []
         for g, gi, group, scores in streams:
             low, high = bisect.bisect_left(scores, limit - g), bisect.bisect_right(scores, limit - g)
             pairs += [(ti, gi) for ti in group[:low]]
             tied += [(ti, gi) for ti in group[low:high]]
-        pairs += sorted(tied)[:cap - len(pairs)]
+        pairs += sorted(tied)[:MAX_PROGRAMS - len(pairs)]
     order = sorted(range(len(guards)), key=lambda gi: guards[gi][2])
     guard_rank = {gi: rank for rank, gi in enumerate(order)}
     ranked = sorted((ts[ti][0] + guards[gi][0], ts[ti][1] + guards[gi][1], guard_rank[gi], ti, gi)
                     for ti, gi in pairs)
-    return ranked, stopped or total > cap
+    return ranked, stopped or total > MAX_PROGRAMS
 
 
 def learn(spec: ExampleSpec, config: SynthConfig = DEFAULT_CONFIG) -> RankedPrograms:
@@ -583,7 +567,7 @@ def learn(spec: ExampleSpec, config: SynthConfig = DEFAULT_CONFIG) -> RankedProg
         return RankedPrograms()
 
     guards = _guard_candidates(condition_full)
-    pairs, cut = _pair_guards(root, guards, MAX_PROGRAMS)
+    pairs, cut = _pair_guards(root, guards)
     truncated = cut or root.pull(MAX_PROGRAMS + 1)
     if truncated:
         logger.warning("learned programs truncated at %d; results may be incomplete", MAX_PROGRAMS)

@@ -23,6 +23,8 @@ from mergelearn.synth import learn
 from conftest import (
     DUP_PROGRAM,
     FB_PROGRAM,
+    OUTSIDE_AFTER,
+    OUTSIDE_BEFORE,
     deep_program_text,
     fig_file_text,
     fig_resolved_text,
@@ -410,6 +412,66 @@ def test_classify_reports_fig_corpus(tmp_path, capsys):
     assert data["main_sizes"] == {"1-2": 4}
     table = capsys.readouterr().out
     assert "cases: 4" in table
+
+
+def _add_case(root, merge, name, fork, main_lines, resolution, meta):
+    case_dir = root / merge / name
+    case_dir.mkdir(parents=True)
+    case_dir.joinpath("conflict.txt").write_text(marker_text(fork, main_lines), encoding="utf-8")
+    resolved = "\n".join([*OUTSIDE_BEFORE, *resolution, *OUTSIDE_AFTER]) + "\n"
+    case_dir.joinpath("resolved.txt").write_text(resolved, encoding="utf-8")
+    case_dir.joinpath("meta.json").write_text(json.dumps(meta), encoding="utf-8")
+
+
+def _add_mixed_cases(root):
+    """Cases beyond Figure 1: other file types, sizes and locations, a
+    missing label and labels outside ``RESOLUTION_LABELS``."""
+    _add_case(root, "merge-003", "case-deps", ["'src/a': Var('a'),", "'src/b': Var('b'),", "'src/c': Var('c'),"],
+              ["'src/a': Var('x'),"] * 5, ["'src/a': Var('x'),"], {"file_path": "DEPS", "label": "Weird"})
+    _add_case(root, "merge-003", "case-build", ['deps = [ ":a" ]'], ['deps = [ ":b" ]'], ['deps = [ ":b" ]'],
+              {"file_path": "ui/BUILD.gn", "label": "Aardvark"})
+    _add_case(root, "merge-003", "case-cond", ["if (a) {", "int x = 1;"], ["if (b) {"], ["if (b) {"],
+              {"file_path": "ui/x.h"})
+
+
+_FIG_REPORT_JSON = (
+    '{\n  "total": 4,\n  "file_types": {\n    "C++": 4\n  },\n  "main_sizes": {\n    "1-2": 4\n  },\n'
+    '  "fork_sizes": {\n    "1-2": 4\n  },\n  "locations": {\n    "Include": 4\n  },\n'
+    '  "labels": {\n    "FB": 2,\n    "RD": 2\n  }\n}\n'
+)
+_FIG_REPORT_TABLE = (
+    "cases: 4\n\nfile type\n  C++  4\n\nmain size\n  1-2  4\n\nfork size\n  1-2  4\n\n"
+    "location\n  Include  4\n\nlabel\n  FB  2\n  RD  2\n"
+)
+_MIXED_REPORT_JSON = (
+    '{\n  "total": 7,\n  "file_types": {\n    "C++": 4,\n    "Dependency": 1,\n    "Headers": 1,\n'
+    '    "Build": 1\n  },\n  "main_sizes": {\n    "1-2": 6,\n    "5-6": 1\n  },\n'
+    '  "fork_sizes": {\n    "1-2": 6,\n    "3-4": 1\n  },\n'
+    '  "locations": {\n    "Condition": 1,\n    "Expression": 2,\n    "Include": 4\n  },\n'
+    '  "labels": {\n    "FB": 2,\n    "RD": 2,\n    "unlabeled": 1,\n    "Aardvark": 1,\n    "Weird": 1\n  }\n}\n'
+)
+_MIXED_REPORT_TABLE = (
+    "cases: 7\n\nfile type\n  C++         4\n  Dependency  1\n  Headers     1\n  Build       1\n\n"
+    "main size\n  1-2  6\n  5-6  1\n\nfork size\n  1-2  6\n  3-4  1\n\n"
+    "location\n  Condition   1\n  Expression  2\n  Include     4\n\n"
+    "label\n  FB         2\n  RD         2\n  unlabeled  1\n  Aardvark   1\n  Weird      1\n"
+)
+
+
+@pytest.mark.parametrize(
+    "mixed,expected_json,expected_table",
+    [(False, _FIG_REPORT_JSON, _FIG_REPORT_TABLE), (True, _MIXED_REPORT_JSON, _MIXED_REPORT_TABLE)],
+)
+def test_classify_report_bytes_are_pinned(tmp_path, capsys, mixed, expected_json, expected_table):
+    # Key order included: listed keys in their declared order, then any
+    # others sorted, and no zero counts.
+    corpus = write_fig_corpus(tmp_path / "corpus")
+    if mixed:
+        _add_mixed_cases(corpus)
+    report_path = tmp_path / "report.json"
+    assert main(["classify", str(corpus), "--report", str(report_path)]) == 0
+    assert report_path.read_text(encoding="utf-8") == expected_json
+    assert capsys.readouterr().out == expected_table
 
 
 def test_classify_report_to_stdout(tmp_path, capsys):

@@ -106,6 +106,73 @@ def test_parse_rejects_unbalanced_markers(lines):
         parse_conflict_file("\n".join(lines) + "\n", "bad.cc")
 
 
+_OPEN = {
+    "first": ["<<<<<<< fork", "a"],
+    "base": ["<<<<<<< fork", "a", "||||||| base", "b"],
+    "second": ["<<<<<<< fork", "a", "=======", "c"],
+}
+
+
+@pytest.mark.parametrize(
+    "state,marker,why",
+    [
+        ("outside", ">>>>>>> main", "end marker without a matching start marker"),
+        ("first", "<<<<<<< again", "marker inside an open conflict section"),
+        ("first", ">>>>>>> main", "marker inside an open conflict section"),
+        ("base", "<<<<<<< again", "marker inside a base section"),
+        ("base", "||||||| again", "marker inside a base section"),
+        ("base", ">>>>>>> main", "marker inside a base section"),
+        ("second", "<<<<<<< again", "marker inside the second conflict section"),
+        ("second", "||||||| base", "marker inside the second conflict section"),
+        ("second", "=======", "marker inside the second conflict section"),
+    ],
+)
+def test_misplaced_marker_message_names_its_line(state, marker, why):
+    # Every marker a state does not accept, behind one outside line.
+    lines = ["top", *_OPEN.get(state, []), marker, "tail"]
+    with pytest.raises(UnbalancedMarkersError) as info:
+        parse_conflict_file("\n".join(lines) + "\n", "bad.cc")
+    assert str(info.value) == f"bad.cc:{len(lines) - 1}: {why}"
+    assert info.value.detail == f":{len(lines) - 1}: {why}"
+
+
+@pytest.mark.parametrize("state", sorted(_OPEN))
+def test_unterminated_chunk_message(state):
+    with pytest.raises(UnbalancedMarkersError) as info:
+        parse_conflict_file("\n".join(["top", *_OPEN[state]]), "bad.cc")
+    assert str(info.value) == "bad.cc: unterminated conflict at end of file"
+    assert info.value.detail == ": unterminated conflict at end of file"
+
+
+def test_marker_like_lines_are_text():
+    # Only exactly seven marker characters, then whitespace or the line's
+    # end, make a marker; a separator may only have whitespace after it.
+    # Separator and base lines outside a chunk are plain text.
+    outside_before = ["=======", "||||||| base", "<<<<<<<x", "<<<<<<<<", ">>>>>>>>"]
+    fork = ["=======x", "<<<<<<<x", "<<<<<<<<", ">>>>>>>>", "||||||||", "======= x"]
+    main = ["||||||||", ">>>>>>>x", "=======x", "<<<<<<<<"]
+    lines = [*outside_before, "<<<<<<<\tfork", *fork, "=======  ", *main, ">>>>>>>", "======="]
+    text = "\n".join(lines) + "\n"
+    parsed = ConflictedFile.parse(text, "doc.txt")
+    (chunk,) = parsed.chunks
+    assert chunk.fork_lines == tuple(fork)
+    assert chunk.main_lines == tuple(main)
+    assert chunk.outside_content == (*outside_before, "=======")
+    assert parsed.segments == [("text", tuple(outside_before)), ("chunk", 0), ("text", ("=======",))]
+    assert parsed.chunk_blocks == [tuple(lines[5:-1])]
+    assert parsed.render() == text
+
+
+def test_base_section_content_is_dropped_but_kept_in_the_block():
+    lines = ["<<<<<<< fork", "a", "||||||| base", "b", "=======x", "=======", "c", ">>>>>>> main"]
+    parsed = ConflictedFile.parse("\n".join(lines), "a.cc")
+    (chunk,) = parsed.chunks
+    assert (chunk.fork_lines, chunk.main_lines) == (("a",), ("c",))
+    assert parsed.chunk_blocks == [tuple(lines)]
+    assert parsed.segments == [("chunk", 0)]
+    assert parsed.render() == "\n".join(lines)
+
+
 def test_separator_outside_chunk_is_plain_text():
     text = "heading\n=======\nbody\n"
     assert parse_conflict_file(text, "doc.txt") == []

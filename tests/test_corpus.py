@@ -11,6 +11,7 @@ from mergelearn.conflicts import parse_conflict_file, tokenize_nodes
 from mergelearn.dsl import Condition, Predicate, Program, Select, Selection, SynthConfig, build_pattern_dictionary
 from mergelearn.corpus import (
     SIZE_BUCKETS,
+    CorpusCase,
     EmptyCorpusError,
     _header_reader,
     align_resolution,
@@ -326,6 +327,14 @@ def test_classify_size_buckets():
     assert classify_size(chunk) == ("1-2", ">50")
 
 
+def test_empty_side_is_not_a_one_or_two_line_change():
+    chunk = parse_conflict_file('<<<<<<< fork\n=======\n#include "x.h"\n>>>>>>> main\n', "x.cc")[0]
+    assert classify_size(chunk) == ("1-2", "0")
+    case = CorpusCase(chunk, chunk.main_nodes, "merge", "x.cc", 0)
+    result = report([case])
+    assert (result.main_sizes, result.fork_sizes) == ({"1-2": 1}, {"0": 1})
+
+
 def test_size_buckets_partition_positive_integers():
     for count in range(1, 120):
         buckets = [b for b in SIZE_BUCKETS if size_bucket(count) == b]
@@ -334,7 +343,7 @@ def test_size_buckets_partition_positive_integers():
 
 @pytest.mark.parametrize(
     "count,bucket",
-    [(1, "1-2"), (2, "1-2"), (3, "3-4"), (10, "9-10"), (11, "11-15"), (25, "21-25"),
+    [(0, "0"), (1, "1-2"), (2, "1-2"), (3, "3-4"), (10, "9-10"), (11, "11-15"), (25, "21-25"),
      (31, "31-40"), (50, "41-50"), (51, ">50")],
 )
 def test_size_bucket_boundaries(count, bucket):
