@@ -165,7 +165,10 @@ def cmd_apply(args) -> int:
     try:
         programs = _load_programs(args.program)
         with open(args.file, encoding="utf-8") as f:
-            source = f.read()
+            try:
+                source = f.read()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{args.file}: {exc}") from exc
             # Universal newlines read CRLF as LF; a file that had only CRLF is written back so.
             newline = "\r\n" if f.newlines == "\r\n" else "\n"
         parsed = ConflictedFile.parse(source, args.file, side_order=args.side_order)

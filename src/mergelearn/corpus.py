@@ -401,7 +401,9 @@ def evaluate(programs, cases, config: SynthConfig = DEFAULT_CONFIG) -> EvalRepor
 
     Programs run in the given order (``dsl.first_resolution``); the first
     Resolved suggestion is the one compared. Guard misses and evaluation
-    failures fall through to the next program.
+    failures fall through to the next program. A program's ``per_program``
+    row counts the cases it was tried on, those no earlier program
+    resolved: the ones it fired on are suggested, the rest no_suggestion.
     """
     programs = list(programs)
     cases = list(cases)
@@ -413,6 +415,8 @@ def evaluate(programs, cases, config: SynthConfig = DEFAULT_CONFIG) -> EvalRepor
         for i, error in failures:
             logger.debug("program %d failed on %s#%d: %s", i, case.file_path, case.chunk_index, error)
         tallies = [overall, by_label.setdefault(case.label or "unlabeled", _Tally())]
+        for tally in per_program[:len(programs) if fired is None else fired]:
+            tally["no_suggestion"] += 1
         if fired is None:
             outcome = "no_suggestion"
         else:

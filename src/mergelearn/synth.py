@@ -5,8 +5,11 @@ sub-outputs its arguments must produce, and recursion bottoms out at
 selections. It runs over every example at once: a candidate set is keyed
 by one target per example and keeps only programs that every example's
 inverses produce, so the set consistent with all examples is generated
-directly rather than intersected from per-example sets. One additive
-score, ``dsl.program_score``, ranks candidates. The learner builds every
+directly rather than intersected from per-example sets. Nodes and
+selections are interned to ints, so targets and memo keys are int tuples,
+the inverses are index lookups, and a ``Select`` or ``Remove`` is built
+only for a candidate every example shares. One additive score,
+``dsl.program_score``, ranks candidates. The learner builds every
 transformation's rank entry (score, size, structural key, transformation,
 Pattern keys) bottom-up with dsl's own constructors, ``rank_entry`` and
 ``concat_entry``, so ``rank`` computes the same entry from a finished
@@ -207,37 +210,28 @@ def canonical_selections(conflict: ConflictInput, pdict: PatternDictionary):
     return out
 
 
-def _matching(selections, value) -> tuple[Selection, ...]:
-    """The selections paired with exactly this value."""
-    return tuple(sel for sel, v in selections if v == value)
-
-
 def wf_concat(output) -> list[tuple[tuple[Node, ...], tuple[Node, ...]]]:
     """Inverse of Concat: every two-part split with both parts non-empty."""
     output = tuple(output)
     return [(output[:i], output[i:]) for i in range(1, len(output))]
 
 
-def _multiset(nodes) -> frozenset:
-    return frozenset(Counter(nodes).items())
+def _removed(region: tuple, target: tuple) -> tuple:
+    """Inverse of Remove over one source, on items of any hashable kind.
+    Remove deletes the first occurrence of each removed item, so only their
+    multiset counts: the source minus the target, returned if deleting it
+    leaves the target. Else ``()``, as for an empty removal, which a plain
+    selection already expresses."""
+    removed = tuple((Counter(region) - Counter(target)).elements())
+    return removed if removed and remove_nodes(region, removed) == target else ()
 
 
 def wf_remove(conflict: ConflictInput, target) -> list[tuple[Selection, tuple[Node, ...]]]:
-    """Inverse of Remove over whole-branch sources.
-
-    Remove deletes the first occurrence of each removed node, so its result
-    depends only on the removed nodes as a multiset. For each source that
-    multiset is the source minus the target; the pair is emitted when
-    deleting it really leaves the target. An empty removal is dropped since
-    a plain selection already expresses it.
-    """
+    """Inverse of Remove over whole-branch sources: ``(source, removed nodes)``
+    for each source from which Remove can leave the target."""
     target = tuple(target)
-    out = []
-    for tag, region in (("Main", conflict.main_nodes), ("Fork", conflict.fork_nodes)):
-        removed = tuple((Counter(region) - Counter(target)).elements())
-        if removed and remove_nodes(region, removed) == target:
-            out.append((Selection(tag), removed))
-    return out
+    return [(Selection(tag), removed) for tag, region in (("Main", conflict.main_nodes), ("Fork", conflict.fork_nodes))
+            if (removed := _removed(region, target))]
 
 
 class _Stream:
@@ -297,44 +291,67 @@ class _TransformationLearner:
     and a choice whose arms no program produces on the examples so far is
     dropped at once, so the walk follows what the examples share instead of
     the product of their splits.
+
+    Equal nodes share an int id, as do equal selections, so targets and memo
+    keys are int tuples. Each example indexes its selections by value ids
+    (the inverse of selection) and its non-empty ones by sorted value ids
+    (Remove's multiset). The inverses emit ``(source id or -1, selection
+    id)`` pairs; ``_base`` builds transformations only for shared pairs.
     """
 
     def __init__(self, conflicts, pdicts):
-        self.conflicts = tuple(conflicts)
-        self.selections = [canonical_selections(conflict, pdict) for conflict, pdict in zip(self.conflicts, pdicts)]
-        # Remove matches its removed selection by multiset, the only thing its result depends on.
-        self.removable = [[(sel, _multiset(value)) for sel, value in selections if value]
-                          for selections in self.selections]
+        self._ids: dict = {}  # node -> id
+        selection_ids: dict = {}  # selection -> id
+        self._indexes = []  # per example: (selections by value, by sorted value, (source id, region))
+        for conflict, pdict in zip(conflicts, pdicts):
+            by_value, by_multiset = {}, {}
+            for sel, value in canonical_selections(conflict, pdict):
+                sid, value = selection_ids.setdefault(sel, len(selection_ids)), self.intern(value)
+                by_value.setdefault(value, []).append(sid)
+                if value:
+                    by_multiset.setdefault(tuple(sorted(value)), []).append(sid)
+            regions = tuple((selection_ids[Selection(tag)], self.intern(region))
+                            for tag, region in (("Main", conflict.main_nodes), ("Fork", conflict.fork_nodes)))
+            self._indexes.append((by_value, by_multiset, regions))
+        self._selections = list(selection_ids)
         self._core_memo: dict = {}
         self._base_memo: dict = {}
         self._emitted_memo: dict = {}
         self._feasible_memo: dict = {}
 
-    def _emitted(self, example: int, target: tuple[Node, ...]) -> dict:
-        """The selections and removes that one example's inverses emit for
-        target, as the keys of a dict (ordered, with fast membership)."""
+    def intern(self, nodes) -> tuple[int, ...]:
+        """The ids of ``nodes``; a node new to the learner gets a fresh id."""
+        ids = self._ids
+        return tuple(ids.setdefault(node, len(ids)) for node in nodes)
+
+    def _emitted(self, example: int, target: tuple[int, ...]) -> set:
+        """The ``(source id or -1, selection id)`` pairs of the selections and
+        removes that one example's inverses emit for target."""
         emitted = self._emitted_memo.get((example, target))
         if emitted is None:
-            ts = [Select(sel) for sel in _matching(self.selections[example], target)]
-            for source, removed in wf_remove(self.conflicts[example], target):
-                ts.extend(Remove(source, sel) for sel in _matching(self.removable[example], _multiset(removed)))
-            emitted = self._emitted_memo[example, target] = dict.fromkeys(ts)
+            by_value, by_multiset, regions = self._indexes[example]
+            emitted = {(-1, sid) for sid in by_value.get(target, ())}
+            emitted.update((source, sid) for source, region in regions  # no removable value is ()
+                           for sid in by_multiset.get(tuple(sorted(_removed(region, target))), ()))
+            self._emitted_memo[example, target] = emitted
         return emitted
 
-    def _shared(self, targets: tuple) -> list:
-        """The selections and removes that every example's inverses emit for
-        its target. Two transformations are equal exactly when their
-        structural keys are, so the first example's candidates are filtered
-        by membership in the others'. ``targets`` may cover only the first
+    def _shared(self, targets: tuple) -> set:
+        """The pairs that every example's inverses emit for its target.
+        Equal pairs are equal transformations, so this is the intersection
+        of the per-example candidates. ``targets`` may cover only the first
         examples."""
         first, *others = (self._emitted(example, target) for example, target in enumerate(targets))
-        return [t for t in first if all(t in other for other in others)]
+        return first.intersection(*others)
 
     def _base(self, targets: tuple) -> list:
         """Depth-independent candidates, as rank entries in rank order."""
         cands = self._base_memo.get(targets)
         if cands is None:
-            cands = self._base_memo[targets] = sorted(map(rank_entry, self._shared(targets)))
+            sels = self._selections
+            cands = self._base_memo[targets] = sorted(
+                rank_entry(Select(sels[sid]) if source < 0 else Remove(sels[source], sels[sid]))
+                for source, sid in self._shared(targets))
         return cands
 
     def _feasible(self, targets: tuple, depth: int) -> bool:
@@ -393,7 +410,7 @@ def _candidates(conflicts, targets, pdicts, config: SynthConfig) -> _Stream:
     """Every transformation within ``config.max_concat_depth`` mapping each
     input to exactly its target node list, as a stream in rank order."""
     learner = _TransformationLearner(conflicts, pdicts)
-    return learner.full(tuple(tuple(target) for target in targets), config.max_concat_depth)
+    return learner.full(tuple(map(learner.intern, targets)), config.max_concat_depth)
 
 
 def _learn_transformations(conflicts, targets, pdicts, config: SynthConfig) -> ProgramSet:

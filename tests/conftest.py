@@ -4,6 +4,7 @@ random conflict/program generators used by the fuzz and acceptance suites."""
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -19,10 +20,11 @@ from mergelearn.dsl import (
     Select,
     Selection,
     build_pattern_dictionary,
+    rank_entry,
     run_program,
     selections_in,
 )
-from mergelearn.synth import canonical_selections
+from mergelearn.synth import canonical_selections, wf_remove
 
 OUTSIDE_BEFORE = ("// Copyright 2020 The Sample Authors.", "")
 OUTSIDE_AFTER = ("", "namespace sample {", "void Run() {}", "}  // namespace sample")
@@ -265,6 +267,32 @@ def multi_example_cases(rng, sizes=(2, 3), depth=2, max_output=6, attempts=40):
                 cases.append((other, result.nodes))
         if len(cases) == want:
             yield tuple(cases)
+
+
+def _matching(selections, value):
+    """The selections paired with exactly this value."""
+    return tuple(sel for sel, v in selections if v == value)
+
+
+def _multiset(nodes) -> frozenset:
+    return frozenset(Counter(nodes).items())
+
+
+def reference_base_candidates(conflicts, targets, pdicts):
+    """The depth-0 candidates that map each conflict to its own target, as
+    rank entries in rank order, computed on ``Node``s: a Select of each
+    selection whose value is the target, and a Remove of each non-empty
+    selection whose value, as a multiset, is what ``wf_remove`` deletes from
+    a source; only what every example emits is kept."""
+    shared = None
+    for conflict, target, pdict in zip(conflicts, targets, pdicts):
+        selections = canonical_selections(conflict, pdict)
+        removable = [(sel, _multiset(value)) for sel, value in selections if value]
+        emitted = {Select(sel) for sel in _matching(selections, tuple(target))}
+        for source, removed in wf_remove(conflict, target):
+            emitted.update(Remove(source, sel) for sel in _matching(removable, _multiset(removed)))
+        shared = emitted if shared is None else shared & emitted
+    return sorted(map(rank_entry, shared))
 
 
 def deep_program_text(depth: int) -> str:

@@ -255,6 +255,19 @@ def test_apply_in_place_keeps_crlf_and_file_mode(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cc", "program.json"]
 
 
+@pytest.mark.parametrize("mode", ["--in-place", "--print", "--diff"])
+def test_apply_names_a_conflicted_file_that_is_not_utf8(tmp_path, capsys, mode):
+    program = write_program(tmp_path, FB_PROGRAM)
+    target = tmp_path / "c.cc"
+    content = b"\xff" + fig_file_text("c").replace("\n", "\r\n").encode("utf-8")
+    target.write_bytes(content)
+    assert main(["apply", "--program", str(program), str(target), mode]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {target}: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
+    assert target.read_bytes() == content
+
+
 def test_apply_in_place_failed_rename_leaves_file_untouched(tmp_path, capsys, monkeypatch):
     program = write_program(tmp_path, FB_PROGRAM)
     target = tmp_path / "c.cc"

@@ -482,6 +482,21 @@ def test_evaluate_per_program_attribution(fig_corpus):
     assert result.matched == 4
 
 
+def test_evaluate_per_program_rows_count_the_cases_each_program_was_tried_on(fig_corpus):
+    # FB_PROGRAM is tried on all four cases and fires on c and d; DUP_PROGRAM
+    # is tried only on a and b, which FB_PROGRAM left unresolved.
+    result = evaluate([FB_PROGRAM, DUP_PROGRAM], load_corpus(fig_corpus))
+    assert result.per_program == (
+        {"program": 0, "total": 4, "suggested": 2, "matched": 2, "mismatched": 0, "no_suggestion": 2,
+         "accuracy": 1.0, "coverage": 0.5},
+        {"program": 1, "total": 2, "suggested": 2, "matched": 2, "mismatched": 0, "no_suggestion": 0,
+         "accuracy": 1.0, "coverage": 1.0},
+    )
+    alone = evaluate([DUP_PROGRAM], load_corpus(fig_corpus))
+    assert alone.per_program[0]["total"] == alone.total == 4
+    assert alone.per_program[0]["no_suggestion"] == alone.no_suggestion == 2
+
+
 def test_evaluate_order_insensitive_includes(fig1c):
     from conftest import fig_resolution_nodes
 

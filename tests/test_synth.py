@@ -58,6 +58,7 @@ from conftest import (
     gen_program_with_output,
     marker_text,
     multi_example_cases,
+    reference_base_candidates,
 )
 
 
@@ -249,6 +250,65 @@ def test_learn_selection_pattern(fig1a):
 
 def test_learn_selection_no_match(fig1a):
     assert _selections_for(fig1a, tokenize_nodes(['#include "zz/zz.h"'])) == ()
+
+
+def _inverse_oracle_cases(rng):
+    """Target tuples of one to three examples for the interned inverses.
+    Regions draw on three includes, so nodes repeat, and a quarter of the
+    conflicts may keep an empty side. A tuple's targets are all of one kind:
+    a selection's value, what a Remove of one leaves, a shuffled sample of
+    the regions plus their first node (often a repeat), a node no selection
+    produces after a region node, or nothing."""
+    a, b, c = '#include "a/a.h"', '#include "b/b.h"', '#include "c/c.h"'
+    stranger = tokenize_nodes(['#include "zz/zz.h"'])
+    while True:
+        size = rng.randint(1, 3)
+        conflicts = []
+        for _ in range(size):
+            fork = [rng.choice((a, b, c)) for _ in range(rng.randint(0, 4))]
+            main = [rng.choice((a, b, c)) for _ in range(rng.randint(0 if fork else 1, 4))]
+            if rng.random() < 0.75:
+                fork, main = fork or [a], main or [b]
+            conflicts.append(parse_conflict_file(marker_text(fork, main), "oracle.cc")[0])
+        pdicts = [build_pattern_dictionary(conflict) for conflict in conflicts]
+        kind = rng.choice(("select", "remove", "remove", "sample", "stranger", "empty"))
+        targets = []
+        for conflict, pdict in zip(conflicts, pdicts):
+            selections = canonical_selections(conflict, pdict)
+            region = conflict.fork_nodes + conflict.main_nodes
+            if kind == "select":
+                target = rng.choice(selections)[1]
+            elif kind == "remove":
+                source = rng.choice((conflict.main_nodes, conflict.fork_nodes))
+                target = remove_nodes(source, rng.choice(selections)[1]) or source
+            elif kind == "sample":
+                target = tuple(rng.sample(region, rng.randint(0, len(region)))) + region[:1]
+            elif kind == "stranger":
+                target = region[:1] + stranger
+            else:
+                target = ()
+            targets.append(target)
+        yield conflicts, targets, pdicts
+
+
+def test_interned_inverses_agree_with_the_node_reference():
+    # The learner's depth-0 candidates, found on interned ids, are the ones
+    # the inverses give on Nodes, for every target kind.
+    rng = random.Random(0x1D5)
+    kinds = Counter()
+    for conflicts, targets, pdicts in itertools.islice(_inverse_oracle_cases(rng), 200):
+        learner = synth._TransformationLearner(conflicts, pdicts)
+        got = learner.core(tuple(map(learner.intern, targets)), 0).entries
+        assert got == reference_base_candidates(conflicts, targets, pdicts), targets
+        kinds[len(conflicts), "found" if got else "none"] += 1
+        kinds["remove"] += any(isinstance(entry[3], Remove) for entry in got)
+        kinds["empty region"] += any(not c.fork_nodes or not c.main_nodes for c in conflicts)
+        kinds["repeated"] += any(len(set(t)) < len(t) for t in targets)
+    # Not vacuous: every size finds candidates and misses, Removes are
+    # found, and empty regions and repeated nodes occur.
+    for size in (1, 2, 3):
+        assert kinds[size, "found"] >= 10 and kinds[size, "none"] >= 5, kinds
+    assert min(kinds["remove"], kinds["empty region"], kinds["repeated"]) >= 20, kinds
 
 
 def test_intersect_set_algebra():
@@ -774,3 +834,22 @@ def test_truncated_learned_lists_are_pinned():
             digest.update(f"{entry.score!r} {json.dumps(program_to_json(entry.program))}\n".encode())
         digest.update(b"\n")
     assert digest.hexdigest() == TRUNCATED_OUTPUT_DIGEST
+
+
+# sha256 of learn's whole ranked list (score and program JSON) and its
+# truncated flag on 200 specs of two to four examples, each produced by one
+# program: the paper's main use, where only the joint candidate set decides.
+MULTI_OUTPUT_DIGEST = "e9c205d65cd8ecfba2f1c6ca06990e1846107b6a0f6dc02b7f73718ac9a1480a"
+
+
+def test_multi_example_learned_lists_are_pinned():
+    specs = list(itertools.islice(multi_example_cases(random.Random(11), sizes=(2, 3)), 100))
+    specs += itertools.islice(multi_example_cases(random.Random(11), sizes=(3, 4)), 100)
+    digest = hashlib.sha256()
+    for cases in specs:
+        ranked = learn(ExampleSpec(cases))
+        digest.update(f"{ranked.truncated}\n".encode())
+        for entry in ranked:
+            digest.update(f"{entry.score!r} {json.dumps(program_to_json(entry.program))}\n".encode())
+        digest.update(b"\n")
+    assert digest.hexdigest() == MULTI_OUTPUT_DIGEST
