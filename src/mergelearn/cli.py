@@ -18,8 +18,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from .conflicts import ConflictedFile, UnbalancedMarkersError, tokenize_nodes
-from .corpus import EmptyCorpusError, evaluate, load_corpus, report
+from .conflicts import SIDE_ORDERS, ConflictedFile, UnbalancedMarkersError, tokenize_nodes
+from .corpus import evaluate, load_corpus, report
 from .dsl import (
     Program,
     SynthConfig,
@@ -35,10 +35,6 @@ logger = logging.getLogger(__name__)
 KEYWORDS_ENV = "MERGELEARN_KEYWORDS"
 
 
-class _ConfigError(Exception):
-    """The environment names a configuration that cannot be used (exit 1)."""
-
-
 def _build_config(args) -> SynthConfig:
     kwargs = {}
     if getattr(args, "max_depth", None) is not None:
@@ -49,29 +45,33 @@ def _build_config(args) -> SynthConfig:
     if keywords_path:
         try:
             data = json.loads(Path(keywords_path).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            raise _ConfigError(f"{KEYWORDS_ENV}: {exc}") from exc
+        except (OSError, ValueError, RecursionError) as exc:
+            raise ValueError(f"{KEYWORDS_ENV}: {exc}") from exc
         for side in ("fork", "main"):
             words = data.get(side, []) if isinstance(data, dict) else None
             if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
-                raise _ConfigError(f"{KEYWORDS_ENV}: expected an object whose fork/main are arrays of strings")
+                raise ValueError(f"{KEYWORDS_ENV}: expected an object whose fork/main are arrays of strings")
             if side in data:
                 kwargs[f"{side}_keywords"] = tuple(words)
     return SynthConfig(**kwargs)
 
 
-def _read_text(path: Path) -> str:
-    """The file's text; a file that is not UTF-8 raises a ValueError that names it."""
-    try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+def _read_text(path) -> tuple[str, str]:
+    """The file's text, read with universal newlines, and its line ending:
+    "\r\n" when every line ending in it was CRLF, else "\n". A file that is
+    not UTF-8 raises a ValueError that names it."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            text = f.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+        return text, "\r\n" if f.newlines == "\r\n" else "\n"
 
 
 def _load_example_spec(path: Path, side_order: str) -> ExampleSpec:
     try:
         entries = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8, or not JSON
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
         raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(entries, list) or not entries:
         raise ValueError(f"{path}: expected a non-empty JSON array of examples")
@@ -91,13 +91,13 @@ def _load_example_spec(path: Path, side_order: str) -> ExampleSpec:
         resolution_path = base / entry["resolution"]
         file_path = entry.get("file_path", str(conflict_path))
         try:
-            chunks = ConflictedFile.parse(_read_text(conflict_path), file_path, side_order=side_order).chunks
+            chunks = ConflictedFile.parse(_read_text(conflict_path)[0], file_path, side_order=side_order).chunks
         except UnbalancedMarkersError as exc:
             # ``file_path`` is the logical path used for header lookup; name the file on disk.
             raise ValueError(f"{conflict_path}{exc.detail}") from exc
         if len(chunks) != 1:
             raise ValueError(f"{conflict_path}: example files must contain exactly one conflict, found {len(chunks)}")
-        resolution_lines = _read_text(resolution_path).split("\n")
+        resolution_lines = _read_text(resolution_path)[0].split("\n")
         if resolution_lines and resolution_lines[-1] == "":
             resolution_lines.pop()
         cases.append((chunks[0], tokenize_nodes(resolution_lines)))
@@ -123,11 +123,7 @@ def cmd_learn(args) -> int:
             return 2
     config = _build_config(args)
     spec_path = Path(args.examples)
-    try:
-        spec = _load_example_spec(spec_path, args.side_order)
-    except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    spec = _load_example_spec(spec_path, args.side_order)
     ranked = learn(spec, config)
     if not ranked:
         print("error: no consistent program found for the given examples", file=sys.stderr)
@@ -162,19 +158,10 @@ def _load_programs(paths) -> list[Program]:
 
 def cmd_apply(args) -> int:
     config = _build_config(args)
-    try:
-        programs = _load_programs(args.program)
-        with open(args.file, encoding="utf-8") as f:
-            try:
-                source = f.read()
-            except UnicodeDecodeError as exc:
-                raise ValueError(f"{args.file}: {exc}") from exc
-            # Universal newlines read CRLF as LF; a file that had only CRLF is written back so.
-            newline = "\r\n" if f.newlines == "\r\n" else "\n"
-        parsed = ConflictedFile.parse(source, args.file, side_order=args.side_order)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    programs = _load_programs(args.program)
+    # A file that had only CRLF line endings is written back so.
+    source, newline = _read_text(args.file)
+    parsed = ConflictedFile.parse(source, args.file, side_order=args.side_order)
     resolutions = {}
     for index, chunk in enumerate(parsed.chunks):
         fired, nodes, failures = first_resolution(programs, chunk, config)
@@ -190,7 +177,7 @@ def cmd_apply(args) -> int:
         sys.stdout.write(resolved_text)
     elif args.diff:
         diff = difflib.unified_diff(
-            source.replace("\r\n", "\n").splitlines(keepends=True),
+            source.splitlines(keepends=True),
             resolved_text.splitlines(keepends=True),
             fromfile=args.file,
             tofile=args.file + " (resolved)",
@@ -230,25 +217,14 @@ def _write_report(report_arg: str, json_dict: dict, table: str) -> None:
 
 
 def cmd_classify(args) -> int:
-    try:
-        cases = load_corpus(args.root)
-    except EmptyCorpusError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    result = report(cases)
+    result = report(load_corpus(args.root))
     _write_report(args.report, result.to_json_dict(), result.render_table())
     return 0
 
 
 def cmd_eval(args) -> int:
     config = _build_config(args)
-    try:
-        programs = _load_programs(args.program)
-        cases = load_corpus(args.root)
-    except (EmptyCorpusError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    result = evaluate(programs, cases, config)
+    result = evaluate(_load_programs(args.program), load_corpus(args.root), config)
     _write_report(args.report, result.to_json_dict(), result.render_table())
     return 0
 
@@ -265,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     learn_p.add_argument("--out", required=True, help="output program file")
     learn_p.add_argument("--top", type=int, default=1, help="emit up to N programs in rank order")
     learn_p.add_argument("--max-depth", type=int, default=None, help="concat nesting budget")
-    learn_p.add_argument("--side-order", choices=("fork-first", "ours-first"), default="fork-first")
+    learn_p.add_argument("--side-order", choices=SIDE_ORDERS, default="fork-first")
     learn_p.set_defaults(func=cmd_learn)
 
     apply_p = sub.add_parser("apply", help="apply learned programs to a conflicted file")
@@ -277,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--diff", action="store_true", help="show a unified diff")
     apply_p.add_argument("--partial", action="store_true",
                          help="with --in-place, keep markers on unsuggested chunks")
-    apply_p.add_argument("--side-order", choices=("fork-first", "ours-first"), default="fork-first")
+    apply_p.add_argument("--side-order", choices=SIDE_ORDERS, default="fork-first")
     apply_p.set_defaults(func=cmd_apply)
 
     classify_p = sub.add_parser("classify", help="classify a conflict corpus")
@@ -298,9 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
+    # The one place a fault becomes an error line: OSError for a file that
+    # cannot be read or written, ValueError for input that cannot be used.
     try:
         return args.func(args)
-    except (_ConfigError, OSError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -82,12 +82,6 @@ class Node:
         return self.children[1][1:-1]
 
     @property
-    def macro_name(self) -> str | None:
-        if self.kind != MACRO:
-            return None
-        return self.children[0]
-
-    @property
     def is_blank(self) -> bool:
         return self.kind == RAW and self.raw_text == ""
 

@@ -44,7 +44,7 @@ SIZE_BUCKETS = (
 _BUCKET_TOPS = (0, 2, 4, 6, 8, 10, 15, 20, 25, 30, 40, 50)
 
 
-class EmptyCorpusError(Exception):
+class EmptyCorpusError(ValueError):
     """The corpus directory yielded no usable cases."""
 
 
@@ -166,6 +166,12 @@ def _load_case_dir(merge_id: str, case_dir: Path) -> list[CorpusCase]:
         return []
     try:
         meta = json.loads(meta_file.read_text(encoding="utf-8")) if meta_file.is_file() else {}
+        if not isinstance(meta, dict) or not all(
+            isinstance(meta.get(key, ""), str) for key in ("file_path", "label", "side_order")
+        ):
+            logger.warning("skipping %s: meta.json must be an object whose file_path, label and side_order"
+                           " are strings", case_dir)
+            return []
         file_path = meta.get("file_path") or case_dir.name
         side_order = meta.get("side_order", "fork-first")
         label = meta.get("label")
@@ -339,29 +345,22 @@ class _Tally(Counter):
 
 @dataclass(frozen=True)
 class EvalReport:
+    """The overall values of ``_Tally.as_dict``, except that coverage is 0.0
+    rather than None when there are no cases, then the breakdowns."""
+
     total: int
+    suggested: int
     matched: int
     mismatched: int
     no_suggestion: int
+    accuracy: float | None
+    coverage: float
     by_label: dict[str, dict]
     per_program: tuple[dict, ...]
 
-    @property
-    def suggested(self) -> int:
-        return self.matched + self.mismatched
-
-    @property
-    def accuracy(self) -> float | None:
-        return self.matched / self.suggested if self.suggested else None
-
-    @property
-    def coverage(self) -> float:
-        return self.suggested / self.total if self.total else 0.0
-
     def to_json_dict(self) -> dict:
-        overall = _Tally(matched=self.matched, mismatched=self.mismatched, no_suggestion=self.no_suggestion)
-        return {**overall.as_dict(), "coverage": self.coverage, "by_label": self.by_label,
-                "per_program": list(self.per_program)}
+        # Not asdict, which deep-copies every breakdown value: 0.6 ms for 11 labels and 8 programs.
+        return dict(vars(self))
 
     def render_table(self) -> str:
         def pct(value):
@@ -406,7 +405,6 @@ def evaluate(programs, cases, config: SynthConfig = DEFAULT_CONFIG) -> EvalRepor
     resolved: the ones it fired on are suggested, the rest no_suggestion.
     """
     programs = list(programs)
-    cases = list(cases)
     overall = _Tally()
     by_label: dict[str, _Tally] = {}
     per_program = [_Tally() for _ in programs]
@@ -425,11 +423,9 @@ def evaluate(programs, cases, config: SynthConfig = DEFAULT_CONFIG) -> EvalRepor
             outcome = "matched" if matched else "mismatched"
         for tally in tallies:
             tally[outcome] += 1
+    totals = overall.as_dict()
     return EvalReport(
-        total=len(cases),
-        matched=overall["matched"],
-        mismatched=overall["mismatched"],
-        no_suggestion=overall["no_suggestion"],
+        **totals | {"coverage": totals["coverage"] or 0.0},
         by_label={label: tally.as_dict() for label, tally in sorted(by_label.items())},
         per_program=tuple({"program": i, **tally.as_dict()} for i, tally in enumerate(per_program)),
     )

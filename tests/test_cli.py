@@ -5,8 +5,13 @@ import dataclasses
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import mergelearn
 
 from mergelearn.cli import _build_config, _load_example_spec, _program_file_json, build_parser, main
 from mergelearn.dsl import (
@@ -139,6 +144,27 @@ def test_bad_keywords_file_is_clean_error(tmp_path, capsys, monkeypatch, content
     assert err.startswith("error: MERGELEARN_KEYWORDS") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["learn", "apply", "eval"])
+def test_deeply_nested_keywords_file_is_one_error_line(tmp_path, capsys, monkeypatch, command):
+    keywords = tmp_path / "keywords.json"
+    keywords.write_text("[" * 100_000, encoding="utf-8")
+    monkeypatch.setenv("MERGELEARN_KEYWORDS", str(keywords))
+    program = write_program(tmp_path, FB_PROGRAM)
+    target = tmp_path / "c.cc"
+    target.write_text(fig_file_text("c"), encoding="utf-8")
+    argv = {
+        "learn": ["learn", "--examples", str(write_example_spec(tmp_path, ["c", "d"])),
+                  "--out", str(tmp_path / "x.json")],
+        "apply": ["apply", "--program", str(program), str(target), "--print"],
+        "eval": ["eval", "--program", str(program), str(write_fig_corpus(tmp_path / "corpus")), "--report", "-"],
+    }[command]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: MERGELEARN_KEYWORDS: ") and captured.err.count("\n") == 1
+
+
 def test_build_config_sets_every_field(tmp_path, monkeypatch):
     keywords = tmp_path / "keywords.json"
     keywords.write_text('{"fork": ["EDGE_ONLY"], "main": ["UPSTREAM_ONLY"]}', encoding="utf-8")
@@ -189,6 +215,16 @@ def test_learn_unparsable_example_file_is_named(tmp_path, capsys, target, conten
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {tmp_path / target}: ") and err.count("\n") == 1
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_learn_deeply_nested_spec_is_named(tmp_path, capsys):
+    spec = tmp_path / "examples.json"
+    spec.write_text("[" * 100_000, encoding="utf-8")
+    code = main(["learn", "--examples", str(spec), "--out", str(tmp_path / "x.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {spec}: ") and err.count("\n") == 1
     assert not (tmp_path / "x.json").exists()
 
 
@@ -520,18 +556,82 @@ def test_eval_fig_corpus_full_accuracy(tmp_path, capsys):
     assert "accuracy: 100.0%" in table
 
 
+# FB_PROGRAM's transformation behind a guard no fig case satisfies.
+_NEVER_PROGRAM = Program(
+    Condition((Predicate("FrequentPattern", path="never/used.h"),)),
+    FB_PROGRAM.transformation,
+)
+
+
 def test_eval_unrelated_program_zero_coverage(tmp_path, capsys):
     corpus = write_fig_corpus(tmp_path / "corpus")
-    unrelated = Program(
-        Condition((Predicate("FrequentPattern", path="never/used.h"),)),
-        FB_PROGRAM.transformation,
-    )
-    never = write_program(tmp_path, unrelated, "never.json")
+    never = write_program(tmp_path, _NEVER_PROGRAM, "never.json")
     code = main(["eval", "--program", str(never), str(corpus), "--report", "-"])
     assert code == 0
     out = capsys.readouterr().out
     assert "coverage: 0.0%" in out
     assert "accuracy: N/A" in out
+
+
+_EVAL_ALL_JSON = (
+    '{\n  "total": 4,\n  "suggested": 4,\n  "matched": 4,\n  "mismatched": 0,\n'
+    '  "no_suggestion": 0,\n  "accuracy": 1.0,\n  "coverage": 1.0,\n  "by_label": {\n'
+    '    "FB": {\n      "total": 2,\n      "suggested": 2,\n      "matched": 2,\n'
+    '      "mismatched": 0,\n      "no_suggestion": 0,\n      "accuracy": 1.0,\n'
+    '      "coverage": 1.0\n    },\n    "RD": {\n      "total": 2,\n'
+    '      "suggested": 2,\n      "matched": 2,\n      "mismatched": 0,\n'
+    '      "no_suggestion": 0,\n      "accuracy": 1.0,\n      "coverage": 1.0\n    }\n'
+    '  },\n  "per_program": [\n    {\n      "program": 0,\n      "total": 4,\n'
+    '      "suggested": 2,\n      "matched": 2,\n      "mismatched": 0,\n'
+    '      "no_suggestion": 2,\n      "accuracy": 1.0,\n      "coverage": 0.5\n    },\n'
+    '    {\n      "program": 1,\n      "total": 2,\n      "suggested": 2,\n'
+    '      "matched": 2,\n      "mismatched": 0,\n      "no_suggestion": 0,\n'
+    '      "accuracy": 1.0,\n      "coverage": 1.0\n    },\n    {\n      "program": 2,\n'
+    '      "total": 0,\n      "suggested": 0,\n      "matched": 0,\n'
+    '      "mismatched": 0,\n      "no_suggestion": 0,\n      "accuracy": null,\n'
+    '      "coverage": null\n    }\n  ]\n}\n'
+)
+_EVAL_ALL_TABLE = (
+    "cases: 4  suggested: 4  matched: 4  accuracy: 100.0%  coverage: 100.0%\n"
+    "  program[0]: suggested 2, matched 2, accuracy 100.0%\n"
+    "  program[1]: suggested 2, matched 2, accuracy 100.0%\n"
+    "  program[2]: suggested 0, matched 0, accuracy N/A\n"
+    "  label FB: 2/2 matched of 2 cases\n  label RD: 2/2 matched of 2 cases\n"
+)
+_EVAL_NEVER_JSON = (
+    '{\n  "total": 4,\n  "suggested": 0,\n  "matched": 0,\n  "mismatched": 0,\n'
+    '  "no_suggestion": 4,\n  "accuracy": null,\n  "coverage": 0.0,\n  "by_label": {\n'
+    '    "FB": {\n      "total": 2,\n      "suggested": 0,\n      "matched": 0,\n'
+    '      "mismatched": 0,\n      "no_suggestion": 2,\n      "accuracy": null,\n'
+    '      "coverage": 0.0\n    },\n    "RD": {\n      "total": 2,\n'
+    '      "suggested": 0,\n      "matched": 0,\n      "mismatched": 0,\n'
+    '      "no_suggestion": 2,\n      "accuracy": null,\n      "coverage": 0.0\n    }\n'
+    '  },\n  "per_program": [\n    {\n      "program": 0,\n      "total": 4,\n'
+    '      "suggested": 0,\n      "matched": 0,\n      "mismatched": 0,\n'
+    '      "no_suggestion": 4,\n      "accuracy": null,\n      "coverage": 0.0\n    }\n'
+    '  ]\n}\n'
+)
+_EVAL_NEVER_TABLE = (
+    "cases: 4  suggested: 0  matched: 0  accuracy: N/A  coverage: 0.0%\n"
+    "  program[0]: suggested 0, matched 0, accuracy N/A\n"
+    "  label FB: 0/0 matched of 2 cases\n  label RD: 0/0 matched of 2 cases\n"
+)
+
+
+@pytest.mark.parametrize("names, expected_json, expected_table", [
+    (("fb", "dup", "never"), _EVAL_ALL_JSON, _EVAL_ALL_TABLE),
+    (("never",), _EVAL_NEVER_JSON, _EVAL_NEVER_TABLE),
+], ids=["fb-dup-never", "never"])
+def test_eval_report_bytes_are_pinned(tmp_path, capsys, names, expected_json, expected_table):
+    # Key order included; a program tried on no case has null ratios, an
+    # overall report with nothing suggested has accuracy null and coverage 0.0.
+    corpus = write_fig_corpus(tmp_path / "corpus")
+    programs = {"fb": FB_PROGRAM, "dup": DUP_PROGRAM, "never": _NEVER_PROGRAM}
+    flags = [arg for name in names for arg in ("--program", str(write_program(tmp_path, programs[name], name)))]
+    report_path = tmp_path / "eval.json"
+    assert main(["eval", *flags, str(corpus), "--report", str(report_path)]) == 0
+    assert report_path.read_text(encoding="utf-8") == expected_json
+    assert capsys.readouterr().out == expected_table
 
 
 def test_eval_empty_corpus_exit_1(tmp_path, capsys):
@@ -546,6 +646,25 @@ def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["apply", "--print"])  # missing required --program and file
     assert exc.value.code == 2
+
+
+def _run_module(*args):
+    """``python -m mergelearn`` as a separate process, importing this checkout's package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(Path(mergelearn.__file__).parents[1]),
+                                                      env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "mergelearn", *args], capture_output=True, text=True,
+                          env=env, timeout=60)
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    assert _run_module("--help").returncode == 0
+    missing = _run_module("classify", str(tmp_path / "missing"), "--report", "-")
+    assert missing.returncode == 1
+    assert missing.stderr == f"error: corpus root {tmp_path / 'missing'} does not exist\n"
+    top = _run_module("learn", "--examples", "e.json", "--out", str(tmp_path / "x.json"), "--top", "0")
+    assert top.returncode == 2
+    assert top.stderr == "error: --top must be at least 1\n"
 
 
 def test_learn_apply_round_trip(tmp_path, capsys):

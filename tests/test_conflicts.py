@@ -218,8 +218,7 @@ def test_tokenize_include():
 def test_tokenize_macro():
     node = tokenize_line("IN_PROC_BROWSER_TEST_F(V4, CheckUnwantedSoftwareUrl) {")
     assert node.kind == MACRO
-    assert node.macro_name == "IN_PROC_BROWSER_TEST_F"
-    assert node.children[1] == "(V4, CheckUnwantedSoftwareUrl) {"
+    assert node.children == ("IN_PROC_BROWSER_TEST_F", "(V4, CheckUnwantedSoftwareUrl) {")
 
 
 def test_tokenize_blank_line():

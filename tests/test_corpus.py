@@ -76,6 +76,26 @@ def test_load_corpus_skips_malformed_case(fig_corpus, caplog):
     assert any("broken" in record.message for record in caplog.records)
 
 
+@pytest.mark.parametrize("meta", [
+    {"file_path": "x.cc", "label": 5},
+    {"file_path": "x.cc", "label": ["x"]},
+    {"file_path": 7},
+    {"file_path": "x.cc", "side_order": 3},
+    ["x.cc"],
+    "x.cc",
+], ids=["label-int", "label-list", "file_path-int", "side_order-int", "array", "string"])
+def test_load_corpus_skips_case_with_mistyped_meta(fig_corpus, caplog, meta):
+    bad = fig_corpus / "merge-003" / "mistyped"
+    bad.mkdir(parents=True)
+    (bad / "conflict.txt").write_text(fig_file_text("a"), encoding="utf-8")
+    (bad / "resolved.txt").write_text(fig_resolved_text("a"), encoding="utf-8")
+    (bad / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+    with caplog.at_level(logging.WARNING):
+        cases = load_corpus(fig_corpus)
+    assert len(cases) == 4
+    assert any("mistyped" in record.message for record in caplog.records)
+
+
 def test_load_corpus_skips_missing_resolution(fig_corpus, caplog):
     bad = fig_corpus / "merge-003" / "no-resolution"
     bad.mkdir(parents=True)
