@@ -18,7 +18,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from .conflicts import SIDE_ORDERS, ConflictedFile, UnbalancedMarkersError, tokenize_nodes
+from .conflicts import SIDE_ORDERS, ConflictedFile, UnbalancedMarkersError, split_lines, tokenize_nodes
 from .corpus import evaluate, load_corpus, report
 from .dsl import (
     Program,
@@ -87,6 +87,8 @@ def _load_example_spec(path: Path, side_order: str) -> ExampleSpec:
         for key in ("conflict", "resolution", "file_path"):
             if key in entry and not isinstance(entry[key], str):
                 raise ValueError(f'{where}: "{key}" must be a string, found {json.dumps(entry[key])}')
+            if key != "file_path" and "\0" in entry[key]:
+                raise ValueError(f'{where}: "{key}" must not contain a NUL character')
         conflict_path = base / entry["conflict"]
         resolution_path = base / entry["resolution"]
         file_path = entry.get("file_path", str(conflict_path))
@@ -97,10 +99,7 @@ def _load_example_spec(path: Path, side_order: str) -> ExampleSpec:
             raise ValueError(f"{conflict_path}{exc.detail}") from exc
         if len(chunks) != 1:
             raise ValueError(f"{conflict_path}: example files must contain exactly one conflict, found {len(chunks)}")
-        resolution_lines = _read_text(resolution_path)[0].split("\n")
-        if resolution_lines and resolution_lines[-1] == "":
-            resolution_lines.pop()
-        cases.append((chunks[0], tokenize_nodes(resolution_lines)))
+        cases.append((chunks[0], tokenize_nodes(split_lines(_read_text(resolution_path)[0]))))
     return ExampleSpec(tuple(cases))
 
 

@@ -3,11 +3,12 @@
 A conflicted file is split into outside text and marker-delimited chunks.
 Each chunk carries two regions (main and fork); region lines are tokenized
 into nodes, the atomic units that resolution programs select and combine.
-The chunks of one file share a read-only ``FileContext``, built once per
-parse, that holds what every chunk's pattern dictionary reads of the rest
-of the file. What it derives from the outside text (the outside lines'
+One ``ConflictedFile`` per parse holds the chunks and is every chunk's
+``context``: what each chunk's pattern dictionary reads of the rest of the
+file. What it derives from the outside text (the outside lines, their
 match index and the stem search behind the Dependency pattern) is computed
-the first time a pattern reads it, once per file, and then kept.
+the first time a pattern reads it, once per file, and then kept. Text
+becomes lines by one rule, ``split_lines``.
 """
 
 from __future__ import annotations
@@ -179,86 +180,24 @@ def _include_paths(regions) -> dict[str, None]:
     return dict.fromkeys(n.include_path for main, fork, _, _ in regions for n in main + fork if n.kind == INCLUDE)
 
 
-@dataclass(frozen=True, eq=False)
-class FileContext:
-    """What every chunk of one conflicted file shares, built once per parse.
-
-    ``regions`` holds each chunk's ``(main_nodes, fork_nodes, main_lines,
-    fork_lines)`` in file order. ``header_contents`` maps include paths to
-    header text when the corpus ships headers (empty otherwise); headers
-    are read when the file is parsed. ``outside_index`` (the
-    ``match_index`` of the outside lines) and ``stem_users`` (which backs
-    the Dependency pattern, see ``_stem_users``; empty for a lone chunk,
-    which has no siblings) are computed on first read and cached, so the
-    outside lines are tokenized at most once per file and only when a
-    pattern reads them. The caches are write-once and a recomputation gives
-    the same value, so a context is safe to share across workers.
-    """
-
-    file_path: str
-    outside_content: tuple[str, ...]
-    regions: tuple[tuple[tuple, ...], ...]
-    header_contents: Mapping[str, str]
-
-    @classmethod
-    def build(cls, file_path: str, outside, regions, header_text=None) -> "FileContext":
-        headers = {}
-        if header_text is not None:
-            headers = {path: text for path in _include_paths(regions) if (text := header_text(path)) is not None}
-        return _read_only_context(file_path, tuple(outside), tuple(regions), headers)
-
-    @cached_property
-    def _outside_nodes(self) -> tuple[Node, ...]:
-        return tokenize_nodes(self.outside_content)
-
-    @cached_property
-    def outside_index(self) -> Mapping[tuple, tuple[Node, ...]]:
-        return MappingProxyType(match_index(self._outside_nodes))
-
-    @cached_property
-    def stem_users(self) -> Mapping[str, frozenset[int]]:
-        users = {}
-        if len(self.regions) > 1:
-            chunk_codes = [_code(ml + fl, mn + fn) for mn, fn, ml, fl in self.regions]
-            users = _stem_users(_include_paths(self.regions), _code(self.outside_content, self._outside_nodes),
-                                chunk_codes)
-        return MappingProxyType(users)
-
-    def __reduce__(self):
-        # Only the inputs: mapping proxies do not pickle, and a copy
-        # recomputes its caches on first read.
-        return _read_only_context, (self.file_path, self.outside_content, self.regions, dict(self.header_contents))
-
-    def chunk(self, index: int) -> "ConflictInput":
-        return ConflictInput(self.file_path, *self.regions[index], context=self, index=index)
-
-
-def _read_only_context(file_path, outside, regions, headers) -> FileContext:
-    return FileContext(file_path, outside, regions, MappingProxyType(headers))
-
-
-_EMPTY_CONTEXT = FileContext.build("", (), ())
-
-
 @dataclass(frozen=True)
 class ConflictInput:
     """One conflict chunk: the program input ``x``.
 
     Read-only, so safe to share across workers. The chunk is the
-    ``index``-th of its file; what the file's chunks share (outside text,
-    header contents, sibling regions) sits in one ``FileContext`` built by
-    ``ConflictedFile.parse``, whose outside index and stem search are
-    computed on first read. Two chunks are equal when they have the same
-    regions at the same index of the same parsed file.
+    ``index``-th of ``context``, the ``ConflictedFile`` it was parsed from,
+    which holds what the file's chunks share: the outside text, the header
+    contents and the sibling chunks. Two chunks are equal when they have
+    the same regions at the same index of the same parsed file.
     """
 
     file_path: str
     main_nodes: tuple[Node, ...]
     fork_nodes: tuple[Node, ...]
-    main_lines: tuple[str, ...] = ()
-    fork_lines: tuple[str, ...] = ()
-    context: FileContext = field(default=_EMPTY_CONTEXT, repr=False)
-    index: int = 0
+    main_lines: tuple[str, ...]
+    fork_lines: tuple[str, ...]
+    context: ConflictedFile = field(repr=False)
+    index: int
 
     @property
     def outside_content(self) -> tuple[str, ...]:
@@ -271,7 +210,7 @@ class ConflictInput:
     @property
     def sibling_chunks(self) -> tuple["ConflictInput", ...]:
         """The other chunks of the same file, in file order."""
-        return tuple(self.context.chunk(j) for j in range(len(self.context.regions)) if j != self.index)
+        return tuple(chunk for chunk in self.context.chunks if chunk.index != self.index)
 
     def region_nodes(self) -> tuple[Node, ...]:
         return self.main_nodes + self.fork_nodes
@@ -293,35 +232,80 @@ def conflict_kind(conflict: ConflictInput) -> str:
     return "Other"
 
 
-class ConflictedFile:
-    """A parsed conflicted file: interleaved text segments and chunks.
+def split_lines(text: str) -> list[str]:
+    """The lines of ``text``, with CRLF read as LF. A final newline ends the
+    last line; it does not start an empty one."""
+    lines = text.replace("\r\n", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
 
-    Keeps the exact original lines so unresolved chunks can be written
-    back verbatim. CRLF input is normalized to LF.
+
+class ConflictedFile:
+    """A parsed conflicted file: its chunks and what they share.
+
+    ``segments`` interleaves ``("text", lines)`` and ``("chunk", index)`` in
+    file order and ``chunk_blocks`` keeps each chunk's exact marker lines,
+    so unresolved chunks can be written back verbatim. ``regions`` holds
+    each chunk's ``(main_nodes, fork_nodes, main_lines, fork_lines)``, and
+    the read-only ``header_contents`` maps include paths to header text
+    when the corpus ships headers (empty otherwise). The outside lines,
+    their ``match_index`` (``outside_index``) and ``stem_users`` (which
+    backs the Dependency pattern, see ``_stem_users``; empty for a lone
+    chunk, which has no siblings) are computed on first read and cached, so
+    the outside lines are tokenized at most once per file and only when a
+    pattern reads them. The caches are write-once and a recomputation gives
+    the same value, so a file and its chunks are safe to share across
+    workers.
     """
 
-    def __init__(self, file_path, segments, chunks, chunk_blocks, trailing_newline):
+    def __init__(self, file_path, segments, chunk_blocks, trailing_newline, regions, header_contents):
         self.file_path = file_path
-        self.segments = segments  # ("text", lines) | ("chunk", index)
-        self.chunks = chunks
+        self.segments = segments
         self.chunk_blocks = chunk_blocks
         self.trailing_newline = trailing_newline
+        self.regions = regions
+        self.header_contents = MappingProxyType(header_contents)
+        self.chunks = [ConflictInput(file_path, *region, self, i) for i, region in enumerate(regions)]
+
+    def __reduce__(self):
+        # Only the inputs: mapping proxies do not pickle, and a copy
+        # recomputes its caches on first read.
+        return ConflictedFile, (self.file_path, self.segments, self.chunk_blocks, self.trailing_newline,
+                                self.regions, dict(self.header_contents))
+
+    @cached_property
+    def outside_content(self) -> tuple[str, ...]:
+        return tuple(line for tag, payload in self.segments if tag == "text" for line in payload)
+
+    @cached_property
+    def _outside_nodes(self) -> tuple[Node, ...]:
+        return tokenize_nodes(self.outside_content)
+
+    @cached_property
+    def outside_index(self) -> Mapping[tuple, tuple[Node, ...]]:
+        return MappingProxyType(match_index(self._outside_nodes))
+
+    @cached_property
+    def stem_users(self) -> Mapping[str, frozenset[int]]:
+        users = {}
+        if len(self.regions) > 1:
+            chunk_codes = [_code(ml + fl, mn + fn) for mn, fn, ml, fl in self.regions]
+            users = _stem_users(_include_paths(self.regions), _code(self.outside_content, self._outside_nodes),
+                                chunk_codes)
+        return MappingProxyType(users)
 
     @classmethod
     def parse(cls, text: str, file_path: str, side_order: str = "fork-first",
               header_text: Callable[[str], str | None] | None = None) -> "ConflictedFile":
-        """Parse marker text; every chunk shares one ``FileContext``.
+        """Parse marker text into a file that is every chunk's ``context``.
 
         ``header_text`` returns the header text for an include path, or None
         when there is none; it is asked once per include path of the chunks.
         """
         if side_order not in SIDE_ORDERS:
             raise ValueError(f"side_order must be one of {SIDE_ORDERS}, got {side_order!r}")
-        text = text.replace("\r\n", "\n")
-        trailing = text.endswith("\n")
-        lines = text.split("\n")
-        if trailing:
-            lines.pop()
+        lines = split_lines(text)
 
         spans: list[dict[str, int]] = []  # each chunk's marker line numbers
         state = "outside"
@@ -359,10 +343,11 @@ class ConflictedFile:
             done = end + 1
         if done < len(lines):
             segments.append(("text", tuple(lines[done:])))
-        outside = [line for tag, payload in segments if tag == "text" for line in payload]
-        context = FileContext.build(file_path, outside, regions, header_text)
-        chunks = [context.chunk(i) for i in range(len(regions))]
-        return cls(file_path, segments, chunks, chunk_blocks, trailing)
+        headers = {}
+        if header_text is not None:
+            headers = {path: contents for path in _include_paths(regions)
+                       if (contents := header_text(path)) is not None}
+        return cls(file_path, segments, chunk_blocks, text.endswith("\n"), tuple(regions), headers)
 
     def render(self, resolutions: dict[int, tuple[Node, ...]] | None = None) -> str:
         """Rebuild the file text, substituting resolved chunks.

@@ -24,6 +24,7 @@ from .conflicts import (
     ConflictInput,
     Node,
     conflict_kind,
+    split_lines,
     tokenize_nodes,
 )
 from .dsl import DEFAULT_CONFIG, SynthConfig, first_resolution
@@ -80,10 +81,7 @@ def align_resolution(conflict_text: str, resolved_text: str, file_path: str = "<
 
 
 def _align(parsed: ConflictedFile, resolved_text: str) -> list[AlignedChunk]:
-    resolved_lines = resolved_text.replace("\r\n", "\n").split("\n")
-    if resolved_lines and resolved_lines[-1] == "":
-        resolved_lines.pop()
-
+    resolved_lines = split_lines(resolved_text)
     outside: list[str] = []
     gaps: list[int] = []  # chunk i sits before outside index gaps[i]
     for tag, payload in parsed.segments:
@@ -110,10 +108,8 @@ def _align(parsed: ConflictedFile, resolved_text: str) -> list[AlignedChunk]:
             results.append(AlignedChunk(None, "following context line could not be anchored"))
             continue
         start = mapping[gap - 1] + 1 if gap > 0 else 0
+        # Matching blocks rise in both sequences, so start <= end.
         end = mapping[gap] if gap < len(outside) else len(resolved_lines)
-        if start > end:
-            results.append(AlignedChunk(None, "anchors are out of order"))
-            continue
         results.append(AlignedChunk(tokenize_nodes(resolved_lines[start:end])))
     return results
 
@@ -144,7 +140,7 @@ def load_corpus(root) -> list[CorpusCase]:
     """
     root = Path(root)
     if not root.is_dir():
-        raise EmptyCorpusError(f"corpus root {root} does not exist")
+        raise EmptyCorpusError(f"corpus root {root} {'is not a directory' if root.exists() else 'does not exist'}")
     cases: list[CorpusCase] = []
     for merge_dir in sorted(p for p in root.iterdir() if p.is_dir()):
         for case_dir in sorted(p for p in merge_dir.iterdir() if p.is_dir()):
@@ -158,32 +154,25 @@ def _load_case_dir(merge_id: str, case_dir: Path) -> list[CorpusCase]:
     conflict_file = case_dir / "conflict.txt"
     resolved_file = case_dir / "resolved.txt"
     meta_file = case_dir / "meta.json"
-    if not conflict_file.is_file():
-        logger.warning("skipping %s: no conflict.txt", case_dir)
-        return []
-    if not resolved_file.is_file():
-        logger.warning("skipping %s: missing resolution", case_dir)
-        return []
     try:
+        if not conflict_file.is_file():
+            raise ValueError("no conflict.txt")
+        if not resolved_file.is_file():
+            raise ValueError("missing resolution")
         meta = json.loads(meta_file.read_text(encoding="utf-8")) if meta_file.is_file() else {}
         if not isinstance(meta, dict) or not all(
             isinstance(meta.get(key, ""), str) for key in ("file_path", "label", "side_order")
         ):
-            logger.warning("skipping %s: meta.json must be an object whose file_path, label and side_order"
-                           " are strings", case_dir)
-            return []
+            raise ValueError("meta.json must be an object whose file_path, label and side_order are strings")
         file_path = meta.get("file_path") or case_dir.name
-        side_order = meta.get("side_order", "fork-first")
-        label = meta.get("label")
         conflict_text = conflict_file.read_text(encoding="utf-8")
         resolved_text = resolved_file.read_text(encoding="utf-8")
         if re.search(f"^{START_MARKER}", resolved_text, flags=re.M):
-            logger.warning("skipping %s: resolved file still contains markers", case_dir)
-            return []
-        parsed = ConflictedFile.parse(conflict_text, file_path, side_order=side_order,
+            raise ValueError("resolved file still contains markers")
+        parsed = ConflictedFile.parse(conflict_text, file_path, side_order=meta.get("side_order", "fork-first"),
                                       header_text=_header_reader(case_dir))
         aligned = _align(parsed, resolved_text)
-    except Exception as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         logger.warning("skipping %s: %s", case_dir, exc)
         return []
     out = []
@@ -191,7 +180,7 @@ def _load_case_dir(merge_id: str, case_dir: Path) -> list[CorpusCase]:
         if res.nodes is None:
             logger.warning("skipping %s chunk %d: %s", case_dir, index, res.reason)
             continue
-        out.append(CorpusCase(chunk, res.nodes, merge_id, file_path, index, label))
+        out.append(CorpusCase(chunk, res.nodes, merge_id, file_path, index, meta.get("label")))
     return out
 
 

@@ -84,6 +84,11 @@ DUP_PROGRAM = Program(
     ),
 )
 
+# Fires where DUP_PROGRAM does, on figures a and b, and fails there: their
+# main regions hold one node.
+FAILING_PROGRAM = Program(Condition((Predicate("DuplicateMainFork"),)), Select(Selection("MainByIndex", k=9)))
+FAILING_ERROR = "IndexOutOfRange: MainByIndex(9) on a 1-node region"
+
 
 def marker_text(fork_lines, main_lines, before=OUTSIDE_BEFORE, after=OUTSIDE_AFTER,
                 fork_label="fork", main_label="main"):

@@ -27,6 +27,8 @@ from mergelearn.synth import learn
 
 from conftest import (
     DUP_PROGRAM,
+    FAILING_ERROR,
+    FAILING_PROGRAM,
     FB_PROGRAM,
     OUTSIDE_AFTER,
     OUTSIDE_BEFORE,
@@ -202,6 +204,38 @@ def test_learn_malformed_example_entry_is_clean_error(tmp_path, capsys, change, 
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("key", ["conflict", "resolution"])
+def test_learn_example_path_with_a_nul_names_the_spec(tmp_path, capsys, key):
+    spec = write_example_spec(tmp_path, ["c", "d"])
+    entries = json.loads(spec.read_text(encoding="utf-8"))
+    entries[1][key] = "a\u0000b"
+    spec.write_text(json.dumps(entries), encoding="utf-8")
+    code = main(["learn", "--examples", str(spec), "--out", str(tmp_path / "x.json")])
+    assert code == 1
+    assert capsys.readouterr().err == f'error: {spec}: example 1: "{key}" must not contain a NUL character\n'
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("content", ["[]", "{}", '"examples"'])
+def test_learn_spec_that_is_not_a_non_empty_array_is_named(tmp_path, capsys, content):
+    spec = tmp_path / "examples.json"
+    spec.write_text(content, encoding="utf-8")
+    code = main(["learn", "--examples", str(spec), "--out", str(tmp_path / "x.json")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {spec}: expected a non-empty JSON array of examples\n"
+
+
+@pytest.mark.parametrize("content, found", [("no markers\n", 0), (fig_file_text("c") + fig_file_text("d"), 2)])
+def test_learn_example_file_needs_exactly_one_conflict(tmp_path, capsys, content, found):
+    spec = write_example_spec(tmp_path, ["c", "d"])
+    (tmp_path / "conflict_d.txt").write_text(content, encoding="utf-8")
+    code = main(["learn", "--examples", str(spec), "--out", str(tmp_path / "x.json")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'conflict_d.txt'}: example files must contain exactly one conflict, found {found}\n")
+    assert not (tmp_path / "x.json").exists()
+
+
 @pytest.mark.parametrize("target, content", [
     ("examples.json", b"{not json"),
     ("examples.json", b"\xff[]"),
@@ -365,6 +399,20 @@ def test_apply_multiple_programs_first_guard_wins(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert captured.out == fig_resolved_text("a")
+
+
+def test_apply_notes_a_failing_program_and_falls_through_to_the_next(tmp_path, capsys):
+    failing = write_program(tmp_path, FAILING_PROGRAM, "failing.json")
+    dup = write_program(tmp_path, DUP_PROGRAM, "dup.json")
+    target = tmp_path / "a.cc"
+    target.write_text(fig_file_text("a"), encoding="utf-8")
+    code = main(["apply", "--program", str(failing), "--program", str(dup), str(target), "--print"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == fig_resolved_text("a")
+    assert captured.err == (
+        f"note: program 0 failed on chunk 0: {FAILING_ERROR}\n"
+        + json.dumps({"file": str(target), "total": 1, "suggested": 1, "written": False}) + "\n")
 
 
 def test_apply_diff_mode(tmp_path, capsys):
@@ -534,6 +582,16 @@ def test_classify_missing_root_exit_1(tmp_path, capsys):
     code = main(["classify", str(tmp_path / "missing"), "--report", "-"])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["classify", "eval"])
+def test_corpus_root_that_is_a_file_is_named_so(tmp_path, capsys, command):
+    program = write_program(tmp_path, FB_PROGRAM)
+    args = ["--program", str(program)] if command == "eval" else []
+    for root, why in ((program, "is not a directory"), (tmp_path / "missing", "does not exist")):
+        code = main([command, *args, str(root), "--report", "-"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: corpus root {root} {why}\n"
 
 
 def test_eval_fig_corpus_full_accuracy(tmp_path, capsys):

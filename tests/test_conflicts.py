@@ -84,6 +84,12 @@ def test_parse_crlf_normalized():
     assert len(chunk.fork_nodes) == 2
 
 
+def test_parse_rejects_an_unknown_side_order():
+    with pytest.raises(ValueError) as exc:
+        ConflictedFile.parse(fig_file_text("c"), "a.cc", side_order="theirs-first")
+    assert str(exc.value) == "side_order must be one of ('fork-first', 'ours-first'), got 'theirs-first'"
+
+
 def test_side_order_flag_swaps_regions():
     text = fig_file_text("c")
     fork_first = parse_conflict_file(text, "a.cc", side_order="fork-first")[0]

@@ -26,8 +26,11 @@ from mergelearn.corpus import (
 
 from conftest import (
     DUP_PROGRAM,
+    FAILING_ERROR,
+    FAILING_PROGRAM,
     FB_PROGRAM,
     FIG1_REGIONS,
+    OUTSIDE_BEFORE,
     fig_chunk,
     fig_file_text,
     fig_resolution_nodes,
@@ -116,6 +119,50 @@ def test_load_corpus_rejects_unresolved_file(fig_corpus, caplog):
         cases = load_corpus(fig_corpus)
     assert len(cases) == 4
     assert any("still contains markers" in record.message for record in caplog.records)
+
+
+@pytest.mark.parametrize("files, reason", [
+    ({"conflict.txt": None}, ": no conflict.txt"),
+    ({"resolved.txt": None}, ": missing resolution"),
+    ({"meta.json": '{"label": 5}'},
+     ": meta.json must be an object whose file_path, label and side_order are strings"),
+    ({"meta.json": "{not json"}, ": Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ({"meta.json": '{"side_order": "theirs-first"}'},
+     ": side_order must be one of ('fork-first', 'ours-first'), got 'theirs-first'"),
+    ({"conflict.txt": b"\xff"}, ": 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ({"resolved.txt": fig_file_text("a")}, ": resolved file still contains markers"),
+    ({"conflict.txt": "<<<<<<< fork\nunterminated\n"}, ": x.cc: unterminated conflict at end of file"),
+    ({"resolved.txt": "nothing of the context\n"}, " chunk 0: preceding context line could not be anchored"),
+    ({"resolved.txt": "\n".join(OUTSIDE_BEFORE) + "\n"}, " chunk 0: following context line could not be anchored"),
+], ids=["no-conflict", "no-resolution", "meta-mistyped", "meta-not-json", "bad-side-order", "not-utf8",
+        "resolved-has-markers", "unbalanced", "misaligned-before", "misaligned-after"])
+def test_load_corpus_skip_messages_are_pinned(fig_corpus, caplog, files, reason):
+    # The case holds figure a's files, except that ``files`` replaces some
+    # and leaves out those it maps to None.
+    bad = fig_corpus / "merge-003" / "bad"
+    bad.mkdir(parents=True)
+    fig_a = {"conflict.txt": fig_file_text("a"), "resolved.txt": fig_resolved_text("a"),
+             "meta.json": json.dumps({"file_path": "x.cc"})}
+    for name, content in (fig_a | files).items():
+        if content is not None:
+            (bad / name).write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
+    with caplog.at_level(logging.WARNING, logger="mergelearn.corpus"):
+        cases = load_corpus(fig_corpus)
+    assert len(cases) == 4
+    assert [record.getMessage() for record in caplog.records] == [f"skipping {bad}{reason}"]
+
+
+def test_load_corpus_skips_a_deeply_nested_meta(fig_corpus, caplog):
+    bad = fig_corpus / "merge-003" / "deep"
+    bad.mkdir(parents=True)
+    (bad / "conflict.txt").write_text(fig_file_text("a"), encoding="utf-8")
+    (bad / "resolved.txt").write_text(fig_resolved_text("a"), encoding="utf-8")
+    (bad / "meta.json").write_text("[" * 100_000, encoding="utf-8")
+    with caplog.at_level(logging.WARNING, logger="mergelearn.corpus"):
+        cases = load_corpus(fig_corpus)
+    assert len(cases) == 4
+    (message,) = [record.getMessage() for record in caplog.records]
+    assert message.startswith(f"skipping {bad}: ")
 
 
 def test_load_corpus_reads_headers(tmp_path):
@@ -515,6 +562,15 @@ def test_evaluate_per_program_rows_count_the_cases_each_program_was_tried_on(fig
     alone = evaluate([DUP_PROGRAM], load_corpus(fig_corpus))
     assert alone.per_program[0]["total"] == alone.total == 4
     assert alone.per_program[0]["no_suggestion"] == alone.no_suggestion == 2
+
+
+def test_evaluate_logs_a_failing_program_and_falls_through_to_the_next(fig_corpus, caplog):
+    with caplog.at_level(logging.DEBUG, logger="mergelearn.corpus"):
+        result = evaluate([FAILING_PROGRAM, DUP_PROGRAM], load_corpus(fig_corpus))
+    assert [record.getMessage() for record in caplog.records if record.levelno == logging.DEBUG] == [
+        f"program 0 failed on ui/base/sample_{name}.cc#0: {FAILING_ERROR}" for name in "ab"]
+    assert (result.suggested, result.matched) == (2, 2)
+    assert [(row["total"], row["suggested"]) for row in result.per_program] == [(4, 0), (4, 2)]
 
 
 def test_evaluate_order_insensitive_includes(fig1c):

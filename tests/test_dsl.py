@@ -32,6 +32,7 @@ from mergelearn.dsl import (
     eval_predicate,
     eval_selection,
     eval_transformation,
+    first_resolution,
     program_features,
     program_score,
     program_to_json,
@@ -40,7 +41,16 @@ from mergelearn.dsl import (
 )
 from mergelearn.synth import learn_condition
 
-from conftest import DUP_PROGRAM, FB_PROGRAM, deep_program_text, fig_chunk, gen_conflict, marker_text
+from conftest import (
+    DUP_PROGRAM,
+    FAILING_ERROR,
+    FAILING_PROGRAM,
+    FB_PROGRAM,
+    deep_program_text,
+    fig_chunk,
+    gen_conflict,
+    marker_text,
+)
 
 
 def pdict_of(chunk, config=DEFAULT_CONFIG):
@@ -256,6 +266,12 @@ def test_run_program_failure_is_captured(fig1a):
     result = run_program(prog, fig1a)
     assert result.kind == "failed"
     assert "IndexOutOfRange" in result.error
+
+
+def test_first_resolution_records_the_failures_before_the_program_that_fires(fig1a):
+    programs = [FAILING_PROGRAM, FAILING_PROGRAM, DUP_PROGRAM, FAILING_PROGRAM]
+    assert first_resolution(programs, fig1a) == (2, fig1a.fork_nodes, [(0, FAILING_ERROR), (1, FAILING_ERROR)])
+    assert first_resolution([FAILING_PROGRAM], fig1a) == (None, None, [(0, FAILING_ERROR)])
 
 
 def test_run_program_deterministic(fig1a):

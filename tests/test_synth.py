@@ -131,6 +131,16 @@ def test_learn_condition_empty_raises():
         learn_condition([one, two])
 
 
+def test_learn_without_a_shared_predicate_is_empty_and_says_why(caplog):
+    # Each figure example has predicates of its own, but a and c share none.
+    spec = ExampleSpec(tuple((fig_chunk(name), fig_resolution_nodes(name)) for name in "ac"))
+    with caplog.at_level(logging.INFO, logger="mergelearn.synth"):
+        ranked = learn(spec)
+    assert len(ranked) == 0 and not ranked.truncated
+    assert [record.getMessage() for record in caplog.records] == [
+        "no program found: no predicate holds on every example"]
+
+
 def test_learn_transformation_has_index_and_remove_candidates(fig1c):
     result = learn_transformation(fig1c, fig_resolution_nodes("c"))
     programs = set(result.programs)
