@@ -6,14 +6,16 @@ selections. It runs over every example at once: a candidate set is keyed
 by one target per example and keeps only programs that every example's
 inverses produce, so the set consistent with all examples is generated
 directly rather than intersected from per-example sets. Nodes and
-selections are interned to ints, so targets and memo keys are int tuples,
-the inverses are index lookups, and a ``Select`` or ``Remove`` is built
-only for a candidate every example shares. One additive score,
-``dsl.program_score``, ranks candidates. The learner builds every
-transformation's rank entry (score, size, structural key, transformation,
-Pattern keys) bottom-up with dsl's own constructors, ``rank_entry`` and
-``concat_entry``, so ``rank`` computes the same entry from a finished
-transformation.
+selections are interned to ints, so targets and memo keys are int tuples
+and the inverses are index lookups. Each example's selection table is
+built in one pass from the ids of its two regions, keyed by plain
+``(tag, k, path, key)`` tuples, and a ``Selection``, ``Select`` or
+``Remove`` is built only for a candidate every example shares. One
+additive score, ``dsl.program_score``, ranks candidates. The learner
+builds every transformation's rank entry (score, size, structural key,
+transformation, Pattern keys) bottom-up with dsl's own constructors,
+``rank_entry`` and ``concat_entry``, so ``rank`` computes the same entry
+from a finished transformation.
 
 Each candidate set is a lazy stream (``_Stream``): one heap merges its base
 candidates and its Concat products best first, pulling an arm's next entry
@@ -185,45 +187,23 @@ class RankedPrograms(Sequence):
         return tuple(self)
 
 
-def canonical_selections(conflict: ConflictInput, pdict: PatternDictionary):
-    """Every selection the synthesizer may use on this input, with its value.
-
-    Index selections stay in range, path selections name a path that
-    matches, pattern selections name a non-empty dictionary entry; the
-    whole-branch selections are always present.
-    """
-    out: list[tuple[Selection, tuple[Node, ...]]] = [
-        (Selection("Main"), conflict.main_nodes),
-        (Selection("Fork"), conflict.fork_nodes),
-    ]
-    for k in range(len(conflict.main_nodes)):
-        out.append((Selection("MainByIndex", k=k), (conflict.main_nodes[k],)))
-    for k in range(len(conflict.fork_nodes)):
-        out.append((Selection("ForkByIndex", k=k), (conflict.fork_nodes[k],)))
-    for tag, region in (("MainByPath", conflict.main_nodes), ("ForkByPath", conflict.fork_nodes)):
-        for path in sorted({n.include_path for n in region if n.include_path is not None}):
-            out.append((Selection(tag, path=path), tuple(n for n in region if n.include_path == path)))
-    for key in PATTERN_KEYS:
-        entry = pdict.patterns.get(key)
-        if entry:
-            out.append((Selection("Pattern", key=key), entry))
-    return out
-
-
 def wf_concat(output) -> list[tuple[tuple[Node, ...], tuple[Node, ...]]]:
     """Inverse of Concat: every two-part split with both parts non-empty."""
     output = tuple(output)
     return [(output[:i], output[i:]) for i in range(1, len(output))]
 
 
-def _removed(region: tuple, target: tuple) -> tuple:
-    """Inverse of Remove over one source, on items of any hashable kind.
-    Remove deletes the first occurrence of each removed item, so only their
-    multiset counts: the source minus the target, returned if deleting it
-    leaves the target. Else ``()``, as for an empty removal, which a plain
-    selection already expresses."""
-    removed = tuple((Counter(region) - Counter(target)).elements())
-    return removed if removed and remove_nodes(region, removed) == target else ()
+def _removed(region: tuple, counts: Counter, target: tuple) -> tuple:
+    """Inverse of Remove over one source, on items of any hashable kind;
+    ``counts`` is ``Counter(region)``. Remove deletes the first occurrence
+    of each removed item, so only their multiset counts: the source minus
+    the target, returned if deleting it leaves the target. Else ``()``, as
+    for an empty removal, which a plain selection already expresses; a
+    non-empty removal leaves fewer items than its source."""
+    if len(target) >= len(region):
+        return ()
+    removed = tuple((counts - Counter(target)).elements())
+    return removed if remove_nodes(region, removed) == target else ()
 
 
 def wf_remove(conflict: ConflictInput, target) -> list[tuple[Selection, tuple[Node, ...]]]:
@@ -231,7 +211,7 @@ def wf_remove(conflict: ConflictInput, target) -> list[tuple[Selection, tuple[No
     for each source from which Remove can leave the target."""
     target = tuple(target)
     return [(Selection(tag), removed) for tag, region in (("Main", conflict.main_nodes), ("Fork", conflict.fork_nodes))
-            if (removed := _removed(region, target))]
+            if (removed := _removed(region, Counter(region), target))]
 
 
 class _Stream:
@@ -293,27 +273,45 @@ class _TransformationLearner:
     the product of their splits.
 
     Equal nodes share an int id, as do equal selections, so targets and memo
-    keys are int tuples. Each example indexes its selections by value ids
+    keys are int tuples. Each example's selection table is built in one pass
+    from the ids of its two regions: index selections are single ids, path
+    selections group the region ids by include path, and each non-empty
+    pattern entry is interned once. A selection is a plain ``(tag, k, path,
+    key)`` tuple with an id. Each example indexes its selections by value ids
     (the inverse of selection) and its non-empty ones by sorted value ids
-    (Remove's multiset). The inverses emit ``(source id or -1, selection
-    id)`` pairs; ``_base`` builds transformations only for shared pairs.
+    (Remove's multiset), and keeps each region's ids and counts for
+    ``_removed``. The inverses emit ``(source id or -1, selection id)``
+    pairs; ``_base`` builds transformations only for shared pairs, and
+    ``selection`` builds each of their ``Selection``s once.
     """
 
     def __init__(self, conflicts, pdicts):
         self._ids: dict = {}  # node -> id
-        selection_ids: dict = {}  # selection -> id
-        self._indexes = []  # per example: (selections by value, by sorted value, (source id, region))
+        keys: dict = {}  # (tag, k, path, key) -> selection id
+        self._indexes = []  # per example: (selections by value, by sorted value, (source id, region, counts))
         for conflict, pdict in zip(conflicts, pdicts):
+            sides = (("Main", conflict.main_nodes, self.intern(conflict.main_nodes)),
+                     ("Fork", conflict.fork_nodes, self.intern(conflict.fork_nodes)))
+            table = [((tag, None, None, None), ids) for tag, _, ids in sides]
+            table += [((tag + "ByIndex", k, None, None), (i,)) for tag, _, ids in sides for k, i in enumerate(ids)]
+            for tag, nodes, ids in sides:
+                by_path: dict = {}
+                for node, i in zip(nodes, ids):
+                    if (path := node.include_path) is not None:
+                        by_path.setdefault(path, []).append(i)
+                table += [((tag + "ByPath", None, path, None), tuple(by_path[path])) for path in sorted(by_path)]
+            table += [(("Pattern", None, None, key), self.intern(entry))
+                      for key in PATTERN_KEYS if (entry := pdict.patterns.get(key))]
             by_value, by_multiset = {}, {}
-            for sel, value in canonical_selections(conflict, pdict):
-                sid, value = selection_ids.setdefault(sel, len(selection_ids)), self.intern(value)
+            for key, value in table:
+                sid = keys.setdefault(key, len(keys))
                 by_value.setdefault(value, []).append(sid)
                 if value:
                     by_multiset.setdefault(tuple(sorted(value)), []).append(sid)
-            regions = tuple((selection_ids[Selection(tag)], self.intern(region))
-                            for tag, region in (("Main", conflict.main_nodes), ("Fork", conflict.fork_nodes)))
+            regions = tuple((keys[tag, None, None, None], ids, Counter(ids)) for tag, _, ids in sides)
             self._indexes.append((by_value, by_multiset, regions))
-        self._selections = list(selection_ids)
+        self._keys = list(keys)
+        self._selections: dict = {}  # selection id -> Selection, built on first use
         self._core_memo: dict = {}
         self._base_memo: dict = {}
         self._emitted_memo: dict = {}
@@ -331,8 +329,8 @@ class _TransformationLearner:
         if emitted is None:
             by_value, by_multiset, regions = self._indexes[example]
             emitted = {(-1, sid) for sid in by_value.get(target, ())}
-            emitted.update((source, sid) for source, region in regions  # no removable value is ()
-                           for sid in by_multiset.get(tuple(sorted(_removed(region, target))), ()))
+            emitted.update((source, sid) for source, region, counts in regions  # no removable value is ()
+                           for sid in by_multiset.get(tuple(sorted(_removed(region, counts, target))), ()))
             self._emitted_memo[example, target] = emitted
         return emitted
 
@@ -348,11 +346,18 @@ class _TransformationLearner:
         """Depth-independent candidates, as rank entries in rank order."""
         cands = self._base_memo.get(targets)
         if cands is None:
-            sels = self._selections
+            sel = self.selection
             cands = self._base_memo[targets] = sorted(
-                rank_entry(Select(sels[sid]) if source < 0 else Remove(sels[source], sels[sid]))
+                rank_entry(Select(sel(sid)) if source < 0 else Remove(sel(source), sel(sid)))
                 for source, sid in self._shared(targets))
         return cands
+
+    def selection(self, sid: int) -> Selection:
+        """The selection with id ``sid``, built and validated on first use."""
+        built = self._selections.get(sid)
+        if built is None:
+            built = self._selections[sid] = Selection(*self._keys[sid])
+        return built
 
     def _feasible(self, targets: tuple, depth: int) -> bool:
         """Whether some candidate within ``depth`` maps each of the first

@@ -11,6 +11,7 @@ import pytest
 
 from mergelearn.conflicts import ConflictInput, parse_conflict_file, tokenize_nodes
 from mergelearn.dsl import (
+    PATTERN_KEYS,
     Concat,
     Condition,
     PatternDictionary,
@@ -24,7 +25,7 @@ from mergelearn.dsl import (
     run_program,
     selections_in,
 )
-from mergelearn.synth import canonical_selections, wf_remove
+from mergelearn.synth import wf_remove
 
 OUTSIDE_BEFORE = ("// Copyright 2020 The Sample Authors.", "")
 OUTSIDE_AFTER = ("", "namespace sample {", "void Run() {}", "}  // namespace sample")
@@ -272,6 +273,32 @@ def multi_example_cases(rng, sizes=(2, 3), depth=2, max_output=6, attempts=40):
                 cases.append((other, result.nodes))
         if len(cases) == want:
             yield tuple(cases)
+
+
+def canonical_selections(conflict: ConflictInput, pdict: PatternDictionary):
+    """Every selection the synthesizer may use on this input, with its value,
+    computed on ``Node``s: the reference for the learner's selection table.
+
+    Index selections stay in range, path selections name a path that
+    matches, pattern selections name a non-empty dictionary entry; the
+    whole-branch selections are always present.
+    """
+    out: list[tuple[Selection, tuple]] = [
+        (Selection("Main"), conflict.main_nodes),
+        (Selection("Fork"), conflict.fork_nodes),
+    ]
+    for k in range(len(conflict.main_nodes)):
+        out.append((Selection("MainByIndex", k=k), (conflict.main_nodes[k],)))
+    for k in range(len(conflict.fork_nodes)):
+        out.append((Selection("ForkByIndex", k=k), (conflict.fork_nodes[k],)))
+    for tag, region in (("MainByPath", conflict.main_nodes), ("ForkByPath", conflict.fork_nodes)):
+        for path in sorted({n.include_path for n in region if n.include_path is not None}):
+            out.append((Selection(tag, path=path), tuple(n for n in region if n.include_path == path)))
+    for key in PATTERN_KEYS:
+        entry = pdict.patterns.get(key)
+        if entry:
+            out.append((Selection("Pattern", key=key), entry))
+    return out
 
 
 def _matching(selections, value):

@@ -40,7 +40,6 @@ from mergelearn.dsl import (
 )
 from mergelearn.synth import (
     ExampleSpec,
-    canonical_selections,
     learn,
     learn_transformation,
     rank,
@@ -49,6 +48,7 @@ from mergelearn.synth import (
 from conftest import (
     DUP_PROGRAM,
     FB_PROGRAM,
+    canonical_selections,
     fig_chunk,
     fig_resolution_nodes,
     gen_conflict,

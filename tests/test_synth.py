@@ -13,6 +13,8 @@ import pytest
 from mergelearn.conflicts import parse_conflict_file, tokenize_nodes
 from mergelearn.dsl import (
     DEFAULT_CONFIG,
+    PATTERN_KEYS,
+    SELECTION_TAGS,
     W_OPERATORS,
     Concat,
     Condition,
@@ -29,6 +31,7 @@ from mergelearn.dsl import (
     rank_entry,
     remove_nodes,
     run_program,
+    selections_in,
     serialize_program,
 )
 from mergelearn import synth
@@ -37,7 +40,6 @@ from mergelearn.synth import (
     EmptyConditionError,
     ExampleSpec,
     ProgramSet,
-    canonical_selections,
     intersect_program_sets,
     learn,
     learn_condition,
@@ -51,6 +53,7 @@ from conftest import (
     DUP_PROGRAM,
     FB_PROGRAM,
     OUTSIDE_BEFORE,
+    canonical_selections,
     criterion3_cases,
     fig_chunk,
     fig_resolution_nodes,
@@ -319,6 +322,99 @@ def test_interned_inverses_agree_with_the_node_reference():
     for size in (1, 2, 3):
         assert kinds[size, "found"] >= 10 and kinds[size, "none"] >= 5, kinds
     assert min(kinds["remove"], kinds["empty region"], kinds["repeated"]) >= 20, kinds
+
+
+def _rich_chunks(rng):
+    """Chunks of one- to three-chunk files for the selection table oracle.
+    The outside text includes some of the pool's headers, so the outside
+    Duplicate entries fill; sibling chunks call a header's stem, for
+    Dependency; macros share identifiers, for Rename; each side includes one
+    path twice or more, once maybe in angle brackets; keyword lines feed a
+    config with non-default keywords. Yields ``(chunk, pdict)`` forever."""
+    config = SynthConfig(main_keywords=("alpha", "MAIN_ONLY"), fork_keywords=("beta", "FORK_ONLY"))
+    paths = ("base/alpha.h", "base/beta.h", "ui/gamma.h")
+    macros = ("IN_PROC_BROWSER_TEST_F", "IN_PROC_BROWSER_TEST_P")
+    idents = ("CheckDownloadUrl", "MalwareScan")
+    raws = ("gamma::Run();", "alpha::Reset();", "MAIN_ONLY();", "FORK_ONLY();", "")
+
+    def line():
+        roll = rng.random()
+        if roll < 0.3:
+            return f"{rng.choice(macros)}({rng.choice(idents)}, {rng.choice(idents)}) {{"
+        if roll < 0.45:
+            return rng.choice(raws)
+        return f'#include "{rng.choice(paths)}"'
+
+    def side():
+        path = rng.choice(paths)
+        twice = [f'#include "{path}"', f"#include <{path}>" if rng.random() < 0.3 else f'#include "{path}"']
+        lines = twice + [line() for _ in range(rng.randint(0, 3))]
+        rng.shuffle(lines)
+        return lines
+
+    while True:
+        before = ["// outside", *(f'#include "{p}"' for p in paths if rng.random() < 0.5), ""]
+        chunks = [marker_text(side(), side(), before=(), after=()) for _ in range(rng.randint(1, 3))]
+        text = "\n".join(before) + "\n" + "int between = 0;\n".join(chunks) + "}  // outside\n"
+        for chunk in parse_conflict_file(text, "rich.cc"):
+            yield chunk, build_pattern_dictionary(chunk, config)
+
+
+def _table(learner, example):
+    """The learner's ``(Selection, value)`` pairs for one example, each
+    selection built by the learner and each value mapped back from its ids."""
+    nodes = {i: node for node, i in learner._ids.items()}
+    by_value = learner._indexes[example][0]
+    return [(learner.selection(sid), tuple(nodes[i] for i in value)) for value, sids in by_value.items() for sid in sids]
+
+
+def test_selection_table_equals_the_reference_on_rich_inputs():
+    # The learner's one-pass, interned selection table is the reference
+    # space of canonical_selections, pair for pair, on every example.
+    rng = random.Random(0x5E1)
+    chunks = _rich_chunks(rng)
+    tags, keys = Counter(), Counter()
+    for _ in range(120):
+        examples = [next(chunks) for _ in range(rng.randint(1, 3))]
+        learner = synth._TransformationLearner(*zip(*examples))
+        for i, (chunk, pdict) in enumerate(examples):
+            expected = canonical_selections(chunk, pdict)
+            assert Counter(_table(learner, i)) == Counter(expected)
+            tags.update(sel.tag for sel, _ in expected)
+            keys.update(sel.key for sel, _ in expected if sel.key)
+    # Not vacuous: every selection tag and every pattern entry occurs.
+    assert all(tags[tag] >= 10 for tag in SELECTION_TAGS), tags
+    assert all(keys[key] >= 10 for key in PATTERN_KEYS), keys
+
+
+def test_learn_builds_only_shared_selections(monkeypatch):
+    # On multi-example specs, learn builds a Selection only for a selection
+    # some base candidate uses, and each at most once per learner.
+    built, learners = Counter(), []
+
+    def counted(*args, **kwargs):
+        selection = Selection(*args, **kwargs)
+        built[selection] += 1
+        return selection
+
+    init = synth._TransformationLearner.__init__
+
+    def recorded(self, *args):
+        init(self, *args)
+        learners.append(self)
+
+    monkeypatch.setattr(synth, "Selection", counted)
+    monkeypatch.setattr(synth._TransformationLearner, "__init__", recorded)
+    total = 0
+    for cases in itertools.islice(multi_example_cases(random.Random(0x5E2)), 40):
+        built.clear()
+        learn(ExampleSpec(cases))
+        learner = learners[-1]
+        used = {sel for cands in learner._base_memo.values() for entry in cands for sel in selections_in(entry[3])}
+        assert set(built) <= used
+        assert max(built.values(), default=0) <= 1, built
+        total += len(built)
+    assert len(learners) == 40 and total >= 40
 
 
 def test_intersect_set_algebra():
