@@ -135,8 +135,8 @@ def cmd_learn(args) -> int:
         json.dumps(payload[0] if len(payload) == 1 else payload, indent=2) + "\n",
         encoding="utf-8",
     )
-    for i, entry in enumerate(top):
-        feats = " ".join(f"{k}={v}" for k, v in entry.features.items())
+    for i, (entry, out) in enumerate(zip(top, payload)):
+        feats = " ".join(f"{k}={v}" for k, v in out["meta"]["features"].items())
         print(f"rank={i} score={entry.score:g} {feats}")
     print(f"wrote {len(top)} program(s) to {out_path}")
     return 0

@@ -28,13 +28,15 @@ scores its transformation's score plus its guard's. It pulls
 transformations from the stream only until no later one can enter its
 first ``MAX_PROGRAMS`` pairs. Past that cap, the cut score is found by
 bisecting per-guard streams of transformation indices, and the pairs tied
-at it are taken in index order. The kept pairs sort on the flat key
-``(score, size, guard's rank by structural key, transformation index)``.
-That is the programs' rank order: with score, size and guard equal, the
-transformations' scores and sizes are equal too, and the transformations
-are already in structural order. ``learn`` returns the kept pairs as a
-``RankedPrograms``, which builds each ``Program`` only when it is read, so
-a caller that reads the top program builds one, not ``MAX_PROGRAMS``.
+at it are taken in index order. Each stream keeps a prefix, so guard
+pairing returns one count per stream and builds no per-pair key. In a
+stream the flat key ``(score, size, guard's rank by structural key,
+transformation index)`` rises with position, and it is the programs' rank
+order: with score, size and guard equal, the transformations' scores and
+sizes are equal too, and the transformations are already in structural
+order. ``learn`` returns the streams as a ``RankedPrograms``, which merges
+them on that key only as far as a caller reads and builds each ``Program``
+when it is read: reading the top program merges one pair and builds one.
 
 Candidates are kept in a normal form: a Concat arm that evaluates to
 nothing may appear only once, as the right arm of the root. Anything else
@@ -139,48 +141,68 @@ class RankedProgram:
 class RankedPrograms(Sequence):
     """Ranked programs, best first, each built the first time it is read.
 
-    ``learn`` hands over its sorted index pairs, ``(score, size, guard rank,
-    ti, gi)``, with ``sources``, the transformation and guard rank entries
-    they index. Entry ``i`` becomes a ``RankedProgram`` when first read and
-    takes its pair's place in the list, so a pair and its program are never
-    both held; once every entry is built the sources are dropped. ``len``,
-    truth and ``truncated`` build nothing; ``top``, indexing, slicing and
-    iteration build only what they touch; ``entries`` builds every one.
+    ``entries`` are built ``RankedProgram``s. ``learn`` instead hands over
+    ``sources``: its transformation rank entries and guard pairing's streams
+    ``(guard entry, guard rank, group, count)``, in which the guard pairs
+    with the first ``count`` transformation indices of ``group``. In a
+    stream the flat key ``(score, size, guard rank, ti)`` rises with
+    position, so a heap of the streams' next pairs, ``(*key, stream,
+    position)``, merges them in rank order, only as far as the highest
+    index read. The last popped stream's next pair waits outside the heap,
+    so a run from one stream costs one comparison a pair. Entry ``i``
+    becomes a ``RankedProgram`` when first read and takes its pair's place;
+    once every entry is built the sources are dropped. ``len``, truth and
+    ``truncated`` build nothing; ``top``, indexing, slicing and iteration
+    build only what they touch; ``entries`` builds every one.
     """
 
     def __init__(self, entries=(), truncated: bool = False, sources: tuple | None = None):
-        """``entries`` are built ``RankedProgram``s or, when ``sources`` is
-        ``(transformation entries, guard entries)``, index pairs into them."""
-        self._entries, self._sources = list(entries), sources
-        self._unbuilt = len(self._entries) if sources else 0
-        self.truncated = truncated
+        self._entries, self._sources, self.truncated = list(entries), sources, truncated
+        ts, streams = sources or ((), ())
+        self._unbuilt = sum(stream[3] for stream in streams)
+        self._len = len(self._entries) + self._unbuilt
+        self._heap = [(ts[group[0]][0] + guard[0], ts[group[0]][1] + guard[1], guard_rank, group[0], s, 0)
+                      for s, (guard, guard_rank, group, _) in enumerate(streams)]
+        heapq.heapify(self._heap)
+        self._pending = None
 
     def _entry(self, i: int) -> RankedProgram:
-        entry = self._entries[i]
+        entries, heap, pending = self._entries, self._heap, self._pending
+        while len(entries) <= i:
+            ts, streams = self._sources
+            entries.append(heapq.heappop(heap) if pending is None else heapq.heappushpop(heap, pending))
+            _, _, guard_rank, _, s, p = entries[-1]
+            guard, _, group, count = streams[s]
+            pending = None
+            if p + 1 < count:
+                t = ts[group[p + 1]]
+                pending = (t[0] + guard[0], t[1] + guard[1], guard_rank, group[p + 1], s, p + 1)
+            self._pending = pending
+        entry = entries[i]
         if isinstance(entry, tuple):
-            ts, guards = self._sources
-            score, _, _, ti, gi = entry
-            entry = self._entries[i] = RankedProgram(Program(guards[gi][3], ts[ti][3]), score)
+            ts, streams = self._sources
+            score, _, _, ti, s, _ = entry
+            entry = entries[i] = RankedProgram(Program(streams[s][0][3], ts[ti][3]), score)
             self._unbuilt -= 1
             if not self._unbuilt:
                 self._sources = None
         return entry
 
     def __getitem__(self, index):
-        positions = range(len(self._entries))[index]
+        positions = range(self._len)[index]
         if isinstance(index, slice):
             return [self._entry(i) for i in positions]
         return self._entry(positions)
 
     def __iter__(self):
-        return map(self._entry, range(len(self._entries)))
+        return map(self._entry, range(self._len))
 
     def __len__(self):
-        return len(self._entries)
+        return self._len
 
     @property
     def top(self) -> RankedProgram | None:
-        return self._entry(0) if self._entries else None
+        return self._entry(0) if self._len else None
 
     @property
     def entries(self) -> tuple[RankedProgram, ...]:
@@ -502,9 +524,10 @@ def _guard_candidates(condition: Condition):
 def _pair_guards(root: _Stream, guards):
     """Guarded programs over the first ``MAX_PROGRAMS`` transformations of
     ``root`` and guard entries ``guards``, both rank-ordered: the first
-    ``MAX_PROGRAMS`` admissible pairs by ``(score, ti, gi)``, as ``(score,
-    size, guard rank, ti, gi)`` in rank order, and whether any admissible
-    pair was left out.
+    ``MAX_PROGRAMS`` admissible pairs by ``(score, ti, gi)``, as streams
+    ``(guard entry, guard rank by structural key, group, count)`` that keep
+    the first ``count`` indices of ``group`` under the guard, and whether
+    any admissible pair was left out.
 
     A Pattern selection's bonus is earned only under a guard naming its key,
     so a transformation pairs only with guards holding all its keys, and the
@@ -516,8 +539,10 @@ def _pair_guards(root: _Stream, guards):
     and one is left out, since every transformation admits the full
     condition. The rule is checked at each new score once the first
     ``ceil(MAX_PROGRAMS / len(guards))``, too few to reach the cap, are in.
-    Past the cap, every pair below the cut score is kept, then the ties at
-    it in ``(ti, gi)`` order: exactly the pairs a best-first merge of the
+    Past the cap, a stream keeps every pair below the cut score, then its
+    share of the ties at it, taken in ``(ti, gi)`` order: under one guard
+    the chosen ties are a prefix of the stream's tied run, so one count
+    holds them. These are exactly the pairs a best-first merge of the
     streams would take.
     """
     ts, first = root.entries, -(-MAX_PROGRAMS // len(guards))
@@ -545,24 +570,21 @@ def _pair_guards(root: _Stream, guards):
     for group, scores, admissible in groups.values():
         levels.update(g + s for s in set(scores) for g in {g for g, _ in admissible})
         streams += [(g, gi, group, scores) for g, gi in admissible]
-    total = sum(len(group) for _, _, group, _ in streams)
-    if total <= MAX_PROGRAMS:
-        pairs = [(ti, gi) for _, gi, group, _ in streams for ti in group]
-    else:
+    counts = [len(group) for _, _, group, _ in streams]
+    total = sum(counts)
+    if total > MAX_PROGRAMS:
         levels = sorted(levels)
         limit = levels[bisect.bisect_left(levels, MAX_PROGRAMS, key=lambda score: sum(
             bisect.bisect_right(scores, score - g) for g, _, _, scores in streams))]
-        pairs, tied = [], []
-        for g, gi, group, scores in streams:
-            low, high = bisect.bisect_left(scores, limit - g), bisect.bisect_right(scores, limit - g)
-            pairs += [(ti, gi) for ti in group[:low]]
-            tied += [(ti, gi) for ti in group[low:high]]
-        pairs += sorted(tied)[:MAX_PROGRAMS - len(pairs)]
-    order = sorted(range(len(guards)), key=lambda gi: guards[gi][2])
-    guard_rank = {gi: rank for rank, gi in enumerate(order)}
-    ranked = sorted((ts[ti][0] + guards[gi][0], ts[ti][1] + guards[gi][1], guard_rank[gi], ti, gi)
-                    for ti, gi in pairs)
-    return ranked, stopped or total > MAX_PROGRAMS
+        tied = []
+        for s, (g, gi, group, scores) in enumerate(streams):
+            counts[s], high = bisect.bisect_left(scores, limit - g), bisect.bisect_right(scores, limit - g)
+            tied.append(zip(group[counts[s]:high], itertools.repeat(gi), itertools.repeat(s)))
+        for _, _, s in itertools.islice(heapq.merge(*tied), MAX_PROGRAMS - sum(counts)):
+            counts[s] += 1
+    guard_rank = {gi: rank for rank, gi in enumerate(sorted(range(len(guards)), key=lambda gi: guards[gi][2]))}
+    return ([(guards[gi], guard_rank[gi], group, count) for (_, gi, group, _), count in zip(streams, counts) if count],
+            stopped or total > MAX_PROGRAMS)
 
 
 def learn(spec: ExampleSpec, config: SynthConfig = DEFAULT_CONFIG) -> RankedPrograms:
@@ -572,9 +594,10 @@ def learn(spec: ExampleSpec, config: SynthConfig = DEFAULT_CONFIG) -> RankedProg
     stream in rank order, and guard pairing pulls from it only as many as
     can reach its ``MAX_PROGRAMS`` cap. The result is marked ``truncated``,
     and a warning logged, when the stream holds more than ``MAX_PROGRAMS``
-    transformations or guard pairing left a pair out. The result holds the
-    kept index pairs and builds each entry's ``Program`` the first time it
-    is read. Returns an empty result (never raises) when no predicate holds
+    transformations or guard pairing left a pair out. The result holds
+    guard pairing's streams, merges them in rank order only as far as a
+    caller reads, and builds each entry's ``Program`` the first time it is
+    read. Returns an empty result (never raises) when no predicate holds
     on all inputs or no transformation reproduces all outputs.
     """
     pdicts = [build_pattern_dictionary(conflict, config) for conflict in spec.inputs]
@@ -589,8 +612,8 @@ def learn(spec: ExampleSpec, config: SynthConfig = DEFAULT_CONFIG) -> RankedProg
         return RankedPrograms()
 
     guards = _guard_candidates(condition_full)
-    pairs, cut = _pair_guards(root, guards)
+    streams, cut = _pair_guards(root, guards)
     truncated = cut or root.pull(MAX_PROGRAMS + 1)
     if truncated:
         logger.warning("learned programs truncated at %d; results may be incomplete", MAX_PROGRAMS)
-    return RankedPrograms(pairs, truncated, sources=(root.entries, guards))
+    return RankedPrograms((), truncated, sources=(root.entries, streams))

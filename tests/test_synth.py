@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import logging
+import pickle
 import random
 import time
 from collections import Counter
@@ -601,11 +602,9 @@ def _guarded_by_brute_force(cases, cap):
             cut and pairs[cap - 1][0] == pairs[cap][0])
 
 
-def test_guard_pairing_keeps_the_first_admissible_pairs(monkeypatch):
-    # learn keeps the first MAX_PROGRAMS admissible pairs by (score, ti, gi),
-    # ties at the cut included, and returns them in rank order. The specs
-    # have at most 500 transformations, so the last cap cuts nothing and the
-    # brute force over every pair stays quick.
+def _small_specs():
+    """100 one-example and 40 multi-example specs with at most 500
+    transformations each."""
     def small(cases):
         return len(_joint_set(cases, [build_pattern_dictionary(conflict) for conflict, _ in cases]).entries) <= 500
 
@@ -613,6 +612,15 @@ def test_guard_pairing_keeps_the_first_admissible_pairs(monkeypatch):
              if len(cases[0][1]) <= 5 and small(cases)][:100]
     specs += itertools.islice(multi_example_cases(random.Random(0x6A1E)), 40)
     assert len(specs) == 140 and all(map(small, specs))
+    return specs
+
+
+def test_guard_pairing_keeps_the_first_admissible_pairs(monkeypatch):
+    # learn keeps the first MAX_PROGRAMS admissible pairs by (score, ti, gi),
+    # ties at the cut included, and returns them in rank order. The specs
+    # have at most 500 transformations, so the last cap cuts nothing and the
+    # brute force over every pair stays quick.
+    specs = _small_specs()
     ties = 0
     for cap in (1, 2, 3, 7, 30, 300, 1_000_000):
         monkeypatch.setattr(synth, "MAX_PROGRAMS", cap)
@@ -675,13 +683,15 @@ def test_learn_builds_only_the_programs_read(monkeypatch):
     monkeypatch.setattr(synth, "Program", counted)
     ranked = learn(ExampleSpec(_cut_by_guard_pairing()[0]))
     assert len(ranked) == synth.MAX_PROGRAMS and ranked and ranked.truncated
-    assert built["programs"] == 0
+    assert built["programs"] == 0 and ranked._entries == []
+    # The merge of guard pairing's streams advances only to the highest
+    # index read.
     ranked.top
-    assert built["programs"] == 1
+    assert built["programs"] == 1 and len(ranked._entries) == 1
     ranked[:20]
-    assert built["programs"] == 20
+    assert built["programs"] == 20 and len(ranked._entries) == 20
     ranked[-1], ranked[:20], ranked.top
-    assert built["programs"] == 21
+    assert built["programs"] == 21 and len(ranked._entries) == synth.MAX_PROGRAMS
     list(ranked)
     assert built["programs"] == synth.MAX_PROGRAMS
     # Once every entry is built, the pairs' sources are let go.
@@ -707,6 +717,45 @@ def test_every_read_of_a_learned_list_agrees_with_the_full_list(which):
     for index in (n, -n - 1):
         with pytest.raises(IndexError):
             ranked[index]
+
+
+def test_out_of_order_reads_agree_with_the_full_list_when_the_cut_splits_ties(monkeypatch):
+    # At these caps the cut often falls inside a score tie, so streams keep
+    # part of their tied runs. Each result is read out of rank order: the
+    # last entry, single indices and slices, shuffled.
+    rng = random.Random(0x0DD)
+    specs = _small_specs()
+    for cap in (1, 2, 3, 7, 30):
+        monkeypatch.setattr(synth, "MAX_PROGRAMS", cap)
+        for cases in specs:
+            spec = ExampleSpec(cases)
+            full, ranked = list(learn(spec)), learn(spec)
+            n = len(full)
+            assert len(ranked) == n
+            if not n:
+                continue
+            reads = [-1] + [rng.randrange(-n, n) for _ in range(3)]
+            reads += [slice(rng.randrange(-n - 1, n + 2), rng.randrange(-n - 1, n + 2), rng.choice((1, 2, -1, -3)))
+                      for _ in range(3)]
+            rng.shuffle(reads)
+            for index in reads:
+                assert ranked[index] == full[index], (cap, index, cases[0][1])
+            assert list(ranked) == full
+
+
+def test_a_learned_list_pickles_unread_partly_read_and_fully_read():
+    spec = ExampleSpec(_cut_by_guard_pairing()[2])
+    full = list(learn(spec))
+    ranked = learn(spec)
+    assert ranked.truncated
+    pickled = [pickle.dumps(ranked)]
+    ranked.top
+    pickled.append(pickle.dumps(ranked))
+    list(ranked)
+    pickled.append(pickle.dumps(ranked))
+    for copy in map(pickle.loads, pickled):
+        assert len(copy) == len(full) and copy.truncated
+        assert list(copy) == full
 
 
 def test_ranked_programs_reads_agree_on_an_empty_and_a_ranked_list():
