@@ -56,7 +56,7 @@ class ParseError(ValueError):
     """Program text could not be deserialized."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Predicate:
     tag: str
     path: str | None = None
@@ -72,7 +72,7 @@ class Predicate:
             raise ValueError("FrequentPattern path must be non-empty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Condition:
     predicates: tuple[Predicate, ...]
 
@@ -83,7 +83,7 @@ class Condition:
             raise ValueError("duplicate predicates in condition")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Selection:
     tag: str
     k: int | None = None
@@ -114,18 +114,18 @@ class Selection:
             raise ValueError(f"pattern key must be a predicate name, got {self.key!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Select:
     selection: Selection
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Remove:
     source: Selection
     removed: Selection
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Concat:
     left: "Transformation"
     right: "Transformation"
@@ -134,7 +134,7 @@ class Concat:
 Transformation = Select | Remove | Concat
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Program:
     condition: Condition
     transformation: Transformation
@@ -557,6 +557,22 @@ W_PATTERN = 1.5
 W_BRANCH = 1.0
 
 
+# A structural key is one flat string that sorts exactly as the nested tuple
+# ``(tag, *arguments)`` it encodes, an argument being a literal or a child's
+# tuple. Each literal is followed by "\x01" and each tuple is closed by
+# "\x00", which sorts below "\x01", which sorts below every escaped
+# character: a shorter literal or tuple sorts first, as in tuple order.
+# _ESCAPE maps the three lowest characters to two-character codes above
+# "\x01", keeping their order, so any literal, an include path holding a NUL
+# too, encodes injectively.
+_ESCAPE = str.maketrans({"\x00": "\x02\x02", "\x01": "\x02\x03", "\x02": "\x02\x04"})
+
+
+def _literal(text: str) -> str:
+    # Every character a literal must escape is unprintable.
+    return text if text.isprintable() else text.translate(_ESCAPE)
+
+
 def rank_entry(obj) -> tuple:
     """The rank entry ``(score, size, struct_key, obj, pattern_keys)`` of a
     program, condition, transformation or selection; entries sort by their
@@ -573,40 +589,46 @@ def rank_entry(obj) -> tuple:
     lacks. ``pattern_keys`` are the keys of a transformation's Pattern
     selections, duplicates included (a program's are its transformation's),
     or the set of a condition's predicate tags.
+
+    The structural key is a ``str`` (see ``struct_key``): a node's tag, its
+    literals and its children's keys, in the order of the serialized form.
     """
     if isinstance(obj, Selection):
         tag = obj.tag
         if tag in ("Main", "Fork"):
-            return (-W_BRANCH, 1, (tag,), obj, ())
+            return (-W_BRANCH, 1, f"{tag}\x01\x00", obj, ())
         if tag in ("MainByIndex", "ForkByIndex"):
-            return (W_CONSTANTS + W_INDEX, 1, (tag, str(obj.k)), obj, ())
+            return (W_CONSTANTS + W_INDEX, 1, f"{tag}\x01{obj.k}\x01\x00", obj, ())
         if tag in ("MainByPath", "ForkByPath"):
-            return (W_CONSTANTS, 1, (tag, obj.path), obj, ())
-        return (-W_PATTERN, 1, (tag, obj.key), obj, (obj.key,))
+            return (W_CONSTANTS, 1, f"{tag}\x01{_literal(obj.path)}\x01\x00", obj, ())
+        return (-W_PATTERN, 1, f"{tag}\x01{obj.key}\x01\x00", obj, (obj.key,))
     if isinstance(obj, Select):
         selection = rank_entry(obj.selection)
-        return (selection[0], 1, ("Select", selection[2]), obj, selection[4])
+        return (selection[0], 1, f"Select\x01{selection[2]}\x00", obj, selection[4])
     if isinstance(obj, Remove):
         source, removed = rank_entry(obj.source), rank_entry(obj.removed)
-        return (W_OPERATORS + source[0] + removed[0], 3, ("Remove", source[2], removed[2]), obj,
+        return (W_OPERATORS + source[0] + removed[0], 3, f"Remove\x01{source[2]}{removed[2]}\x00", obj,
                 source[4] + removed[4])
     if isinstance(obj, Concat):
         return concat_entry(rank_entry(obj.left), rank_entry(obj.right))
     if isinstance(obj, Condition):
         preds = obj.predicates
-        keys = tuple((p.tag,) if p.path is None else (p.tag, p.path) for p in preds)
-        return (W_CONSTANTS * sum(p.path is not None for p in preds), len(preds), ("And",) + keys, obj,
+        keys = "".join(f"{p.tag}\x01\x00" if p.path is None else f"{p.tag}\x01{_literal(p.path)}\x01\x00"
+                       for p in preds)
+        return (W_CONSTANTS * sum(p.path is not None for p in preds), len(preds), f"And\x01{keys}\x00", obj,
                 frozenset(p.tag for p in preds))
     if isinstance(obj, Program):
         guard, t = rank_entry(obj.condition), rank_entry(obj.transformation)
         uncredited = sum(key not in guard[4] for key in t[4])
-        return (t[0] + guard[0] + W_PATTERN * uncredited, guard[1] + t[1], ("Apply", guard[2], t[2]), obj, t[4])
+        return (t[0] + guard[0] + W_PATTERN * uncredited, guard[1] + t[1], f"Apply\x01{guard[2]}{t[2]}\x00", obj,
+                t[4])
     raise TypeError(f"no rank entry for {type(obj).__name__}")
 
 
 def concat_entry(left: tuple, right: tuple) -> tuple:
-    """The rank entry of ``Concat`` over two transformation entries."""
-    return (left[0] + right[0] + W_OPERATORS, left[1] + right[1] + 1, ("Concat", left[2], right[2]),
+    """The rank entry of ``Concat`` over two transformation entries; its
+    structural key is ``"Concat\\x01" + left key + right key + "\\x00"``."""
+    return (left[0] + right[0] + W_OPERATORS, left[1] + right[1] + 1, f"Concat\x01{left[2]}{right[2]}\x00",
             Concat(left[3], right[3]), left[4] + right[4])
 
 
@@ -615,8 +637,15 @@ def program_score(obj) -> float:
     return rank_entry(obj)[0]
 
 
-def struct_key(obj) -> tuple:
-    """Total, deterministic ordering key mirroring the serialized form."""
+def struct_key(obj) -> str:
+    """Total, deterministic ordering key mirroring the serialized form.
+
+    A flat string, one per distinct object, that sorts exactly as the
+    nested tuple ``(tag, *arguments)`` would: ``Concat(Select(Main),
+    Select(Fork))`` has the key of ``("Concat", ("Select", ("Main",)),
+    ("Select", ("Fork",)))``, and a condition's is ``("And", *predicates)``
+    with each predicate ``(tag,)`` or ``(tag, path)``. Comparing two keys is
+    one string comparison, however deep the programs."""
     return rank_entry(obj)[2]
 
 

@@ -50,7 +50,6 @@ import bisect
 import heapq
 import itertools
 import logging
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -128,7 +127,7 @@ class ProgramSet:
         return tuple(entry[3] for entry in self.entries)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankedProgram:
     program: Program
     score: float
@@ -215,25 +214,34 @@ def wf_concat(output) -> list[tuple[tuple[Node, ...], tuple[Node, ...]]]:
     return [(output[:i], output[i:]) for i in range(1, len(output))]
 
 
-def _removed(region: tuple, counts: Counter, target: tuple) -> tuple:
-    """Inverse of Remove over one source, on items of any hashable kind;
-    ``counts`` is ``Counter(region)``. Remove deletes the first occurrence
-    of each removed item, so only their multiset counts: the source minus
-    the target, returned if deleting it leaves the target. Else ``()``, as
-    for an empty removal, which a plain selection already expresses; a
-    non-empty removal leaves fewer items than its source."""
+def _removed(region: tuple, target: tuple) -> tuple:
+    """Inverse of Remove over one source, on items of any hashable kind.
+    Remove deletes the first occurrence of each removed item, so only their
+    multiset counts: the source minus the target, in source order, returned
+    if deleting it leaves the target. Else ``()``, as for an empty removal,
+    which a plain selection already expresses, or a target item the source
+    lacks; a non-empty removal leaves fewer items than its source."""
     if len(target) >= len(region):
         return ()
-    removed = tuple((counts - Counter(target)).elements())
+    rest = list(region)
+    for item in target:
+        try:
+            rest.remove(item)
+        except ValueError:
+            return ()
+    removed = tuple(rest)
     return removed if remove_nodes(region, removed) == target else ()
 
 
 def wf_remove(conflict: ConflictInput, target) -> list[tuple[Selection, tuple[Node, ...]]]:
     """Inverse of Remove over whole-branch sources: ``(source, removed nodes)``
-    for each source from which Remove can leave the target."""
+    for each source from which Remove can leave the target. The removed
+    nodes are grouped, equal nodes together, in the order each first occurs
+    in the source."""
     target = tuple(target)
-    return [(Selection(tag), removed) for tag, region in (("Main", conflict.main_nodes), ("Fork", conflict.fork_nodes))
-            if (removed := _removed(region, Counter(region), target))]
+    return [(Selection(tag), tuple(sorted(removed, key=region.index)))
+            for tag, region in (("Main", conflict.main_nodes), ("Fork", conflict.fork_nodes))
+            if (removed := _removed(region, target))]
 
 
 class _Stream:
@@ -243,9 +251,11 @@ class _Stream:
     one heap over the next unlisted base entry and the next reachable entry
     of each product, keyed by the full rank key: Concat is monotone in each
     arm's rank and struct keys are unique, so the heap pops the set in rank
-    order. Product ``(i, j)`` is reached only from ``(i, j - 1)`` or, when
-    ``j`` is 0, from ``(i - 1, 0)``, and an arm's next entry is pulled from
-    its own stream only then. A set with no products is its sorted base list.
+    order. A struct key is one flat string, so a tie on score and size costs
+    one string comparison, however deep the candidates. Product ``(i, j)``
+    is reached only from ``(i, j - 1)`` or, when ``j`` is 0, from ``(i - 1,
+    0)``, and an arm's next entry is pulled from its own stream only then. A
+    set with no products is its sorted base list.
     """
 
     def __init__(self, base: list, products: list):
@@ -301,16 +311,16 @@ class _TransformationLearner:
     pattern entry is interned once. A selection is a plain ``(tag, k, path,
     key)`` tuple with an id. Each example indexes its selections by value ids
     (the inverse of selection) and its non-empty ones by sorted value ids
-    (Remove's multiset), and keeps each region's ids and counts for
-    ``_removed``. The inverses emit ``(source id or -1, selection id)``
-    pairs; ``_base`` builds transformations only for shared pairs, and
-    ``selection`` builds each of their ``Selection``s once.
+    (Remove's multiset), and keeps each region's ids for ``_removed``. The
+    inverses emit ``(source id or -1, selection id)`` pairs; ``_base``
+    builds transformations only for shared pairs, and ``selection`` builds
+    each of their ``Selection``s once.
     """
 
     def __init__(self, conflicts, pdicts):
         self._ids: dict = {}  # node -> id
         keys: dict = {}  # (tag, k, path, key) -> selection id
-        self._indexes = []  # per example: (selections by value, by sorted value, (source id, region, counts))
+        self._indexes = []  # per example: (selections by value, by sorted value, (source id, region ids))
         for conflict, pdict in zip(conflicts, pdicts):
             sides = (("Main", conflict.main_nodes, self.intern(conflict.main_nodes)),
                      ("Fork", conflict.fork_nodes, self.intern(conflict.fork_nodes)))
@@ -330,7 +340,7 @@ class _TransformationLearner:
                 by_value.setdefault(value, []).append(sid)
                 if value:
                     by_multiset.setdefault(tuple(sorted(value)), []).append(sid)
-            regions = tuple((keys[tag, None, None, None], ids, Counter(ids)) for tag, _, ids in sides)
+            regions = tuple((keys[tag, None, None, None], ids) for tag, _, ids in sides)
             self._indexes.append((by_value, by_multiset, regions))
         self._keys = list(keys)
         self._selections: dict = {}  # selection id -> Selection, built on first use
@@ -351,8 +361,8 @@ class _TransformationLearner:
         if emitted is None:
             by_value, by_multiset, regions = self._indexes[example]
             emitted = {(-1, sid) for sid in by_value.get(target, ())}
-            emitted.update((source, sid) for source, region, counts in regions  # no removable value is ()
-                           for sid in by_multiset.get(tuple(sorted(_removed(region, counts, target))), ()))
+            emitted.update((source, sid) for source, region in regions  # no removable value is ()
+                           for sid in by_multiset.get(tuple(sorted(_removed(region, target))), ()))
             self._emitted_memo[example, target] = emitted
         return emitted
 

@@ -327,6 +327,27 @@ def reference_base_candidates(conflicts, targets, pdicts):
     return sorted(map(rank_entry, shared))
 
 
+def reference_struct_key(obj) -> tuple:
+    """The structural key as a nested tuple ``(tag, *arguments)``, each
+    argument a literal or a child's tuple: what ``dsl.struct_key`` encoded
+    before it became one flat string, and the order that string must keep."""
+    if isinstance(obj, Selection):
+        if obj.tag in ("Main", "Fork"):
+            return (obj.tag,)
+        if obj.k is not None:
+            return (obj.tag, str(obj.k))
+        return (obj.tag, obj.path if obj.path is not None else obj.key)
+    if isinstance(obj, Select):
+        return ("Select", reference_struct_key(obj.selection))
+    if isinstance(obj, Remove):
+        return ("Remove", reference_struct_key(obj.source), reference_struct_key(obj.removed))
+    if isinstance(obj, Concat):
+        return ("Concat", reference_struct_key(obj.left), reference_struct_key(obj.right))
+    if isinstance(obj, Condition):
+        return ("And",) + tuple((p.tag,) if p.path is None else (p.tag, p.path) for p in obj.predicates)
+    return ("Apply", reference_struct_key(obj.condition), reference_struct_key(obj.transformation))
+
+
 def deep_program_text(depth: int) -> str:
     """Program JSON whose transformation is a chain of ``depth`` Concats,
     built as text because ``json.dumps`` cannot nest that deep."""

@@ -475,6 +475,19 @@ def test_deeply_nested_program_file_is_one_error_line(tmp_path, capsys, command,
     assert err.startswith(f"error: {deep}: ") and err.count("\n") == 1
 
 
+def test_apply_program_with_an_unknown_operator_is_one_error_line(tmp_path, capsys):
+    obj = program_to_json(FB_PROGRAM)
+    obj["apply"]["transform"] = {"swap": [{"tag": "Main"}, {"tag": "Fork"}]}
+    bad = tmp_path / "swap.json"
+    bad.write_text(json.dumps(obj), encoding="utf-8")
+    target = tmp_path / "c.cc"
+    target.write_text(fig_file_text("c"), encoding="utf-8")
+    code = main(["apply", "--program", str(bad), str(target), "--print"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {bad}: apply.transform: unknown operator 'swap'\n"
+
+
 def test_apply_in_place_keeps_a_lone_blank_line(tmp_path):
     program = write_program(tmp_path, FB_PROGRAM)
     target = tmp_path / "blank.cc"

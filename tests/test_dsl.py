@@ -1,7 +1,9 @@
 """Tests for the DSL: pattern dictionary, evaluation, serialization, scoring."""
 
 import copy
+import dataclasses
 import json
+import pickle
 import random
 
 import pytest
@@ -36,10 +38,11 @@ from mergelearn.dsl import (
     program_features,
     program_score,
     program_to_json,
+    rank_entry,
     run_program,
     serialize_program,
 )
-from mergelearn.synth import learn_condition
+from mergelearn.synth import RankedProgram, learn_condition
 
 from conftest import (
     DUP_PROGRAM,
@@ -318,6 +321,8 @@ def test_deserialize_truncated_json_is_parse_error():
         lambda obj: obj["apply"].update(condition=[{"tag": "Rename"}, {"tag": "Rename"}]),
         lambda obj: obj["apply"].update(condition=[{"tag": "Rename", "k": 3, "bogus": True}]),
         lambda obj: obj.update(dslv=True),
+        lambda obj: obj["apply"].update(transform={"select": {"tag": "Main"}, "concat": []}),
+        lambda obj: obj["apply"].update(transform={"swap": [{"tag": "Main"}, {"tag": "Fork"}]}),
     ],
 )
 def test_deserialize_rejects_malformed(mutate):
@@ -328,14 +333,22 @@ def test_deserialize_rejects_malformed(mutate):
 
 
 def test_selection_literal_validation():
-    with pytest.raises(ValueError):
-        Selection("Main", k=0)
-    with pytest.raises(ValueError):
-        Selection("MainByIndex")
-    with pytest.raises(ValueError):
-        Selection("Pattern", key="NotAPredicate")
-    with pytest.raises(ValueError):
-        Predicate("FrequentPattern")
+    for build, message in [
+        (lambda: Selection("Main", k=0), "takes an index literal only"),
+        (lambda: Selection("MainByIndex"), "takes an index literal only"),
+        (lambda: Selection("Pattern", key="NotAPredicate"), "must be a predicate name"),
+        (lambda: Predicate("FrequentPattern"), "required exactly for FrequentPattern"),
+        (lambda: Predicate("FrequentPattern", path=""), "path must be non-empty"),
+        (lambda: Condition(()), "at least one predicate"),
+        (lambda: Selection("MainByPath"), "takes a path literal only"),
+        (lambda: Selection("Main", path="base/a.h"), "takes a path literal only"),
+        (lambda: Selection("Pattern"), "takes a key literal only"),
+        (lambda: Selection("Fork", key="Rename"), "takes a key literal only"),
+        (lambda: Selection("MainByIndex", k=-1), "must be non-negative"),
+        (lambda: SynthConfig(max_concat_depth=0), "max_concat_depth must be >= 1"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 def test_literals_must_have_their_exact_type():
@@ -363,6 +376,12 @@ def test_deserialize_rejects_mistyped_selection_literal(selection):
     obj["apply"]["transform"] = {"select": selection}
     with pytest.raises(ParseError):
         deserialize_program(json.dumps(obj))
+
+
+def test_rank_entry_of_a_foreign_object_is_a_type_error():
+    for obj in (Predicate("Rename"), "Main", None):
+        with pytest.raises(TypeError, match="no rank entry"):
+            rank_entry(obj)
 
 
 def test_deserialize_rejects_mistyped_predicate_path():
@@ -502,3 +521,26 @@ def test_score_pattern_bonus_requires_guard_predicate():
         DUP_PROGRAM.transformation,
     )
     assert program_score(guarded) < program_score(unguarded)
+
+
+SLOTTED_NODES = [
+    Predicate("FrequentPattern", path="base/a.h"),
+    Condition((Predicate("Rename"), Predicate("FrequentPattern", path="base/a.h"))),
+    Selection("MainByIndex", k=2),
+    Select(Selection("Pattern", key="Rename")),
+    Remove(Selection("Fork"), Selection("ForkByPath", path="base/a.h")),
+    FB_PROGRAM.transformation,
+    FB_PROGRAM,
+    RankedProgram(FB_PROGRAM, program_score(FB_PROGRAM)),
+]
+
+
+@pytest.mark.parametrize("node", SLOTTED_NODES, ids=lambda node: type(node).__name__)
+def test_ast_nodes_are_slotted_frozen_and_pickle(node):
+    assert not hasattr(node, "__dict__")
+    for protocol in (pickle.DEFAULT_PROTOCOL, pickle.HIGHEST_PROTOCOL):
+        loaded = pickle.loads(pickle.dumps(node, protocol))
+        assert loaded == node and hash(loaded) == hash(node) and type(loaded) is type(node)
+    for field in dataclasses.fields(node):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, field.name, getattr(node, field.name))
