@@ -110,6 +110,8 @@ class Selection:
                 raise TypeError(f"{name} literal must be a string, got {type(value).__name__}")
         if self.k is not None and self.k < 0:
             raise ValueError("selection index must be non-negative")
+        if self.path == "":
+            raise ValueError(f"{self.tag} path must be non-empty")
         if self.key is not None and self.key not in PREDICATE_TAGS:
             raise ValueError(f"pattern key must be a predicate name, got {self.key!r}")
 

@@ -23,20 +23,20 @@ only when it is needed, so a set is listed in rank order only as far as a
 reader pulls it. No set is cut; ``learn_transformation`` lists the first
 ``MAX_PROGRAMS``.
 
-Guard pairing works on indices (``_pair_guards``). A guarded program
-scores its transformation's score plus its guard's. It pulls
-transformations from the stream only until no later one can enter its
-first ``MAX_PROGRAMS`` pairs. Past that cap, the cut score is found by
-bisecting per-guard streams of transformation indices, and the pairs tied
-at it are taken in index order. Each stream keeps a prefix, so guard
-pairing returns one count per stream and builds no per-pair key. In a
-stream the flat key ``(score, size, guard's rank by structural key,
-transformation index)`` rises with position, and it is the programs' rank
-order: with score, size and guard equal, the transformations' scores and
-sizes are equal too, and the transformations are already in structural
-order. ``learn`` returns the streams as a ``RankedPrograms``, which merges
-them on that key only as far as a caller reads and builds each ``Program``
-when it is read: reading the top program merges one pair and builds one.
+Guard pairing is a best-first merge that runs only as far as a caller
+reads. A guarded program scores its transformation's score plus its
+guard's, and a guard admits a transformation when it names every Pattern
+key the transformation selects. ``learn`` lists one transformation, builds
+the guards and returns a ``RankedPrograms``, which keeps one cursor per
+guard on the root stream, keyed ``(score, size, guard's rank by structural
+key, transformation index)``. That key is the programs' rank order: with
+score, size and guard equal, the transformations' scores and sizes are
+equal too, and the transformations are already in structural order. Each
+popped cursor moves one transformation on, and the root lists that
+transformation only then, so reading the top program lists what it needs
+and builds one ``Program``. The list is cut at ``MAX_PROGRAMS`` entries;
+ties at the cut fall in rank order, so a cut list is the uncut list's
+prefix.
 
 Candidates are kept in a normal form: a Concat arm that evaluates to
 nothing may appear only once, as the right arm of the root. Anything else
@@ -46,12 +46,12 @@ admitting it makes the candidate space explode.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import itertools
 import logging
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .conflicts import ConflictInput, Node
 from .dsl import (
@@ -79,8 +79,8 @@ logger = logging.getLogger(__name__)
 # beyond it only singletons and the full conjunction are considered.
 _MAX_SUBSET_PREDICATES = 12
 
-# How many transformations are listed from the root set, and how many pairs
-# guard pairing keeps; a result cut by it is marked ``truncated``.
+# How many transformations ``learn_transformation`` lists, and how many
+# programs a learned list holds; a result cut by it is marked ``truncated``.
 MAX_PROGRAMS = 10_000
 
 
@@ -140,68 +140,125 @@ class RankedProgram:
 class RankedPrograms(Sequence):
     """Ranked programs, best first, each built the first time it is read.
 
-    ``entries`` are built ``RankedProgram``s. ``learn`` instead hands over
-    ``sources``: its transformation rank entries and guard pairing's streams
-    ``(guard entry, guard rank, group, count)``, in which the guard pairs
-    with the first ``count`` transformation indices of ``group``. In a
-    stream the flat key ``(score, size, guard rank, ti)`` rises with
-    position, so a heap of the streams' next pairs, ``(*key, stream,
-    position)``, merges them in rank order, only as far as the highest
-    index read. The last popped stream's next pair waits outside the heap,
-    so a run from one stream costs one comparison a pair. Entry ``i``
-    becomes a ``RankedProgram`` when first read and takes its pair's place;
-    once every entry is built the sources are dropped. ``len``, truth and
-    ``truncated`` build nothing; ``top``, indexing, slicing and iteration
-    build only what they touch; ``entries`` builds every one.
+    ``rank`` hands over built ``RankedProgram``s. ``learn`` instead hands
+    over its root ``_Stream`` of transformations and its guard entries in
+    structural-key order, and the list merges (guard, transformation) pairs
+    best first, only as far as a caller reads. A heap holds one cursor per
+    guard, ``(t.score + g.score, t.size + g.size, guard rank, ti)`` on its
+    next transformation ``ti``. A popped cursor's pair is kept when the
+    guard names every Pattern key of the transformation, so the program
+    scores ``t.score + g.score``; either way the cursor moves on to ``ti + 1``,
+    and the root lists that entry only then. The root is in rank order, so
+    a cursor's key bounds every later pair under its guard from below, and
+    with score, size and guard equal the transformations are in structural
+    order: the pairs come out in the programs' exact rank order. A popped
+    cursor stays out of the heap while its key is still the least, so a run
+    of pairs under one guard costs one comparison a pair.
+
+    The merge stops at ``MAX_PROGRAMS`` entries. Reaching one more marks the
+    list ``truncated`` and logs that results may be incomplete; then, or
+    when the root runs dry, the root and the heap are dropped. A merged
+    entry is one int, ``ti * len(guards) + guard rank``, until it is first
+    read and becomes a ``RankedProgram``; once every entry is built the
+    guards and transformations go too. Truth merges nothing; ``len`` and
+    ``truncated`` merge up to one pair past the cap, which settles the cut,
+    and build nothing; ``top``, indexing, slicing and iteration merge and
+    build only about as far as they read; ``entries`` reads every one.
     """
 
-    def __init__(self, entries=(), truncated: bool = False, sources: tuple | None = None):
-        self._entries, self._sources, self.truncated = list(entries), sources, truncated
-        ts, streams = sources or ((), ())
-        self._unbuilt = sum(stream[3] for stream in streams)
-        self._len = len(self._entries) + self._unbuilt
-        self._heap = [(ts[group[0]][0] + guard[0], ts[group[0]][1] + guard[1], guard_rank, group[0], s, 0)
-                      for s, (guard, guard_rank, group, _) in enumerate(streams)]
-        heapq.heapify(self._heap)
-        self._pending = None
+    def __init__(self, entries=(), root: _Stream | None = None, guards=()):
+        self._entries, self._root, self._truncated = list(entries), root, False
+        self._heap = self._sources = None
+        self._unbuilt = 0
+        if root is not None:
+            t = root.entries[0]
+            self._heap = [(t[0] + g[0], t[1] + g[1], rank, 0) for rank, g in enumerate(guards)]
+            heapq.heapify(self._heap)
+            self._sources = (guards, root.entries)
+
+    def _merge(self, n: int) -> int:
+        """Merge until ``n`` entries are listed, the cap is passed or the pairs
+        run out; the number listed, at most ``MAX_PROGRAMS`` for a learned list."""
+        entries, heap = self._entries, self._heap
+        if heap is not None and len(entries) < n:
+            root, (guards, ts) = self._root, self._sources
+            n, before = min(n, MAX_PROGRAMS + 1), len(entries)
+            cursor = heapq.heappop(heap)
+            while cursor is not None:
+                rank, ti = cursor[2], cursor[3]
+                guard, keys = guards[rank], ts[ti][4]
+                if not keys or guard[4].issuperset(keys):
+                    entries.append(ti * len(guards) + rank)
+                ti += 1
+                if ti < len(ts) or root.pull(ti + 1):
+                    t = ts[ti]
+                    cursor = (t[0] + guard[0], t[1] + guard[1], rank, ti)
+                    if heap and heap[0] < cursor:
+                        cursor = heapq.heapreplace(heap, cursor)
+                else:  # every pair under this guard is merged
+                    cursor = heapq.heappop(heap) if heap else None
+                if len(entries) >= n:
+                    break
+            if cursor is not None:
+                heapq.heappush(heap, cursor)
+            self._unbuilt += len(entries) - before
+            if len(entries) > MAX_PROGRAMS:
+                logger.warning("learned programs truncated at %d; results may be incomplete", MAX_PROGRAMS)
+                self._truncated = True
+                self._unbuilt -= len(entries) - MAX_PROGRAMS
+                del entries[MAX_PROGRAMS:]
+            if self._truncated or not heap:
+                self._root = self._heap = None
+                if not self._unbuilt:
+                    self._sources = None
+        return len(entries)
 
     def _entry(self, i: int) -> RankedProgram:
-        entries, heap, pending = self._entries, self._heap, self._pending
-        while len(entries) <= i:
-            ts, streams = self._sources
-            entries.append(heapq.heappop(heap) if pending is None else heapq.heappushpop(heap, pending))
-            _, _, guard_rank, _, s, p = entries[-1]
-            guard, _, group, count = streams[s]
-            pending = None
-            if p + 1 < count:
-                t = ts[group[p + 1]]
-                pending = (t[0] + guard[0], t[1] + guard[1], guard_rank, group[p + 1], s, p + 1)
-            self._pending = pending
-        entry = entries[i]
-        if isinstance(entry, tuple):
-            ts, streams = self._sources
-            score, _, _, ti, s, _ = entry
-            entry = entries[i] = RankedProgram(Program(streams[s][0][3], ts[ti][3]), score)
+        entry = self._entries[i]
+        if isinstance(entry, int):
+            guards, ts = self._sources
+            ti, rank = divmod(entry, len(guards))
+            guard, t = guards[rank], ts[ti]
+            entry = self._entries[i] = RankedProgram(Program(guard[3], t[3]), t[0] + guard[0])
             self._unbuilt -= 1
-            if not self._unbuilt:
+            if not self._unbuilt and self._heap is None:
                 self._sources = None
         return entry
 
     def __getitem__(self, index):
-        positions = range(self._len)[index]
+        # A read that counts from the front merges only as far as it reaches;
+        # one that counts from the end needs the length.
         if isinstance(index, slice):
-            return [self._entry(i) for i in positions]
-        return self._entry(positions)
+            start, stop, step = index.start or 0, index.stop, index.step or 1
+            forward = step > 0 and start >= 0 and stop is not None and stop >= 0
+            return [self._entry(i) for i in range(self._merge(stop) if forward else len(self))[index]]
+        return self._entry(range(self._merge(index + 1) if index >= 0 else len(self))[index])
 
     def __iter__(self):
-        return map(self._entry, range(self._len))
+        # Merges ahead of the reader by at most one more than it has read.
+        i = 0
+        while i < self._merge(2 * i + 1):
+            for i in range(i, len(self._entries)):
+                yield self._entry(i)
+            i += 1
 
     def __len__(self):
-        return self._len
+        # One pair past the cap settles the cut, so the root can go before
+        # any entry is built.
+        return self._merge(MAX_PROGRAMS + 1)
+
+    def __bool__(self):
+        return bool(self._entries or self._heap)
+
+    @property
+    def truncated(self) -> bool:
+        """Whether the learned list holds more than ``MAX_PROGRAMS`` programs."""
+        len(self)
+        return self._truncated
 
     @property
     def top(self) -> RankedProgram | None:
-        return self._entry(0) if self._len else None
+        return self[0] if self else None
 
     @property
     def entries(self) -> tuple[RankedProgram, ...]:
@@ -517,7 +574,8 @@ def rank(programs) -> RankedPrograms:
 
 
 def _guard_candidates(condition: Condition):
-    """Rank entries of the non-empty predicate subsets of the condition, cheapest first."""
+    """Rank entries of the non-empty predicate subsets of the condition, in
+    structural-key order, so a guard's index is its rank in programs' ties."""
     preds = condition.predicates
     if len(preds) <= _MAX_SUBSET_PREDICATES:
         subsets = [
@@ -528,87 +586,20 @@ def _guard_candidates(condition: Condition):
     else:
         subsets = [(p,) for p in preds]
         subsets.append(preds)
-    return sorted((rank_entry(Condition(subset)) for subset in subsets), key=_rank_key)
-
-
-def _pair_guards(root: _Stream, guards):
-    """Guarded programs over the first ``MAX_PROGRAMS`` transformations of
-    ``root`` and guard entries ``guards``, both rank-ordered: the first
-    ``MAX_PROGRAMS`` admissible pairs by ``(score, ti, gi)``, as streams
-    ``(guard entry, guard rank by structural key, group, count)`` that keep
-    the first ``count`` indices of ``group`` under the guard, and whether
-    any admissible pair was left out.
-
-    A Pattern selection's bonus is earned only under a guard naming its key,
-    so a transformation pairs only with guards holding all its keys, and the
-    program then scores ``t.score + g.score``. Transformations with the same
-    keys form a group; under each admissible guard a group is a stream whose
-    scores rise with ``ti``. Transformations are pulled from ``root`` until
-    the pairs scoring below the next one's score plus the cheapest guard's
-    reach the cap: no later pair can then be kept or tie with a kept one,
-    and one is left out, since every transformation admits the full
-    condition. The rule is checked at each new score once the first
-    ``ceil(MAX_PROGRAMS / len(guards))``, too few to reach the cap, are in.
-    Past the cap, a stream keeps every pair below the cut score, then its
-    share of the ties at it, taken in ``(ti, gi)`` order: under one guard
-    the chosen ties are a prefix of the stream's tied run, so one count
-    holds them. These are exactly the pairs a best-first merge of the
-    streams would take.
-    """
-    ts, first = root.entries, -(-MAX_PROGRAMS // len(guards))
-    cheapest = min(guard[0] for guard in guards)
-    groups: dict = {}  # pattern keys -> (group, the group's scores, admissible (guard score, gi))
-    stopped, n = False, 0
-    root.pull(first)
-    while n < MAX_PROGRAMS and (n < len(ts) or root.pull(n + 1)):
-        t = ts[n]
-        if n >= first and t[0] > ts[n - 1][0]:
-            below = sum(bisect.bisect_left(scores, t[0] + cheapest - g)
-                        for _, scores, admissible in groups.values() for g, _ in admissible)
-            if below >= MAX_PROGRAMS:
-                stopped = True
-                break
-        keys = frozenset(t[4])
-        if keys not in groups:
-            groups[keys] = ([], [], [(guard[0], gi) for gi, guard in enumerate(guards) if keys <= guard[4]])
-        group, scores, _ = groups[keys]
-        group.append(n)
-        scores.append(t[0])
-        n += 1
-    streams = []  # (guard score, gi, group, the group's scores)
-    levels = set()  # every score a pair can have
-    for group, scores, admissible in groups.values():
-        levels.update(g + s for s in set(scores) for g in {g for g, _ in admissible})
-        streams += [(g, gi, group, scores) for g, gi in admissible]
-    counts = [len(group) for _, _, group, _ in streams]
-    total = sum(counts)
-    if total > MAX_PROGRAMS:
-        levels = sorted(levels)
-        limit = levels[bisect.bisect_left(levels, MAX_PROGRAMS, key=lambda score: sum(
-            bisect.bisect_right(scores, score - g) for g, _, _, scores in streams))]
-        tied = []
-        for s, (g, gi, group, scores) in enumerate(streams):
-            counts[s], high = bisect.bisect_left(scores, limit - g), bisect.bisect_right(scores, limit - g)
-            tied.append(zip(group[counts[s]:high], itertools.repeat(gi), itertools.repeat(s)))
-        for _, _, s in itertools.islice(heapq.merge(*tied), MAX_PROGRAMS - sum(counts)):
-            counts[s] += 1
-    guard_rank = {gi: rank for rank, gi in enumerate(sorted(range(len(guards)), key=lambda gi: guards[gi][2]))}
-    return ([(guards[gi], guard_rank[gi], group, count) for (_, gi, group, _), count in zip(streams, counts) if count],
-            stopped or total > MAX_PROGRAMS)
+    return sorted((rank_entry(Condition(subset)) for subset in subsets), key=itemgetter(2))
 
 
 def learn(spec: ExampleSpec, config: SynthConfig = DEFAULT_CONFIG) -> RankedPrograms:
     """Learn ranked programs consistent with every example.
 
     The transformations are generated for all examples jointly, as one
-    stream in rank order, and guard pairing pulls from it only as many as
-    can reach its ``MAX_PROGRAMS`` cap. The result is marked ``truncated``,
-    and a warning logged, when the stream holds more than ``MAX_PROGRAMS``
-    transformations or guard pairing left a pair out. The result holds
-    guard pairing's streams, merges them in rank order only as far as a
-    caller reads, and builds each entry's ``Program`` the first time it is
-    read. Returns an empty result (never raises) when no predicate holds
-    on all inputs or no transformation reproduces all outputs.
+    stream in rank order. ``learn`` lists the first of them and builds the
+    guards, and the returned ``RankedPrograms`` pairs guards with
+    transformations best first only as far as a caller reads: it lists
+    further transformations, merges pairs and builds each ``Program`` on
+    demand, up to ``MAX_PROGRAMS`` programs. Returns an empty result (never
+    raises) when no predicate holds on all inputs or no transformation
+    reproduces all outputs.
     """
     pdicts = [build_pattern_dictionary(conflict, config) for conflict in spec.inputs]
     try:
@@ -620,10 +611,4 @@ def learn(spec: ExampleSpec, config: SynthConfig = DEFAULT_CONFIG) -> RankedProg
     if not root.pull(1):
         logger.info("no program found: no transformation is consistent with every example")
         return RankedPrograms()
-
-    guards = _guard_candidates(condition_full)
-    streams, cut = _pair_guards(root, guards)
-    truncated = cut or root.pull(MAX_PROGRAMS + 1)
-    if truncated:
-        logger.warning("learned programs truncated at %d; results may be incomplete", MAX_PROGRAMS)
-    return RankedPrograms((), truncated, sources=(root.entries, streams))
+    return RankedPrograms(root=root, guards=_guard_candidates(condition_full))

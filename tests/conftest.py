@@ -3,7 +3,9 @@ random conflict/program generators used by the fuzz and acceptance suites."""
 
 from __future__ import annotations
 
+import itertools
 import json
+import random
 from collections import Counter
 from pathlib import Path
 
@@ -273,6 +275,14 @@ def multi_example_cases(rng, sizes=(2, 3), depth=2, max_output=6, attempts=40):
                 cases.append((other, result.nodes))
         if len(cases) == want:
             yield tuple(cases)
+
+
+def cut_by_guard_pairing():
+    """Specs whose ranked list the default cap cuts: criterion-3
+    spec 6 (over MAX_PROGRAMS transformations), criterion-3 spec 113 (2 196)
+    and a two-example spec (800)."""
+    single = list(itertools.islice(criterion3_cases(random.Random(0xC0FFEE)), 114))
+    return [single[6], single[113], next(itertools.islice(multi_example_cases(random.Random(0x5EC0)), 76, None))]
 
 
 def canonical_selections(conflict: ConflictInput, pdict: PatternDictionary):

@@ -38,6 +38,7 @@ from mergelearn.dsl import (
     run_program,
     struct_key,
 )
+from mergelearn import synth
 from mergelearn.synth import (
     ExampleSpec,
     learn,
@@ -192,18 +193,21 @@ def _brute_consistent_keys(conflict, pdict, target, depth):
     return final
 
 
-def test_criterion_4_brute_force_oracle_equivalence():
+def test_criterion_4_brute_force_oracle_equivalence(monkeypatch):
     with criterion(4, ">=200 small conflicts: learned sets equal brute-force enumeration, <60s"):
         rng = random.Random(0xBEEF)
-        config = SynthConfig(max_concat_depth=2)
+        config = SynthConfig(max_concat_depth=3)
+        # At concat depth 3 a few sets pass the default cap (the largest holds
+        # about 50 000 transformations); every set is compared whole.
+        monkeypatch.setattr(synth, "MAX_PROGRAMS", 1_000_000)
         start = time.perf_counter()
         instances = 0
         while instances < 200:
-            conflict = gen_conflict(rng, max_nodes=rng.choice((1, 2, 2, 3)))
+            conflict = gen_conflict(rng, max_nodes=rng.choice((1, 2, 3, 4, 5)))
             pdict = build_pattern_dictionary(conflict, config)
             roll = rng.random()
             if roll < 0.7:
-                generated = gen_program_with_output(rng, conflict, depth=2, config=config)
+                generated = gen_program_with_output(rng, conflict, depth=3, config=config)
                 if generated is None:
                     continue
                 target = generated[1]
@@ -218,7 +222,7 @@ def test_criterion_4_brute_force_oracle_equivalence():
             learned = learn_transformation(conflict, target, config=config, pdict=pdict)
             assert not learned.truncated, "cap hit on a small instance; comparison would be unsound"
             learned_keys = {struct_key(t) for t in learned.programs}
-            brute_keys = _brute_consistent_keys(conflict, pdict, target, depth=2)
+            brute_keys = _brute_consistent_keys(conflict, pdict, target, depth=3)
             assert learned_keys == brute_keys, (
                 f"set mismatch: learned-only={len(learned_keys - brute_keys)} "
                 f"brute-only={len(brute_keys - learned_keys)}"

@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import pytest
 
 import mergelearn
 
+from mergelearn import cli, synth
 from mergelearn.cli import _build_config, _load_example_spec, _program_file_json, build_parser, main
 from mergelearn.dsl import (
     Condition,
@@ -32,6 +34,7 @@ from conftest import (
     FB_PROGRAM,
     OUTSIDE_AFTER,
     OUTSIDE_BEFORE,
+    cut_by_guard_pairing,
     deep_program_text,
     fig_file_text,
     fig_resolved_text,
@@ -104,6 +107,39 @@ def test_learn_top_n_emits_rank_ordered_array(tmp_path, capsys):
     assert program_from_json(data[0]) == DUP_PROGRAM
     scores = [entry["meta"]["score"] for entry in data]
     assert scores == sorted(scores)
+
+
+def test_learn_top_merges_only_the_programs_it_writes(tmp_path, capsys, caplog, monkeypatch):
+    # A spec whose ranked list the cap cuts: --top 3 merges no more than the
+    # three programs it writes and says nothing of the cut; a --top past the
+    # cap reads far enough to learn of it, and logs it.
+    cases = cut_by_guard_pairing()[0]
+    (conflict, output), = cases
+    (tmp_path / "conflict.txt").write_text(marker_text(conflict.fork_lines, conflict.main_lines), encoding="utf-8")
+    (tmp_path / "resolution.txt").write_text("".join(node.raw_text + "\n" for node in output), encoding="utf-8")
+    spec = tmp_path / "examples.json"
+    spec.write_text(json.dumps([{"conflict": "conflict.txt", "resolution": "resolution.txt",
+                                 "file_path": conflict.file_path}]), encoding="utf-8")
+    (loaded, loaded_output), = _load_example_spec(spec, "fork-first").cases
+    assert loaded_output == output and loaded.outside_content == conflict.outside_content
+    assert (loaded.file_path, loaded.main_lines, loaded.fork_lines) == (conflict.file_path, conflict.main_lines,
+                                                                         conflict.fork_lines)
+    learned = []
+
+    def recorded(*args):
+        learned.append(learn(*args))
+        return learned[-1]
+
+    monkeypatch.setattr(cli, "learn", recorded)
+    with caplog.at_level(logging.WARNING, logger="mergelearn.synth"):
+        assert main(["learn", "--examples", str(spec), "--out", str(tmp_path / "top3.json"), "--top", "3"]) == 0
+        assert len(learned[-1]._entries) <= 3
+        assert "results may be incomplete" not in caplog.text
+        monkeypatch.setattr(synth, "MAX_PROGRAMS", 5)
+        assert main(["learn", "--examples", str(spec), "--out", str(tmp_path / "top6.json"), "--top", "6"]) == 0
+    assert "results may be incomplete" in caplog.text
+    assert len(json.loads((tmp_path / "top6.json").read_text(encoding="utf-8"))) == 5
+    assert capsys.readouterr().out.splitlines()[-1] == f"wrote 5 program(s) to {tmp_path / 'top6.json'}"
 
 
 def test_learn_top_writes_the_first_programs_of_the_ranked_list(tmp_path, capsys):
@@ -486,6 +522,20 @@ def test_apply_program_with_an_unknown_operator_is_one_error_line(tmp_path, caps
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err == f"error: {bad}: apply.transform: unknown operator 'swap'\n"
+
+
+def test_apply_program_with_an_empty_include_path_is_one_error_line(tmp_path, capsys):
+    # No include path is empty, so a selection naming one is a bad program.
+    obj = program_to_json(FB_PROGRAM)
+    obj["apply"]["transform"] = {"select": {"tag": "MainByPath", "path": ""}}
+    bad = tmp_path / "empty-path.json"
+    bad.write_text(json.dumps(obj), encoding="utf-8")
+    target = tmp_path / "c.cc"
+    target.write_text(fig_file_text("c"), encoding="utf-8")
+    code = main(["apply", "--program", str(bad), str(target), "--print"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith(f"error: {bad}: ") and captured.err.count("\n") == 1
 
 
 def test_apply_in_place_keeps_a_lone_blank_line(tmp_path):

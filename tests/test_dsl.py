@@ -345,6 +345,8 @@ def test_selection_literal_validation():
         (lambda: Selection("Pattern"), "takes a key literal only"),
         (lambda: Selection("Fork", key="Rename"), "takes a key literal only"),
         (lambda: Selection("MainByIndex", k=-1), "must be non-negative"),
+        (lambda: Selection("MainByPath", path=""), "MainByPath path must be non-empty"),
+        (lambda: Selection("ForkByPath", path=""), "ForkByPath path must be non-empty"),
         (lambda: SynthConfig(max_concat_depth=0), "max_concat_depth must be >= 1"),
     ]:
         with pytest.raises(ValueError, match=message):

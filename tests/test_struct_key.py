@@ -38,7 +38,7 @@ def object_lists(draw):
     literal = st.text(alphabet="\x00\x01\x02\x03a", max_size=2)
     base = draw(st.sampled_from(PATHS) | literal)
     pool = [base, *(base + tail for tail in draw(st.lists(literal.filter(bool), max_size=2)))]
-    paths = st.sampled_from(pool)
+    paths = st.sampled_from([path for path in pool if path] or ["a"])  # no include path is empty
     selections = st.one_of(
         st.builds(Selection, st.sampled_from(["Main", "Fork"])),
         st.builds(lambda tag, k: Selection(tag, k=k), st.sampled_from(["MainByIndex", "ForkByIndex"]),
@@ -52,7 +52,7 @@ def object_lists(draw):
         max_leaves=4,
     )
     predicates = st.builds(Predicate, st.sampled_from(PATTERN_KEYS)) | st.builds(
-        lambda path: Predicate("FrequentPattern", path=path), st.sampled_from([path for path in pool if path] or ["a"]))
+        lambda path: Predicate("FrequentPattern", path=path), paths)
     predicate_lists = st.lists(predicates, min_size=1, max_size=4, unique=True)
     shared = draw(predicate_lists)
     conditions = (st.integers(1, len(shared)).map(lambda n: Condition(tuple(shared[:n])))
@@ -72,7 +72,7 @@ def _apply(n, transformation):
 
 # Checked on every run of the property test below, before the drawn lists.
 EDGE_OBJECTS = [
-    *(Selection(tag, path=path) for tag in ("MainByPath", "ForkByPath") for path in PATHS),
+    *(Selection(tag, path=path) for tag in ("MainByPath", "ForkByPath") for path in PATHS if path),
     *(Selection(tag, k=k) for tag in ("MainByIndex", "ForkByIndex") for k in INDICES),
     Selection("Main"), Selection("Fork"), Selection("Pattern", key="Rename"),
     Select(Selection("Main")), Select(Selection("MainByIndex", k=2)), Select(Selection("MainByIndex", k=10)),

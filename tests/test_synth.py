@@ -56,6 +56,7 @@ from conftest import (
     OUTSIDE_BEFORE,
     canonical_selections,
     criterion3_cases,
+    cut_by_guard_pairing,
     fig_chunk,
     fig_resolution_nodes,
     gen_conflict,
@@ -585,21 +586,31 @@ def test_warns_whenever_the_ranked_list_is_cut(fig1a, monkeypatch, caplog):
 
 def _guarded_by_brute_force(cases, cap):
     """``learn``'s programs and ``truncated`` flag at ``cap``, from every
-    admissible (transformation, guard) pair, and whether the cap splits a
-    score tie."""
-    pdicts = [build_pattern_dictionary(conflict) for conflict, _ in cases]
-    consistent = _joint_set(cases, pdicts)
-    ts = consistent.entries
-    guards = synth._guard_candidates(learn_condition([conflict for conflict, _ in cases], pdicts=pdicts))
-    keys = [_collect_pattern_keys(t[3]) for t in ts]
+    admissible (transformation, guard) pair ordered by its program's rank
+    key, and whether the cap splits a score tie. Transformations are listed
+    until the next one, under the cheapest guard, scores above the first
+    ``cap + 1`` pairs, so no later pair can enter them, and only the pairs
+    scoring at most the ``cap + 1``-th get a rank key."""
+    conflicts = [conflict for conflict, _ in cases]
+    pdicts = [build_pattern_dictionary(conflict) for conflict in conflicts]
+    root = synth._candidates(conflicts, [output for _, output in cases], pdicts, DEFAULT_CONFIG)
+    guards = synth._guard_candidates(learn_condition(conflicts, pdicts=pdicts))
+    cheapest = min(g[0] for g in guards)
     tags = [{p.tag for p in g[3].predicates} for g in guards]
-    pairs = sorted((t[0] + g[0], ti, gi) for ti, t in enumerate(ts) for gi, g in enumerate(guards)
-                   if keys[ti] <= tags[gi])
-    programs = sorted((Program(guards[gi][3], ts[ti][3]) for _, ti, gi in pairs[:cap]),
-                      key=lambda program: rank_entry(program)[:3])
+    n = cap
+    while True:
+        more = root.pull(n + 1)
+        ts = root.entries[:n]
+        keys = [_collect_pattern_keys(t[3]) for t in ts]
+        pairs = sorted((t[0] + g[0], ti, gi) for ti, t in enumerate(ts)
+                       for gi, g in enumerate(guards) if keys[ti] <= tags[gi])
+        if not more or (len(pairs) > cap and root.entries[n][0] + cheapest > pairs[cap][0]):
+            break
+        n *= 2
     cut = len(pairs) > cap
-    return ([(rank_entry(program)[0], program) for program in programs], consistent.truncated or cut,
-            cut and pairs[cap - 1][0] == pairs[cap][0])
+    programs = [Program(guards[gi][3], ts[ti][3]) for score, ti, gi in pairs if not cut or score <= pairs[cap][0]]
+    programs = sorted(programs, key=lambda program: rank_entry(program)[:3])[:cap]
+    return [(rank_entry(program)[0], program) for program in programs], cut, cut and pairs[cap - 1][0] == pairs[cap][0]
 
 
 def _small_specs():
@@ -616,10 +627,9 @@ def _small_specs():
 
 
 def test_guard_pairing_keeps_the_first_admissible_pairs(monkeypatch):
-    # learn keeps the first MAX_PROGRAMS admissible pairs by (score, ti, gi),
-    # ties at the cut included, and returns them in rank order. The specs
-    # have at most 500 transformations, so the last cap cuts nothing and the
-    # brute force over every pair stays quick.
+    # learn keeps the first MAX_PROGRAMS admissible pairs in rank order, the
+    # ties at the cut included. The specs have at most 500 transformations,
+    # so the last cap cuts nothing and the brute force stays quick.
     specs = _small_specs()
     ties = 0
     for cap in (1, 2, 3, 7, 30, 300, 1_000_000):
@@ -634,19 +644,10 @@ def test_guard_pairing_keeps_the_first_admissible_pairs(monkeypatch):
     assert ties >= 50
 
 
-def _cut_by_guard_pairing():
-    """Specs whose ranked list guard pairing cuts at the default cap: criterion-3
-    spec 6 (over MAX_PROGRAMS transformations), criterion-3 spec 113 (2 196)
-    and a two-example spec (800)."""
-    single = list(itertools.islice(criterion3_cases(random.Random(0xC0FFEE)), 114))
-    return [single[6], single[113], next(itertools.islice(multi_example_cases(random.Random(0x5EC0)), 76, None))]
-
-
 def test_guard_pairing_keeps_the_first_admissible_pairs_at_the_default_cap():
-    # Guard pairing stops pulling transformations once no later one can enter
-    # the list; at the real cap, with the cut inside a score tie, the list is
-    # still the brute force's.
-    for cases in _cut_by_guard_pairing():
+    # At the real cap, with the cut inside a score tie, the list is still the
+    # brute force's.
+    for cases in cut_by_guard_pairing():
         expected, truncated, tie = _guarded_by_brute_force(cases, synth.MAX_PROGRAMS)
         assert truncated and tie
         ranked = learn(ExampleSpec(cases))
@@ -655,8 +656,9 @@ def test_guard_pairing_keeps_the_first_admissible_pairs_at_the_default_cap():
 
 
 def test_guard_pairing_pulls_fewer_transformations_than_the_set_holds(monkeypatch):
-    # The spec has more than MAX_PROGRAMS transformations; learn lists from
-    # their stream only the 1 380 that guard pairing needs to settle its cut.
+    # The spec has more than MAX_PROGRAMS transformations; learning it and
+    # asking whether its list is cut lists only the 1 380 that the merge of
+    # guard pairs reaches.
     roots = []
     full = synth._TransformationLearner.full
 
@@ -665,10 +667,29 @@ def test_guard_pairing_pulls_fewer_transformations_than_the_set_holds(monkeypatc
         return roots[-1]
 
     monkeypatch.setattr(synth._TransformationLearner, "full", recorded)
-    (conflict, output), = _cut_by_guard_pairing()[0]
+    (conflict, output), = cut_by_guard_pairing()[0]
     assert learn(ExampleSpec(((conflict, output),))).truncated
     assert len(roots[0].entries) < synth.MAX_PROGRAMS // 5
     assert learn_transformation(conflict, output).truncated
+
+
+def test_learn_lists_one_transformation_and_merges_no_pair(monkeypatch):
+    # learn builds the guards and lists the first transformation, and merges
+    # nothing; asking whether the list is empty merges nothing either.
+    roots = []
+    full = synth._TransformationLearner.full
+
+    def recorded(self, targets, depth):
+        roots.append(full(self, targets, depth))
+        return roots[-1]
+
+    monkeypatch.setattr(synth._TransformationLearner, "full", recorded)
+    for cases in cut_by_guard_pairing():
+        ranked = learn(ExampleSpec(cases))
+        assert len(roots[-1].entries) <= 1 and ranked._entries == []
+        assert ranked and ranked._entries == []
+        ranked[:3]
+        assert len(ranked._entries) == 3
 
 
 def test_learn_builds_only_the_programs_read(monkeypatch):
@@ -681,15 +702,16 @@ def test_learn_builds_only_the_programs_read(monkeypatch):
         return Program(*args)
 
     monkeypatch.setattr(synth, "Program", counted)
-    ranked = learn(ExampleSpec(_cut_by_guard_pairing()[0]))
+    ranked = learn(ExampleSpec(cut_by_guard_pairing()[0]))
+    assert ranked._entries == []
+    # The size merges the pairs one past the cap, which settles the cut, and
+    # builds none of them.
     assert len(ranked) == synth.MAX_PROGRAMS and ranked and ranked.truncated
-    assert built["programs"] == 0 and ranked._entries == []
-    # The merge of guard pairing's streams advances only to the highest
-    # index read.
+    assert built["programs"] == 0
     ranked.top
-    assert built["programs"] == 1 and len(ranked._entries) == 1
+    assert built["programs"] == 1
     ranked[:20]
-    assert built["programs"] == 20 and len(ranked._entries) == 20
+    assert built["programs"] == 20
     ranked[-1], ranked[:20], ranked.top
     assert built["programs"] == 21 and len(ranked._entries) == synth.MAX_PROGRAMS
     list(ranked)
@@ -702,7 +724,7 @@ def test_learn_builds_only_the_programs_read(monkeypatch):
 def test_every_read_of_a_learned_list_agrees_with_the_full_list(which):
     # One truncated one-example spec and one truncated two-example spec; the
     # reads run on one result, out of rank order, against a fully read one.
-    spec = ExampleSpec(_cut_by_guard_pairing()[which])
+    spec = ExampleSpec(cut_by_guard_pairing()[which])
     full = list(learn(spec))
     ranked = learn(spec)
     n = len(ranked)
@@ -744,7 +766,7 @@ def test_out_of_order_reads_agree_with_the_full_list_when_the_cut_splits_ties(mo
 
 
 def test_a_learned_list_pickles_unread_partly_read_and_fully_read():
-    spec = ExampleSpec(_cut_by_guard_pairing()[2])
+    spec = ExampleSpec(cut_by_guard_pairing()[2])
     full = list(learn(spec))
     ranked = learn(spec)
     assert ranked.truncated
@@ -764,6 +786,24 @@ def test_ranked_programs_reads_agree_on_an_empty_and_a_ranked_list():
     assert empty[:5] == [] and list(empty) == [] and empty.entries == ()
     ranked = rank((FB_PROGRAM, DUP_PROGRAM))
     assert ranked.entries == tuple(ranked) == tuple(ranked[:5]) and ranked[-1] == ranked.entries[1]
+
+
+def test_a_cut_list_is_the_uncut_lists_prefix(monkeypatch):
+    # Ties at the cut are filled in rank order, so a list cut by the cap is
+    # exactly the first MAX_PROGRAMS programs of the list learned without it.
+    specs = [(cases, list(learn(ExampleSpec(cases)))) for cases in cut_by_guard_pairing()]
+    default = synth.MAX_PROGRAMS
+    monkeypatch.setattr(synth, "MAX_PROGRAMS", 1_000_000)
+    uncut = [(cases, list(learn(ExampleSpec(cases)))) for cases in _small_specs()]
+    for cases, cut in specs:
+        head = learn(ExampleSpec(cases))[:default + 1]
+        assert cut == head[:default] and len(head) > default, cases[0][1]
+    for cap in (1, 2, 3, 7, 30, 300):
+        monkeypatch.setattr(synth, "MAX_PROGRAMS", cap)
+        for cases, full in uncut:
+            ranked = learn(ExampleSpec(cases))
+            assert list(ranked) == full[:cap], (cap, cases[0][1])
+            assert ranked.truncated == (len(full) > cap)
 
 
 def test_capped_set_is_the_uncapped_sets_prefix(monkeypatch):
@@ -973,7 +1013,10 @@ def test_learned_output_is_pinned():
 # specs that hit the cap, so a change at the MAX_PROGRAMS boundary shows, and
 # on a two-example spec whose 800 transformations only guard pairing cuts.
 # The JSON is compact: serialize_program's indented form takes seconds on 60 000.
-TRUNCATED_OUTPUT_DIGEST = "3bb6b30fc05ea42641f6c5327db9816acd2bc92c8e445634863c37c88c413f7a"
+TRUNCATED_OUTPUT_DIGEST = "253b7242ec05c5f15d0be03b34ef0959807073bd7efc32fbb41dcc0c825bfeac"
+# The same lists' entries that score below each list's last score: which of
+# the programs tied at the cut are kept is a rule of the cut, and these are not.
+BELOW_CUT_DIGEST = "eec0b158e0527da8269e654848be226e8061c37971e14ff4e86713256aba4574"
 
 
 def test_truncated_learned_lists_are_pinned():
@@ -981,14 +1024,19 @@ def test_truncated_learned_lists_are_pinned():
     specs = [cases for index, cases in enumerate(itertools.islice(criterion3_cases(random.Random(0xC0FFEE)),
                                                                   max(picked) + 1)) if index in picked]
     specs.append(next(itertools.islice(multi_example_cases(random.Random(0x5EC0)), 76, None)))
-    digest = hashlib.sha256()
+    whole, below = hashlib.sha256(), hashlib.sha256()
     for cases in specs:
         ranked = learn(ExampleSpec(cases))
         assert ranked.truncated and len(ranked) == synth.MAX_PROGRAMS
         for entry in ranked:
-            digest.update(f"{entry.score!r} {json.dumps(program_to_json(entry.program))}\n".encode())
-        digest.update(b"\n")
-    assert digest.hexdigest() == TRUNCATED_OUTPUT_DIGEST
+            line = f"{entry.score!r} {json.dumps(program_to_json(entry.program))}\n".encode()
+            whole.update(line)
+            if entry.score < ranked[-1].score:
+                below.update(line)
+        whole.update(b"\n")
+        below.update(b"\n")
+    assert below.hexdigest() == BELOW_CUT_DIGEST
+    assert whole.hexdigest() == TRUNCATED_OUTPUT_DIGEST
 
 
 # sha256 of learn's whole ranked list (score and program JSON) and its
