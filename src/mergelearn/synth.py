@@ -21,22 +21,24 @@ Each candidate set is a lazy stream (``_Stream``): one heap merges its base
 candidates and its Concat products best first, pulling an arm's next entry
 only when it is needed, so a set is listed in rank order only as far as a
 reader pulls it. No set is cut; ``learn_transformation`` lists the first
-``MAX_PROGRAMS``.
+``MAX_PROGRAMS``; the root's product whose left arm is the whole target
+waits behind an exact lower bound until a reader gets that far.
 
 Guard pairing is a best-first merge that runs only as far as a caller
-reads. A guarded program scores its transformation's score plus its
-guard's, and a guard admits a transformation when it names every Pattern
-key the transformation selects. ``learn`` lists one transformation, builds
-the guards and returns a ``RankedPrograms``, which keeps one cursor per
-guard on the root stream, keyed ``(score, size, guard's rank by structural
-key, transformation index)``. That key is the programs' rank order: with
-score, size and guard equal, the transformations' scores and sizes are
-equal too, and the transformations are already in structural order. Each
-popped cursor moves one transformation on, and the root lists that
-transformation only then, so reading the top program lists what it needs
-and builds one ``Program``. The list is cut at ``MAX_PROGRAMS`` entries;
-ties at the cut fall in rank order, so a cut list is the uncut list's
-prefix.
+reads. A guard, any non-empty subset of the predicates that hold on all
+examples, comes from a lazy best-first stream (``_Guards``); a guarded
+program scores its transformation's plus its guard's, and a guard admits a
+transformation when it names every Pattern key the transformation selects.
+``learn`` lists one transformation and one guard and returns a
+``RankedPrograms``, which keeps a cursor per guard reached on the root
+stream, keyed ``(score, size, guard's structural key, transformation
+index)``. That key is the programs' rank order: with score, size and guard
+equal, the transformations' scores and sizes are equal too, and the
+transformations are already in structural order. Each popped cursor moves
+one transformation on, and the root lists that transformation only then,
+so reading the top program lists what it needs and builds one ``Program``.
+The list is cut at ``MAX_PROGRAMS`` entries; ties at the cut fall in rank
+order, so a cut list is the uncut list's prefix.
 
 Candidates are kept in a normal form: a Concat arm that evaluates to
 nothing may appear only once, as the right arm of the root. Anything else
@@ -57,6 +59,7 @@ from .conflicts import ConflictInput, Node
 from .dsl import (
     DEFAULT_CONFIG,
     PATTERN_KEYS,
+    W_OPERATORS,
     Condition,
     PatternDictionary,
     Predicate,
@@ -74,10 +77,6 @@ from .dsl import (
 )
 
 logger = logging.getLogger(__name__)
-
-# Guard subsets are enumerated exhaustively up to this many predicates;
-# beyond it only singletons and the full conjunction are considered.
-_MAX_SUBSET_PREDICATES = 12
 
 # How many transformations ``learn_transformation`` lists, and how many
 # programs a learned list holds; a result cut by it is marked ``truncated``.
@@ -141,10 +140,10 @@ class RankedPrograms(Sequence):
     """Ranked programs, best first, each built the first time it is read.
 
     ``rank`` hands over built ``RankedProgram``s. ``learn`` instead hands
-    over its root ``_Stream`` of transformations and its guard entries in
-    structural-key order, and the list merges (guard, transformation) pairs
-    best first, only as far as a caller reads. A heap holds one cursor per
-    guard, ``(t.score + g.score, t.size + g.size, guard rank, ti)`` on its
+    over its root ``_Stream`` of transformations and its ``_Guards`` stream,
+    and the list merges (guard, transformation) pairs best first, only as
+    far as a caller reads. A heap holds a cursor per guard ``gi`` reached,
+    ``(t.score + g.score, t.size + g.size, g's struct key, ti, gi)`` on its
     next transformation ``ti``. A popped cursor's pair is kept when the
     guard names every Pattern key of the transformation, so the program
     scores ``t.score + g.score``; either way the cursor moves on to ``ti + 1``,
@@ -153,46 +152,53 @@ class RankedPrograms(Sequence):
     with score, size and guard equal the transformations are in structural
     order: the pairs come out in the programs' exact rank order. A popped
     cursor stays out of the heap while its key is still the least, so a run
-    of pairs under one guard costs one comparison a pair.
+    of pairs under one guard costs one comparison a pair. Guards come in
+    rank order, so no guard's first pair sorts below the one before it: the
+    heap starts with the first guard's cursor, and the next guard is listed
+    and pushed when the one before it pops at ``ti`` 0.
 
     The merge stops at ``MAX_PROGRAMS`` entries. Reaching one more marks the
     list ``truncated`` and logs that results may be incomplete; then, or
     when the root runs dry, the root and the heap are dropped. A merged
-    entry is one int, ``ti * len(guards) + guard rank``, until it is first
-    read and becomes a ``RankedProgram``; once every entry is built the
-    guards and transformations go too. Truth merges nothing; ``len`` and
+    entry is one int, ``ti * len(guards) + gi``, until it is first read and
+    becomes a ``RankedProgram``; once every entry is built the guards and
+    transformations go too. Truth merges nothing; ``len`` and
     ``truncated`` merge up to one pair past the cap, which settles the cut,
     and build nothing; ``top``, indexing, slicing and iteration merge and
     build only about as far as they read; ``entries`` reads every one.
     """
 
-    def __init__(self, entries=(), root: _Stream | None = None, guards=()):
+    def __init__(self, entries=(), root: _Stream | None = None, guards: _Guards | None = None):
         self._entries, self._root, self._truncated = list(entries), root, False
         self._heap = self._sources = None
         self._unbuilt = 0
         if root is not None:
-            t = root.entries[0]
-            self._heap = [(t[0] + g[0], t[1] + g[1], rank, 0) for rank, g in enumerate(guards)]
-            heapq.heapify(self._heap)
-            self._sources = (guards, root.entries)
+            guards.pull(1)
+            t, g = root.entries[0], guards.entries[0]
+            self._heap = [(t[0] + g[0], t[1] + g[1], g[2], 0, 0)]
+            self._sources = (guards, root.entries, len(guards))
 
     def _merge(self, n: int) -> int:
         """Merge until ``n`` entries are listed, the cap is passed or the pairs
         run out; the number listed, at most ``MAX_PROGRAMS`` for a learned list."""
         entries, heap = self._entries, self._heap
         if heap is not None and len(entries) < n:
-            root, (guards, ts) = self._root, self._sources
+            root, (guards, ts, width) = self._root, self._sources
+            gs = guards.entries
             n, before = min(n, MAX_PROGRAMS + 1), len(entries)
             cursor = heapq.heappop(heap)
             while cursor is not None:
-                rank, ti = cursor[2], cursor[3]
-                guard, keys = guards[rank], ts[ti][4]
+                _, _, _, ti, gi = cursor
+                guard, keys = gs[gi], ts[ti][4]
                 if not keys or guard[4].issuperset(keys):
-                    entries.append(ti * len(guards) + rank)
+                    entries.append(ti * width + gi)
+                if not ti and (gi + 1 < len(gs) or guards.pull(gi + 2)):  # the next guard's first pair
+                    t, g = ts[0], gs[gi + 1]
+                    heapq.heappush(heap, (t[0] + g[0], t[1] + g[1], g[2], 0, gi + 1))
                 ti += 1
                 if ti < len(ts) or root.pull(ti + 1):
                     t = ts[ti]
-                    cursor = (t[0] + guard[0], t[1] + guard[1], rank, ti)
+                    cursor = (t[0] + guard[0], t[1] + guard[1], guard[2], ti, gi)
                     if heap and heap[0] < cursor:
                         cursor = heapq.heapreplace(heap, cursor)
                 else:  # every pair under this guard is merged
@@ -216,9 +222,9 @@ class RankedPrograms(Sequence):
     def _entry(self, i: int) -> RankedProgram:
         entry = self._entries[i]
         if isinstance(entry, int):
-            guards, ts = self._sources
-            ti, rank = divmod(entry, len(guards))
-            guard, t = guards[rank], ts[ti]
+            guards, ts, width = self._sources
+            ti, gi = divmod(entry, width)
+            guard, t = guards.entries[gi], ts[ti]
             entry = self._entries[i] = RankedProgram(Program(guard[3], t[3]), t[0] + guard[0])
             self._unbuilt -= 1
             if not self._unbuilt and self._heap is None:
@@ -312,12 +318,14 @@ class _Stream:
     one string comparison, however deep the candidates. Product ``(i, j)``
     is reached only from ``(i, j - 1)`` or, when ``j`` is 0, from ``(i - 1,
     0)``, and an arm's next entry is pulled from its own stream only then. A
-    set with no products is its sorted base list.
+    set with no products is its sorted base list. A ``deferred`` product
+    waits as a lower bound (see ``full``) until popping it builds the left
+    arm and lets the learner go.
     """
 
-    def __init__(self, base: list, products: list):
-        self._base, self._products = base, products
-        if not products:
+    def __init__(self, base: list, products: list, deferred: tuple | None = None):
+        self._base, self._products, self._deferred = base, products, None
+        if not products and deferred is None:
             self.entries, self._heap = base, []
             return
         self.entries = []
@@ -326,6 +334,9 @@ class _Stream:
         if base:
             self._heap.append((base[0], -1, 0, 0))
         heapq.heapify(self._heap)
+        if deferred is not None and self._heap and deferred[2].pull(1):
+            h, y, self._deferred = self._heap[0][0], deferred[2].entries[0], deferred
+            heapq.heappush(self._heap, ((h[0] + y[0] + W_OPERATORS, h[1] + y[1] + 1, ""), -2, 0, 0))
 
     def pull(self, n: int) -> bool:
         """List the first ``n`` entries, or every entry of a shorter set;
@@ -333,6 +344,13 @@ class _Stream:
         entries, heap = self.entries, self._heap
         while len(entries) < n and heap:
             cand, p, i, j = heapq.heappop(heap)
+            if p == -2:  # the deferred product's bound: build the product
+                learner, left, right, depth = self._deferred
+                self._deferred, left = None, learner.core(left, depth)
+                if left.pull(1):
+                    heapq.heappush(heap, (concat_entry(left.entries[0], right.entries[0]), len(self._products), 0, 0))
+                    self._products.append((left, right))
+                continue
             entries.append(cand)
             if p < 0:
                 if i + 1 < len(self._base):
@@ -462,7 +480,8 @@ class _TransformationLearner:
         """The ``(left, right)`` target tuples of the Concats over ``targets``
         whose arms both have candidates at ``depth``. Each example splits its
         target in two non-empty parts or, with ``pad``, keeps it whole on the
-        left. Split points are chosen one example at a time, and a choice is
+        left, though not every example at once: ``full`` defers that split.
+        Split points are chosen one example at a time, and a choice is
         dropped as soon as either arm has no candidate on the examples chosen
         so far, so only split tuples some program could take are walked."""
         def grow(left, right):
@@ -471,7 +490,7 @@ class _TransformationLearner:
                 yield left, right
                 return
             options = wf_concat(targets[k])
-            if pad:
+            if pad and (any(right) or k + 1 < len(targets)):
                 options.append((targets[k], ()))
             for l, r in options:
                 l, r = (*left, l), (*right, r)
@@ -494,10 +513,16 @@ class _TransformationLearner:
     def full(self, targets: tuple, depth: int) -> _Stream:
         """Core candidates plus root Concats whose right arm is empty on some
         example. The padded splits include the core ones, and no other set
-        uses the core set of the root, so one stream merges them all."""
+        uses the core set of the root, so one stream merges them all. The
+        product of ``core(targets, depth - 1)`` and the empty targets' set
+        waits behind ``(h.score + y0.score + W_OPERATORS, h.size + y0.size +
+        1, "")``: ``h``, the least other item, sorts at or before every left
+        arm, which the core part of the root holds, ``y0`` is the first right
+        arm, and ``""`` sorts before every key."""
         if depth == 0 or not all(targets):
             return self.core(targets, depth)
-        return _Stream(self._base(targets), self._products(self._splits(targets, depth - 1, pad=True), depth - 1))
+        return _Stream(self._base(targets), self._products(self._splits(targets, depth - 1, pad=True), depth - 1),
+                       (self, targets, self.core(tuple(() for _ in targets), depth - 1), depth - 1))
 
 
 def _candidates(conflicts, targets, pdicts, config: SynthConfig) -> _Stream:
@@ -573,28 +598,45 @@ def rank(programs) -> RankedPrograms:
     return RankedPrograms([RankedProgram(entry[3], entry[0]) for entry in ordered])
 
 
-def _guard_candidates(condition: Condition):
-    """Rank entries of the non-empty predicate subsets of the condition, in
-    structural-key order, so a guard's index is its rank in programs' ties."""
-    preds = condition.predicates
-    if len(preds) <= _MAX_SUBSET_PREDICATES:
-        subsets = [
-            combo
-            for size in range(1, len(preds) + 1)
-            for combo in itertools.combinations(preds, size)
-        ]
-    else:
-        subsets = [(p,) for p in preds]
-        subsets.append(preds)
-    return sorted((rank_entry(Condition(subset)) for subset in subsets), key=itemgetter(2))
+class _Guards:
+    """A condition's non-empty predicate subsets as rank entries, listed lazily
+    best first; ``entries`` is the prefix listed, ``len`` counts all. A guard
+    costs ``W_CONSTANTS`` per path predicate, so the subsets with ``b`` paths
+    tie on score and levels in ``b`` order are in rank order; a level is listed
+    whole, sorted by size and key (condition order is not key order)."""
+
+    def __init__(self, condition: Condition):
+        # learn_condition lists the tag predicates first, so a subset of
+        # tags followed by a subset of paths keeps the condition's order.
+        preds = self._preds = condition.predicates
+        tags = [p for p in preds if p.path is None]
+        self._tag_subsets = [subset for a in range(len(tags) + 1) for subset in itertools.combinations(tags, a)]
+        self._paths = [p for p in preds if p.path is not None]
+        self._b = 0  # the path count of the next level to list
+        self.entries: list = []
+
+    def __len__(self):
+        return 2 ** len(self._preds) - 1
+
+    def pull(self, n: int) -> bool:
+        """List the first ``n`` guards, or all of fewer; whether there are ``n``."""
+        entries, paths = self.entries, self._paths
+        while len(entries) < n:
+            if self._b > len(paths):
+                return False
+            chosen = itertools.combinations(paths, self._b)
+            self._b += 1
+            entries += sorted((rank_entry(Condition(tagged + part)) for part in chosen
+                               for tagged in self._tag_subsets if tagged or part), key=itemgetter(1, 2))
+        return True
 
 
 def learn(spec: ExampleSpec, config: SynthConfig = DEFAULT_CONFIG) -> RankedPrograms:
     """Learn ranked programs consistent with every example.
 
     The transformations are generated for all examples jointly, as one
-    stream in rank order. ``learn`` lists the first of them and builds the
-    guards, and the returned ``RankedPrograms`` pairs guards with
+    stream in rank order. ``learn`` lists the first of them and the first
+    guard, and the returned ``RankedPrograms`` pairs guards with
     transformations best first only as far as a caller reads: it lists
     further transformations, merges pairs and builds each ``Program`` on
     demand, up to ``MAX_PROGRAMS`` programs. Returns an empty result (never
@@ -611,4 +653,4 @@ def learn(spec: ExampleSpec, config: SynthConfig = DEFAULT_CONFIG) -> RankedProg
     if not root.pull(1):
         logger.info("no program found: no transformation is consistent with every example")
         return RankedPrograms()
-    return RankedPrograms(root=root, guards=_guard_candidates(condition_full))
+    return RankedPrograms(root=root, guards=_Guards(condition_full))

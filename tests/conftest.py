@@ -27,7 +27,7 @@ from mergelearn.dsl import (
     run_program,
     selections_in,
 )
-from mergelearn.synth import wf_remove
+from mergelearn.synth import _Stream, wf_concat, wf_remove
 
 OUTSIDE_BEFORE = ("// Copyright 2020 The Sample Authors.", "")
 OUTSIDE_AFTER = ("", "namespace sample {", "void Run() {}", "}  // namespace sample")
@@ -335,6 +335,27 @@ def reference_base_candidates(conflicts, targets, pdicts):
             emitted.update(Remove(source, sel) for sel in _matching(removable, _multiset(removed)))
         shared = emitted if shared is None else shared & emitted
     return sorted(map(rank_entry, shared))
+
+
+def eager_full(learner, targets, depth):
+    """The root stream as ``_TransformationLearner.full`` built it before it
+    deferred one product: the padded splits include the one that keeps
+    every example's target whole on the left, and every product's arms are
+    built up front. The reference for the deferred product."""
+    if depth == 0 or not all(targets):
+        return learner.core(targets, depth)
+
+    def grow(left, right):
+        k = len(left)
+        if k == len(targets):
+            yield left, right
+            return
+        for l, r in (*wf_concat(targets[k]), (targets[k], ())):
+            l, r = (*left, l), (*right, r)
+            if learner._feasible(l, depth - 1) and learner._feasible(r, depth - 1):
+                yield from grow(l, r)
+
+    return _Stream(learner._base(targets), learner._products(grow((), ()), depth - 1))
 
 
 def reference_struct_key(obj) -> tuple:

@@ -66,6 +66,14 @@ def test_dictionary_duplicate_main_fork(fig1a):
     assert fig1a.main_nodes[0].include_path == "ui/base/cursor/mojom/cursor_type.mojom-shared.h"
 
 
+def test_dictionary_repr_shows_only_the_non_empty_entries(fig1a):
+    # The entries are computed on lookup; the repr looks each one up and
+    # shows those that hold nodes, as a dict would.
+    assert repr(pdict_of(fig1a).patterns) == repr({"DuplicateMainFork": (fig1a.main_nodes[0],)})
+    (chunk,) = parse_conflict_file(marker_text(['#include "x/one.h"'], ['#include "y/two.h"']), "a.cc")
+    assert repr(pdict_of(chunk).patterns) == "{}"
+
+
 def test_dictionary_rename_entry():
     text = marker_text(
         ["IN_PROC_BROWSER_TEST_P(V4, ANONYMOUS_DISABLED_PERMANENT(CheckResourceUrl, 20395305)) {"],

@@ -37,7 +37,6 @@ from mergelearn.dsl import (
 )
 from mergelearn import synth
 from mergelearn.synth import (
-    _MAX_SUBSET_PREDICATES,
     EmptyConditionError,
     ExampleSpec,
     ProgramSet,
@@ -57,6 +56,7 @@ from conftest import (
     canonical_selections,
     criterion3_cases,
     cut_by_guard_pairing,
+    eager_full,
     fig_chunk,
     fig_resolution_nodes,
     gen_conflict,
@@ -594,7 +594,9 @@ def _guarded_by_brute_force(cases, cap):
     conflicts = [conflict for conflict, _ in cases]
     pdicts = [build_pattern_dictionary(conflict) for conflict in conflicts]
     root = synth._candidates(conflicts, [output for _, output in cases], pdicts, DEFAULT_CONFIG)
-    guards = synth._guard_candidates(learn_condition(conflicts, pdicts=pdicts))
+    guards = synth._Guards(learn_condition(conflicts, pdicts=pdicts))
+    guards.pull(len(guards))
+    guards = guards.entries
     cheapest = min(g[0] for g in guards)
     tags = [{p.tag for p in g[3].predicates} for g in guards]
     n = cap
@@ -692,6 +694,50 @@ def test_learn_lists_one_transformation_and_merges_no_pair(monkeypatch):
         assert len(ranked._entries) == 3
 
 
+def test_the_deferred_padded_product_lists_what_the_eager_root_did():
+    # The root defers the product that keeps every example's target whole
+    # on the left behind a lower bound; it lists the entries, in the order,
+    # that the root listed when that product was built up front.
+    specs = list(itertools.islice(criterion3_cases(random.Random(0xDEF0)), 200))
+    specs += itertools.islice(multi_example_cases(random.Random(0xDEF1)), 100)
+    depth, built = DEFAULT_CONFIG.max_concat_depth, 0
+    for cases in specs:
+        conflicts = [conflict for conflict, _ in cases]
+        pdicts = [build_pattern_dictionary(conflict) for conflict in conflicts]
+        roots = []
+        for build in (synth._TransformationLearner.full, eager_full):
+            learner = synth._TransformationLearner(conflicts, pdicts)
+            targets = tuple(learner.intern(output) for _, output in cases)
+            roots.append((build(learner, targets, depth), learner, targets))
+        (lazy, learner, targets), (eager, _, _) = roots
+        assert lazy.pull(2_000) == eager.pull(2_000)
+        assert lazy.entries[:2_000] == eager.entries[:2_000], cases[0][1]
+        built += (targets, depth - 1) in learner._core_memo
+    # Not vacuous: most roots list past the bound and build the product.
+    assert built >= 200
+
+
+def test_learn_leaves_the_deferred_product_unbuilt_while_the_head_beats_its_bound(monkeypatch):
+    # Fig. 1c's first transformation scores below the deferred product's
+    # bound, so learn never builds the candidates of the whole target one
+    # level down; listing the root past the bound builds them and lets the
+    # learner go.
+    learned = []
+    full = synth._TransformationLearner.full
+
+    def recorded(self, targets, depth):
+        learned.append((self, targets, depth))
+        return full(self, targets, depth)
+
+    monkeypatch.setattr(synth._TransformationLearner, "full", recorded)
+    ranked = learn(fig_spec("c"))
+    (learner, targets, depth), = learned
+    root = ranked._root
+    assert root._deferred is not None and (targets, depth - 1) not in learner._core_memo
+    root.pull(synth.MAX_PROGRAMS)
+    assert root._deferred is None and (targets, depth - 1) in learner._core_memo
+
+
 def test_learn_builds_only_the_programs_read(monkeypatch):
     # A spec at the MAX_PROGRAMS cap: learning it and asking its size builds
     # no Program, and each read builds only the entries it touches, once.
@@ -778,6 +824,16 @@ def test_a_learned_list_pickles_unread_partly_read_and_fully_read():
     for copy in map(pickle.loads, pickled):
         assert len(copy) == len(full) and copy.truncated
         assert list(copy) == full
+
+
+def test_an_unread_list_pickles_with_its_product_deferred_and_its_guards_partly_listed():
+    spec = fig_spec("c")
+    full = list(learn(spec))
+    ranked = learn(spec)
+    guards = ranked._sources[0]
+    assert ranked._root._deferred is not None and 0 < len(guards.entries) < len(guards)
+    copy = pickle.loads(pickle.dumps(ranked))
+    assert list(copy) == full and len(copy) == len(full)
 
 
 def test_ranked_programs_reads_agree_on_an_empty_and_a_ranked_list():
@@ -934,27 +990,71 @@ def _collect_pattern_keys(t):
     return {s.key for s in sels if s.tag == "Pattern"}
 
 
-@pytest.mark.parametrize("includes", [10, 11])
-def test_guards_on_both_sides_of_the_subset_limit(includes):
-    # Keeping a fork of n includes, the first also on main and the last also
-    # outside: the condition is DuplicateMainFork, DuplicateForkOutside and n
-    # FrequentPattern predicates.
+def _wide_chunk(includes):
+    """A fork of ``includes`` includes, the first also on main and the last
+    also outside: its condition is DuplicateMainFork, DuplicateForkOutside
+    and one FrequentPattern predicate per include."""
     fork = [f'#include "wide/h{i}.h"' for i in range(includes)]
     (chunk,) = parse_conflict_file(marker_text(fork, fork[:1], before=(*OUTSIDE_BEFORE, fork[-1])), "wide.cc")
+    return chunk
+
+
+def test_guards_of_twelve_predicates_include_proper_subsets():
+    chunk = _wide_chunk(10)
     spec = ExampleSpec(((chunk, chunk.fork_nodes),))
     full = learn_condition(spec.inputs).predicates
-    assert len(full) == includes + 2
-    start = time.perf_counter()
+    assert len(full) == 12
     ranked = learn(spec)
-    elapsed = time.perf_counter() - start
     guards = {entry.program.condition.predicates for entry in ranked}
-    if len(full) <= _MAX_SUBSET_PREDICATES:
-        assert any(1 < len(guard) < len(full) for guard in guards)
-    else:
-        assert all(len(guard) == 1 or guard == full for guard in guards)
-        assert elapsed < 1.0
+    assert any(1 < len(guard) < len(full) for guard in guards)
     for entry in list(ranked)[:20]:
         assert run_program(entry.program, chunk).nodes == chunk.fork_nodes
+
+
+@pytest.mark.parametrize("predicates", [13, 14, 15, 16])
+def test_guards_past_twelve_predicates_are_every_subset(predicates):
+    # Every non-empty predicate subset is a guard, however many predicates
+    # hold: learn's list is the first MAX_PROGRAMS admissible (guard,
+    # transformation) pairs over all 2^n - 1 subsets, sorted by the
+    # program's rank key. Deleting the whole conflict leaves 7
+    # transformations, so the pairs number at most 7 * 65 535.
+    (chunk, output), = cases = ((_wide_chunk(predicates - 2), ()),)
+    pdicts = [build_pattern_dictionary(chunk)]
+    preds = learn_condition([chunk], pdicts=pdicts).predicates
+    assert len(preds) == predicates
+    guards = [rank_entry(Condition(subset)) for size in range(1, predicates + 1)
+              for subset in itertools.combinations(preds, size)]
+    root = synth._candidates([chunk], [output], pdicts, DEFAULT_CONFIG)
+    assert not root.pull(8)
+    # A program's rank entry is its guard's and transformation's summed,
+    # keyed "Apply" + guard key + transformation key.
+    pairs = sorted((t[0] + g[0], t[1] + g[1], f"Apply\x01{g[2]}{t[2]}\x00", g[3], t[3])
+                   for t in root.entries for g in guards if g[4].issuperset(t[4]))
+    cap = synth.MAX_PROGRAMS
+    expected = [(score, Program(guard, t)) for score, _, _, guard, t in pairs[:cap]]
+    assert [rank_entry(program)[:3] for _, program in expected] == [pair[:3] for pair in pairs[:cap]]
+    ranked = learn(ExampleSpec(cases))
+    assert [(entry.score, entry.program) for entry in ranked] == expected
+    assert ranked.truncated == (len(pairs) > cap) and ranked.truncated
+
+
+def test_learn_and_top_at_25_predicates_cost_about_what_they_do_at_12():
+    # Guards are listed only as far as the merge reaches, so the number of
+    # predicates barely moves the cost of the top program. The two-node
+    # output keeps the transformations alike.
+    specs = []
+    for predicates in (12, 25):
+        chunk = _wide_chunk(predicates - 2)
+        spec = ExampleSpec(((chunk, chunk.fork_nodes[:2]),))
+        assert len(learn_condition(spec.inputs).predicates) == predicates
+        specs.append(spec)
+    best = [float("inf")] * 2
+    for _ in range(5):
+        for i, spec in enumerate(specs):
+            start = time.perf_counter()
+            assert learn(spec).top
+            best[i] = min(best[i], time.perf_counter() - start)
+    assert best[1] < 2 * best[0], best
 
 
 def test_one_cost_model_for_learned_and_ranked_programs():
