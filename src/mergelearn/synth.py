@@ -24,21 +24,19 @@ reader pulls it. No set is cut; ``learn_transformation`` lists the first
 ``MAX_PROGRAMS``; the root's product whose left arm is the whole target
 waits behind an exact lower bound until a reader gets that far.
 
-Guard pairing is a best-first merge that runs only as far as a caller
-reads. A guard, any non-empty subset of the predicates that hold on all
-examples, comes from a lazy best-first stream (``_Guards``); a guarded
-program scores its transformation's plus its guard's, and a guard admits a
-transformation when it names every Pattern key the transformation selects.
-``learn`` lists one transformation and one guard and returns a
-``RankedPrograms``, which keeps a cursor per guard reached on the root
-stream, keyed ``(score, size, guard's structural key, transformation
-index)``. That key is the programs' rank order: with score, size and guard
-equal, the transformations' scores and sizes are equal too, and the
-transformations are already in structural order. Each popped cursor moves
-one transformation on, and the root lists that transformation only then,
-so reading the top program lists what it needs and builds one ``Program``.
-The list is cut at ``MAX_PROGRAMS`` entries; ties at the cut fall in rank
-order, so a cut list is the uncut list's prefix.
+Guard pairing is one more ``_Stream`` product, so it runs only as far as
+a caller reads. A guard, any non-empty subset of the predicates that hold
+on all examples, comes from a lazy best-first stream (``_Guards``); a
+guarded program scores its transformation's plus its guard's, and a guard
+admits a transformation when it names every Pattern key the
+transformation selects. ``learn`` lists one transformation and one guard
+and returns a ``RankedPrograms`` over the product of the guards and the
+root stream: a pair's entry is ``(score, size, guard's structural key,
+transformation's structural key, Program)``, which sorts as the program's
+rank entry, and only the pairs whose guard admits the transformation are
+listed. So reading the top program lists what it needs. The list is cut at
+``MAX_PROGRAMS`` entries; ties at the cut fall in rank order, so a cut list
+is the uncut list's prefix.
 
 Candidates are kept in a normal form: a Concat arm that evaluates to
 nothing may appear only once, as the right arm of the root. Anything else
@@ -102,11 +100,6 @@ class ExampleSpec:
         return tuple(conflict for conflict, _ in self.cases)
 
 
-def _rank_key(entry):
-    """Rank entries (``dsl.rank_entry``) sort by score, size, then structure."""
-    return entry[:3]
-
-
 @dataclass(frozen=True)
 class ProgramSet:
     """Transformations consistent with one spec, rank-ordered.
@@ -137,124 +130,65 @@ class RankedProgram:
 
 
 class RankedPrograms(Sequence):
-    """Ranked programs, best first, each built the first time it is read.
+    """Ranked programs, best first, listed off one rank-ordered ``_Stream``
+    only as far as a caller reads, each built the first time it is read.
 
-    ``rank`` hands over built ``RankedProgram``s. ``learn`` instead hands
-    over its root ``_Stream`` of transformations and its ``_Guards`` stream,
-    and the list merges (guard, transformation) pairs best first, only as
-    far as a caller reads. A heap holds a cursor per guard ``gi`` reached,
-    ``(t.score + g.score, t.size + g.size, g's struct key, ti, gi)`` on its
-    next transformation ``ti``. A popped cursor's pair is kept when the
-    guard names every Pattern key of the transformation, so the program
-    scores ``t.score + g.score``; either way the cursor moves on to ``ti + 1``,
-    and the root lists that entry only then. The root is in rank order, so
-    a cursor's key bounds every later pair under its guard from below, and
-    with score, size and guard equal the transformations are in structural
-    order: the pairs come out in the programs' exact rank order. A popped
-    cursor stays out of the heap while its key is still the least, so a run
-    of pairs under one guard costs one comparison a pair. Guards come in
-    rank order, so no guard's first pair sorts below the one before it: the
-    heap starts with the first guard's cursor, and the next guard is listed
-    and pushed when the one before it pops at ``ti`` 0.
-
-    The merge stops at ``MAX_PROGRAMS`` entries. Reaching one more marks the
-    list ``truncated`` and logs that results may be incomplete; then, or
-    when the root runs dry, the root and the heap are dropped. A merged
-    entry is one int, ``ti * len(guards) + gi``, until it is first read and
-    becomes a ``RankedProgram``; once every entry is built the guards and
-    transformations go too. Truth merges nothing; ``len`` and
-    ``truncated`` merge up to one pair past the cap, which settles the cut,
-    and build nothing; ``top``, indexing, slicing and iteration merge and
+    ``learn``'s stream pairs guards with transformations; ``rank``'s is its
+    sorted entries. An entry's first field is its score and its last the
+    program, and reading it replaces it with a ``RankedProgram``. The list
+    stops at ``MAX_PROGRAMS`` entries. Listing one more marks the list
+    ``truncated`` and logs that results may be incomplete; then, or when
+    the stream runs dry, the stream, and with it the learner, is let go.
+    ``len`` and ``truncated`` list up to one entry past the cap, which
+    settles the cut; ``top``, indexing, slicing and iteration list and
     build only about as far as they read; ``entries`` reads every one.
     """
 
-    def __init__(self, entries=(), root: _Stream | None = None, guards: _Guards | None = None):
-        self._entries, self._root, self._truncated = list(entries), root, False
-        self._heap = self._sources = None
-        self._unbuilt = 0
-        if root is not None:
-            guards.pull(1)
-            t, g = root.entries[0], guards.entries[0]
-            self._heap = [(t[0] + g[0], t[1] + g[1], g[2], 0, 0)]
-            self._sources = (guards, root.entries, len(guards))
+    def __init__(self, stream: _Stream):
+        self._stream, self._entries, self._truncated = stream, stream.entries, False
 
-    def _merge(self, n: int) -> int:
-        """Merge until ``n`` entries are listed, the cap is passed or the pairs
-        run out; the number listed, at most ``MAX_PROGRAMS`` for a learned list."""
-        entries, heap = self._entries, self._heap
-        if heap is not None and len(entries) < n:
-            root, (guards, ts, width) = self._root, self._sources
-            gs = guards.entries
-            n, before = min(n, MAX_PROGRAMS + 1), len(entries)
-            cursor = heapq.heappop(heap)
-            while cursor is not None:
-                _, _, _, ti, gi = cursor
-                guard, keys = gs[gi], ts[ti][4]
-                if not keys or guard[4].issuperset(keys):
-                    entries.append(ti * width + gi)
-                if not ti and (gi + 1 < len(gs) or guards.pull(gi + 2)):  # the next guard's first pair
-                    t, g = ts[0], gs[gi + 1]
-                    heapq.heappush(heap, (t[0] + g[0], t[1] + g[1], g[2], 0, gi + 1))
-                ti += 1
-                if ti < len(ts) or root.pull(ti + 1):
-                    t = ts[ti]
-                    cursor = (t[0] + guard[0], t[1] + guard[1], guard[2], ti, gi)
-                    if heap and heap[0] < cursor:
-                        cursor = heapq.heapreplace(heap, cursor)
-                else:  # every pair under this guard is merged
-                    cursor = heapq.heappop(heap) if heap else None
-                if len(entries) >= n:
-                    break
-            if cursor is not None:
-                heapq.heappush(heap, cursor)
-            self._unbuilt += len(entries) - before
+    def _list(self, n: int) -> int:
+        """List until ``n`` entries are listed, the cap is passed or the
+        stream runs dry; the number listed, at most ``MAX_PROGRAMS``."""
+        stream, entries = self._stream, self._entries
+        if stream is not None and len(entries) < n:
+            more = stream.pull(min(n, MAX_PROGRAMS + 1))
             if len(entries) > MAX_PROGRAMS:
                 logger.warning("learned programs truncated at %d; results may be incomplete", MAX_PROGRAMS)
                 self._truncated = True
-                self._unbuilt -= len(entries) - MAX_PROGRAMS
                 del entries[MAX_PROGRAMS:]
-            if self._truncated or not heap:
-                self._root = self._heap = None
-                if not self._unbuilt:
-                    self._sources = None
+            if not more or self._truncated:
+                self._stream = None
         return len(entries)
 
     def _entry(self, i: int) -> RankedProgram:
         entry = self._entries[i]
-        if isinstance(entry, int):
-            guards, ts, width = self._sources
-            ti, gi = divmod(entry, width)
-            guard, t = guards.entries[gi], ts[ti]
-            entry = self._entries[i] = RankedProgram(Program(guard[3], t[3]), t[0] + guard[0])
-            self._unbuilt -= 1
-            if not self._unbuilt and self._heap is None:
-                self._sources = None
+        if type(entry) is tuple:
+            entry = self._entries[i] = RankedProgram(entry[-1], entry[0])
         return entry
 
     def __getitem__(self, index):
-        # A read that counts from the front merges only as far as it reaches;
+        # A read that counts from the front lists only as far as it reaches;
         # one that counts from the end needs the length.
         if isinstance(index, slice):
             start, stop, step = index.start or 0, index.stop, index.step or 1
             forward = step > 0 and start >= 0 and stop is not None and stop >= 0
-            return [self._entry(i) for i in range(self._merge(stop) if forward else len(self))[index]]
-        return self._entry(range(self._merge(index + 1) if index >= 0 else len(self))[index])
+            return [self._entry(i) for i in range(self._list(stop) if forward else len(self))[index]]
+        return self._entry(range(self._list(index + 1) if index >= 0 else len(self))[index])
 
     def __iter__(self):
-        # Merges ahead of the reader by at most one more than it has read.
+        # Lists ahead of the reader by at most one more than it has read.
         i = 0
-        while i < self._merge(2 * i + 1):
+        while i < self._list(2 * i + 1):
             for i in range(i, len(self._entries)):
                 yield self._entry(i)
             i += 1
 
     def __len__(self):
-        # One pair past the cap settles the cut, so the root can go before
-        # any entry is built.
-        return self._merge(MAX_PROGRAMS + 1)
+        return self._list(MAX_PROGRAMS + 1)
 
     def __bool__(self):
-        return bool(self._entries or self._heap)
+        return bool(self._entries) or self._stream is not None and bool(self._stream._heap)
 
     @property
     def truncated(self) -> bool:
@@ -310,26 +244,29 @@ def wf_remove(conflict: ConflictInput, target) -> list[tuple[Selection, tuple[No
 class _Stream:
     """A candidate set, listed lazily in rank order.
 
-    ``entries`` is the prefix listed so far. A set with Concat products keeps
-    one heap over the next unlisted base entry and the next reachable entry
-    of each product, keyed by the full rank key: Concat is monotone in each
-    arm's rank and struct keys are unique, so the heap pops the set in rank
-    order. A struct key is one flat string, so a tie on score and size costs
-    one string comparison, however deep the candidates. Product ``(i, j)``
-    is reached only from ``(i, j - 1)`` or, when ``j`` is 0, from ``(i - 1,
-    0)``, and an arm's next entry is pulled from its own stream only then. A
-    set with no products is its sorted base list. A ``deferred`` product
+    ``entries`` is the prefix listed so far. A set with products keeps one
+    heap over the next unlisted base entry and the next reachable entry of
+    each product, keyed by the full rank key. A product's entry is ``join``
+    of its arms' entries, by default ``concat_entry``; ``join`` is monotone
+    in each arm's rank and joined keys are unique, so the heap pops the set
+    in rank order. A struct key is one flat string, so a tie on score and
+    size costs one string comparison, however deep the candidates. A popped
+    product pair is listed when ``keep``, given its arms' entries, allows
+    it, or always when ``keep`` is ``None``. Product ``(i, j)`` is reached
+    only from ``(i, j - 1)`` or, when ``j`` is 0, from ``(i - 1, 0)``, and
+    an arm's next entry is pulled from its own stream only then. A set with
+    no products is its sorted base list. A ``deferred`` Concat product
     waits as a lower bound (see ``full``) until popping it builds the left
     arm and lets the learner go.
     """
 
-    def __init__(self, base: list, products: list, deferred: tuple | None = None):
-        self._base, self._products, self._deferred = base, products, None
+    def __init__(self, base: list, products: list, deferred: tuple | None = None, join=concat_entry, keep=None):
+        self._base, self._products, self._deferred, self._join, self._keep = base, products, None, join, keep
         if not products and deferred is None:
             self.entries, self._heap = base, []
             return
         self.entries = []
-        self._heap = [(concat_entry(left.entries[0], right.entries[0]), p, 0, 0)
+        self._heap = [(join(left.entries[0], right.entries[0]), p, 0, 0)
                       for p, (left, right) in enumerate(products) if left.pull(1) and right.pull(1)]
         if base:
             self._heap.append((base[0], -1, 0, 0))
@@ -340,27 +277,36 @@ class _Stream:
 
     def pull(self, n: int) -> bool:
         """List the first ``n`` entries, or every entry of a shorter set;
-        whether the set has ``n``."""
-        entries, heap = self.entries, self._heap
-        while len(entries) < n and heap:
-            cand, p, i, j = heapq.heappop(heap)
+        whether the set has ``n``. The entry after a popped one in its own
+        run stays out of the heap while it is still the least, so a run of
+        pops from one product or the base costs one comparison each."""
+        entries, heap, base, products, join, keep = (self.entries, self._heap, self._base, self._products,
+                                                      self._join, self._keep)
+        item = None
+        while len(entries) < n and (heap or item):
+            cand, p, i, j = heapq.heappushpop(heap, item) if item else heapq.heappop(heap)
+            item = None
             if p == -2:  # the deferred product's bound: build the product
                 learner, left, right, depth = self._deferred
                 self._deferred, left = None, learner.core(left, depth)
                 if left.pull(1):
-                    heapq.heappush(heap, (concat_entry(left.entries[0], right.entries[0]), len(self._products), 0, 0))
-                    self._products.append((left, right))
+                    heapq.heappush(heap, (join(left.entries[0], right.entries[0]), len(products), 0, 0))
+                    products.append((left, right))
                 continue
-            entries.append(cand)
             if p < 0:
-                if i + 1 < len(self._base):
-                    heapq.heappush(heap, (self._base[i + 1], -1, i + 1, 0))
+                entries.append(cand)
+                if i + 1 < len(base):
+                    item = (base[i + 1], -1, i + 1, 0)
                 continue
-            left, right = self._products[p]
+            left, right = products[p]
+            if keep is None or keep(left.entries[i], right.entries[j]):
+                entries.append(cand)
             if j == 0 and (i + 1 < len(left.entries) or left.pull(i + 2)):
-                heapq.heappush(heap, (concat_entry(left.entries[i + 1], right.entries[0]), p, i + 1, 0))
+                heapq.heappush(heap, (join(left.entries[i + 1], right.entries[0]), p, i + 1, 0))
             if j + 1 < len(right.entries) or right.pull(j + 2):
-                heapq.heappush(heap, (concat_entry(left.entries[i], right.entries[j + 1]), p, i, j + 1))
+                item = (join(left.entries[i], right.entries[j + 1]), p, i, j + 1)
+        if item:
+            heapq.heappush(heap, item)
         return len(entries) >= n
 
 
@@ -592,10 +538,11 @@ def rank(programs) -> RankedPrograms:
     """Order programs or transformations by ``program_score``, best first.
 
     Ties break on the serialized form: fewer AST nodes first, then the
-    structural key. ``learn`` returns its programs in the same order.
+    structural key. ``learn`` returns its programs in the same order, and
+    this list too holds at most ``MAX_PROGRAMS``.
     """
-    ordered = sorted(map(rank_entry, programs), key=_rank_key)
-    return RankedPrograms([RankedProgram(entry[3], entry[0]) for entry in ordered])
+    ordered = sorted(map(rank_entry, programs), key=itemgetter(0, 1, 2))
+    return RankedPrograms(_Stream([entry[:4] for entry in ordered], []))
 
 
 class _Guards:
@@ -631,15 +578,26 @@ class _Guards:
         return True
 
 
+def _guarded_entry(guard: tuple, t: tuple) -> tuple:
+    """A guarded program's entry, ``(score, size, guard key, transformation
+    key, Program)``: it sorts as the program's rank entry when the guard
+    admits the transformation, which then earns every Pattern credit."""
+    return t[0] + guard[0], t[1] + guard[1], guard[2], t[2], Program(guard[3], t[3])
+
+
+def _admits(guard: tuple, t: tuple) -> bool:
+    """Whether a guard names every Pattern key the transformation selects."""
+    return not t[4] or guard[4].issuperset(t[4])
+
+
 def learn(spec: ExampleSpec, config: SynthConfig = DEFAULT_CONFIG) -> RankedPrograms:
     """Learn ranked programs consistent with every example.
 
     The transformations are generated for all examples jointly, as one
     stream in rank order. ``learn`` lists the first of them and the first
-    guard, and the returned ``RankedPrograms`` pairs guards with
-    transformations best first only as far as a caller reads: it lists
-    further transformations, merges pairs and builds each ``Program`` on
-    demand, up to ``MAX_PROGRAMS`` programs. Returns an empty result (never
+    guard, and the returned ``RankedPrograms`` lists the admissible
+    (guard, transformation) pairs best first only as far as a caller
+    reads, up to ``MAX_PROGRAMS`` programs. Returns an empty result (never
     raises) when no predicate holds on all inputs or no transformation
     reproduces all outputs.
     """
@@ -648,9 +606,9 @@ def learn(spec: ExampleSpec, config: SynthConfig = DEFAULT_CONFIG) -> RankedProg
         condition_full = learn_condition(spec.inputs, config, pdicts)
     except EmptyConditionError:
         logger.info("no program found: no predicate holds on every example")
-        return RankedPrograms()
+        return RankedPrograms(_Stream([], []))
     root = _candidates(spec.inputs, (output for _, output in spec.cases), pdicts, config)
     if not root.pull(1):
         logger.info("no program found: no transformation is consistent with every example")
-        return RankedPrograms()
-    return RankedPrograms(root=root, guards=_Guards(condition_full))
+        return RankedPrograms(_Stream([], []))
+    return RankedPrograms(_Stream([], [(_Guards(condition_full), root)], join=_guarded_entry, keep=_admits))

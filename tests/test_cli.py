@@ -5,7 +5,9 @@ import dataclasses
 import hashlib
 import json
 import logging
+import itertools
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +22,11 @@ from mergelearn.dsl import (
     Condition,
     Predicate,
     Program,
+    W_BRANCH,
+    W_CONSTANTS,
+    W_INDEX,
+    W_OPERATORS,
+    W_PATTERN,
     SynthConfig,
     program_from_json,
     program_to_json,
@@ -34,11 +41,13 @@ from conftest import (
     FB_PROGRAM,
     OUTSIDE_AFTER,
     OUTSIDE_BEFORE,
+    criterion3_cases,
     cut_by_guard_pairing,
     deep_program_text,
     fig_file_text,
     fig_resolved_text,
     marker_text,
+    multi_example_cases,
     write_fig_corpus,
 )
 
@@ -109,17 +118,28 @@ def test_learn_top_n_emits_rank_ordered_array(tmp_path, capsys):
     assert scores == sorted(scores)
 
 
+def _write_cases(tmp_path, cases):
+    """Write each case's conflict and resolution files, and the example spec naming them."""
+    entries = []
+    for i, (conflict, output) in enumerate(cases):
+        (tmp_path / f"conflict{i}.txt").write_text(marker_text(conflict.fork_lines, conflict.main_lines),
+                                                   encoding="utf-8")
+        (tmp_path / f"resolution{i}.txt").write_text("".join(node.raw_text + "\n" for node in output),
+                                                     encoding="utf-8")
+        entries.append({"conflict": f"conflict{i}.txt", "resolution": f"resolution{i}.txt",
+                        "file_path": conflict.file_path})
+    spec = tmp_path / "examples.json"
+    spec.write_text(json.dumps(entries), encoding="utf-8")
+    return spec
+
+
 def test_learn_top_merges_only_the_programs_it_writes(tmp_path, capsys, caplog, monkeypatch):
-    # A spec whose ranked list the cap cuts: --top 3 merges no more than the
+    # A spec whose ranked list the cap cuts: --top 3 lists no more than the
     # three programs it writes and says nothing of the cut; a --top past the
     # cap reads far enough to learn of it, and logs it.
     cases = cut_by_guard_pairing()[0]
     (conflict, output), = cases
-    (tmp_path / "conflict.txt").write_text(marker_text(conflict.fork_lines, conflict.main_lines), encoding="utf-8")
-    (tmp_path / "resolution.txt").write_text("".join(node.raw_text + "\n" for node in output), encoding="utf-8")
-    spec = tmp_path / "examples.json"
-    spec.write_text(json.dumps([{"conflict": "conflict.txt", "resolution": "resolution.txt",
-                                 "file_path": conflict.file_path}]), encoding="utf-8")
+    spec = _write_cases(tmp_path, cases)
     (loaded, loaded_output), = _load_example_spec(spec, "fork-first").cases
     assert loaded_output == output and loaded.outside_content == conflict.outside_content
     assert (loaded.file_path, loaded.main_lines, loaded.fork_lines) == (conflict.file_path, conflict.main_lines,
@@ -158,6 +178,29 @@ def test_learn_top_writes_the_first_programs_of_the_ranked_list(tmp_path, capsys
         rank_lines = [f"rank={i} score={entry.score:g} " + " ".join(f"{k}={v}" for k, v in entry.features.items())
                       for i, entry in enumerate(ranked[:top])]
         assert lines == [*rank_lines, f"wrote {len(expected)} program(s) to {out}"]
+
+
+def test_learned_scores_are_the_weighted_sums_of_their_features(tmp_path, capsys):
+    # A learned program's guard names every Pattern key its transformation
+    # selects, so each Pattern selection earns its credit and the score is
+    # the cost model's weighted sum of the features in its program file.
+    specs = list(itertools.islice(criterion3_cases(random.Random(0xFEA7)), 40))
+    specs += itertools.islice(multi_example_cases(random.Random(0xFEA8)), 10)
+    specs += cut_by_guard_pairing()
+    checked = 0
+    for i, cases in enumerate(specs):
+        (tmp_path / str(i)).mkdir()
+        out = tmp_path / str(i) / "top.json"
+        assert main(["learn", "--examples", str(_write_cases(tmp_path / str(i), cases)), "--out", str(out),
+                     "--top", "50"]) == 0
+        programs = json.loads(out.read_text(encoding="utf-8"))
+        for program in programs if isinstance(programs, list) else [programs]:
+            f = program["meta"]["features"]
+            assert program["meta"]["score"] == (
+                W_OPERATORS * f["operators"] + W_CONSTANTS * f["constants"] + W_INDEX * f["index_selections"]
+                - W_PATTERN * f["pattern_selections"] - W_BRANCH * f["branch_selections"]), program
+            checked += 1
+    assert checked >= 1_000
 
 
 def test_learn_max_depth_zero_is_usage_error(tmp_path, capsys):

@@ -7,6 +7,7 @@ import logging
 import pickle
 import random
 import time
+import weakref
 from collections import Counter
 
 import pytest
@@ -26,6 +27,7 @@ from mergelearn.dsl import (
     Selection,
     SynthConfig,
     build_pattern_dictionary,
+    concat_entry,
     eval_transformation,
     program_score,
     program_to_json,
@@ -40,6 +42,7 @@ from mergelearn.synth import (
     EmptyConditionError,
     ExampleSpec,
     ProgramSet,
+    RankedProgram,
     intersect_program_sets,
     learn,
     learn_condition,
@@ -676,8 +679,8 @@ def test_guard_pairing_pulls_fewer_transformations_than_the_set_holds(monkeypatc
 
 
 def test_learn_lists_one_transformation_and_merges_no_pair(monkeypatch):
-    # learn builds the guards and lists the first transformation, and merges
-    # nothing; asking whether the list is empty merges nothing either.
+    # learn builds the guards and lists the first transformation, and lists
+    # no program; asking whether the list is empty lists none either.
     roots = []
     full = synth._TransformationLearner.full
 
@@ -720,40 +723,44 @@ def test_the_deferred_padded_product_lists_what_the_eager_root_did():
 def test_learn_leaves_the_deferred_product_unbuilt_while_the_head_beats_its_bound(monkeypatch):
     # Fig. 1c's first transformation scores below the deferred product's
     # bound, so learn never builds the candidates of the whole target one
-    # level down; listing the root past the bound builds them and lets the
-    # learner go.
+    # level down; listing the root past the bound builds them, and a read
+    # to the end lets the root and the learner go.
     learned = []
     full = synth._TransformationLearner.full
 
     def recorded(self, targets, depth):
-        learned.append((self, targets, depth))
-        return full(self, targets, depth)
+        learned.append((self, targets, depth, full(self, targets, depth)))
+        return learned[-1][3]
 
     monkeypatch.setattr(synth._TransformationLearner, "full", recorded)
-    ranked = learn(fig_spec("c"))
-    (learner, targets, depth), = learned
-    root = ranked._root
+    learn(fig_spec("c"))
+    (learner, targets, depth, root), = learned
     assert root._deferred is not None and (targets, depth - 1) not in learner._core_memo
     root.pull(synth.MAX_PROGRAMS)
     assert root._deferred is None and (targets, depth - 1) in learner._core_memo
+    ranked = learn(fig_spec("c"))
+    learner = weakref.ref(learned.pop()[0])
+    learned.clear()
+    del root
+    assert learner() is not None
+    assert not ranked.truncated and ranked._stream is None and learner() is None
 
 
 def test_learn_builds_only_the_programs_read(monkeypatch):
     # A spec at the MAX_PROGRAMS cap: learning it and asking its size builds
-    # no Program, and each read builds only the entries it touches, once.
+    # no RankedProgram, and each read builds only the entries it touches,
+    # once. Settling the cut lets the stream, and with it the learner, go.
     built = Counter()
 
     def counted(*args):
         built["programs"] += 1
-        return Program(*args)
+        return RankedProgram(*args)
 
-    monkeypatch.setattr(synth, "Program", counted)
+    monkeypatch.setattr(synth, "RankedProgram", counted)
     ranked = learn(ExampleSpec(cut_by_guard_pairing()[0]))
-    assert ranked._entries == []
-    # The size merges the pairs one past the cap, which settles the cut, and
-    # builds none of them.
+    assert ranked._entries == [] and ranked._stream is not None
     assert len(ranked) == synth.MAX_PROGRAMS and ranked and ranked.truncated
-    assert built["programs"] == 0
+    assert built["programs"] == 0 and ranked._stream is None
     ranked.top
     assert built["programs"] == 1
     ranked[:20]
@@ -762,8 +769,6 @@ def test_learn_builds_only_the_programs_read(monkeypatch):
     assert built["programs"] == 21 and len(ranked._entries) == synth.MAX_PROGRAMS
     list(ranked)
     assert built["programs"] == synth.MAX_PROGRAMS
-    # Once every entry is built, the pairs' sources are let go.
-    assert ranked._sources is None
 
 
 @pytest.mark.parametrize("which", [0, 2])
@@ -830,10 +835,48 @@ def test_an_unread_list_pickles_with_its_product_deferred_and_its_guards_partly_
     spec = fig_spec("c")
     full = list(learn(spec))
     ranked = learn(spec)
-    guards = ranked._sources[0]
-    assert ranked._root._deferred is not None and 0 < len(guards.entries) < len(guards)
+    (guards, root), = ranked._stream._products
+    assert root._deferred is not None and 0 < len(guards.entries) < len(guards)
     copy = pickle.loads(pickle.dumps(ranked))
     assert list(copy) == full and len(copy) == len(full)
+
+
+def test_a_product_lists_only_its_kept_pairs_and_runs_dry_on_a_rejected_last_pair():
+    # keep rejects the product's last pair and one in the middle: the stream
+    # lists the other pairs in rank order, then reports that it has no more,
+    # and a list over it lets it go.
+    arms = sorted(rank_entry(Select(Selection(tag, k=k))) for tag, k in
+                  (("Main", None), ("Fork", None), ("MainByIndex", 0), ("ForkByIndex", 1)))
+    pairs = [(a, b) for a in arms for b in arms]
+    last = (arms[-1], arms[-1])
+    assert max(pairs, key=lambda pair: concat_entry(*pair)[:3]) == last
+    rejected = {pairs[5], last}
+
+    def keep(left, right):
+        return (left, right) not in rejected
+
+    def join(left, right):  # a list's entries end in their program
+        return concat_entry(left, right)[:4]
+
+    def product():
+        arm = synth._Stream(list(arms), [])
+        return synth._Stream([], [(arm, arm)], join=join, keep=keep)
+
+    expected = sorted((join(a, b) for a, b in pairs if keep(a, b)), key=lambda entry: entry[:3])
+    assert len(expected) == len(pairs) - 2
+    stream = product()
+    assert stream.pull(len(expected)) and stream.entries == expected
+    assert not stream.pull(len(expected) + 1) and stream.entries == expected
+    ranked = synth.RankedPrograms(product())
+    assert len(ranked) == len(expected) and ranked._stream is None and not ranked.truncated
+    assert [(entry.score, entry.program) for entry in ranked] == [(score, t) for score, _, _, t in expected]
+
+
+def test_an_empty_spec_and_an_empty_intersection_are_refused():
+    with pytest.raises(ValueError, match="at least one case"):
+        ExampleSpec(())
+    with pytest.raises(ValueError, match="at least one program set"):
+        intersect_program_sets([])
 
 
 def test_ranked_programs_reads_agree_on_an_empty_and_a_ranked_list():
