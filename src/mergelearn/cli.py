@@ -149,7 +149,8 @@ def _load_programs(paths) -> list[Program]:
     programs = []
     for path in paths:
         try:
-            programs.extend(deserialize_programs(Path(path).read_text(encoding="utf-8")))
+            with open(path, encoding="utf-8") as f:
+                programs.extend(deserialize_programs(f.read()))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
     return programs

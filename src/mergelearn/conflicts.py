@@ -2,7 +2,8 @@
 
 A conflicted file is split into outside text and marker-delimited chunks.
 Each chunk carries two regions (main and fork); region lines are tokenized
-into nodes, the atomic units that resolution programs select and combine.
+into nodes, the atomic units that resolution programs select and combine;
+equal lines of one file are tokenized once and share one node.
 One ``ConflictedFile`` per parse holds the chunks and is every chunk's
 ``context``: what each chunk's pattern dictionary reads of the rest of the
 file. What it derives from the outside text (the outside lines, their
@@ -27,10 +28,11 @@ SIDE_ORDERS = ("fork-first", "ours-first")
 
 _INCLUDE_RE = re.compile(r'^#\s*include\s*("[^"]+"|<[^>]+>)$')
 _MACRO_RE = re.compile(r"^([A-Z][A-Z0-9_]*)\s*(\(.*)$")
-_SPACE_RE = re.compile(r"\s+")
 
 # A marker line is exactly seven marker characters, then whitespace or the
-# line's end; a separator takes nothing but whitespace after it.
+# line's end; a separator takes nothing but whitespace after it. Only a line
+# that starts with a marker character is matched against the grammar.
+_MARKER_CHARS = "<|=>"
 START_MARKER = r"<{7}(?:\s.*)?$"
 _MARKER_RE = re.compile(
     rf"(?P<start>{START_MARKER})|(?P<base>\|{{7}}(?:\s.*)?$)|(?P<sep>={{7}}\s*$)|(?P<end>>{{7}}(?:\s.*)?$)")
@@ -95,8 +97,9 @@ class Node:
 
 
 def normalize_line(line: str) -> str:
-    """Strip and collapse whitespace runs; the unit of node equality."""
-    return _SPACE_RE.sub(" ", line.strip())
+    """Strip and collapse whitespace runs; the unit of node equality.
+    ``str.split`` splits on exactly the characters a regex ``\\s`` matches."""
+    return " ".join(line.split())
 
 
 def tokenize_line(line: str) -> Node:
@@ -110,9 +113,22 @@ def tokenize_line(line: str) -> Node:
     return Node(RAW, text)
 
 
-def tokenize_nodes(lines) -> tuple[Node, ...]:
-    """Tokenize region lines, one node per line. Total: never fails."""
-    return tuple(tokenize_line(line) for line in lines)
+class LineNodes(dict):
+    """One file's ``{line: Node}``: a line is tokenized the first time it is
+    looked up, so equal lines share one node. Two threads that look a new
+    line up at once may each tokenize it; their nodes are equal."""
+
+    __slots__ = ()
+
+    def __missing__(self, line: str) -> Node:
+        node = self[line] = tokenize_line(line)
+        return node
+
+
+def tokenize_nodes(lines, memo: LineNodes | None = None) -> tuple[Node, ...]:
+    """Tokenize region lines, one node per line. Total: never fails. Through
+    a ``memo``, a line it holds is not tokenized again."""
+    return tuple(map(tokenize_line if memo is None else memo.__getitem__, lines))
 
 
 def render_nodes(nodes) -> str:
@@ -249,23 +265,29 @@ class ConflictedFile:
     so unresolved chunks can be written back verbatim. ``regions`` holds
     each chunk's ``(main_nodes, fork_nodes, main_lines, fork_lines)``, and
     the read-only ``header_contents`` maps include paths to header text
-    when the corpus ships headers (empty otherwise). The outside lines,
-    their ``match_index`` (``outside_index``) and ``stem_users`` (which
-    backs the Dependency pattern, see ``_stem_users``; empty for a lone
-    chunk, which has no siblings) are computed on first read and cached, so
-    the outside lines are tokenized at most once per file and only when a
-    pattern reads them. The caches are write-once and a recomputation gives
-    the same value, so a file and its chunks are safe to share across
-    workers.
+    when the corpus ships headers (empty otherwise). ``line_nodes`` is the
+    file's ``LineNodes``: every line of the file is tokenized through it,
+    so equal lines are tokenized once and share one node. The outside
+    lines, their ``match_index`` (``outside_index``) and ``stem_users``
+    (which backs the Dependency pattern, see ``_stem_users``; empty for a
+    lone chunk, which has no siblings) are computed on first read and
+    cached, so the outside lines are tokenized at most once per file and
+    only when a pattern reads them. The caches are write-once and a
+    recomputation gives an equal value, so a file and its chunks are safe
+    to share across workers.
     """
 
-    def __init__(self, file_path, segments, chunk_blocks, trailing_newline, regions, header_contents):
+    def __init__(self, file_path, segments, chunk_blocks, trailing_newline, regions, header_contents,
+                 line_nodes: LineNodes | None = None):
         self.file_path = file_path
         self.segments = segments
         self.chunk_blocks = chunk_blocks
         self.trailing_newline = trailing_newline
         self.regions = regions
         self.header_contents = MappingProxyType(header_contents)
+        if line_nodes is None:  # a copy: its regions' lines seed the memo
+            line_nodes = LineNodes(pair for mn, fn, ml, fl in regions for pair in zip(ml + fl, mn + fn))
+        self.line_nodes = line_nodes
         self.chunks = [ConflictInput(file_path, *region, self, i) for i, region in enumerate(regions)]
 
     def __reduce__(self):
@@ -280,7 +302,7 @@ class ConflictedFile:
 
     @cached_property
     def _outside_nodes(self) -> tuple[Node, ...]:
-        return tokenize_nodes(self.outside_content)
+        return tokenize_nodes(self.outside_content, self.line_nodes)
 
     @cached_property
     def outside_index(self) -> Mapping[tuple, tuple[Node, ...]]:
@@ -310,8 +332,7 @@ class ConflictedFile:
         spans: list[dict[str, int]] = []  # each chunk's marker line numbers
         state = "outside"
         for lineno, line in enumerate(lines):
-            m = _MARKER_RE.match(line)
-            if m is None:
+            if not line or line[0] not in _MARKER_CHARS or (m := _MARKER_RE.match(line)) is None:
                 continue
             moves, misplaced = _TRANSITIONS[state]
             marker = m.lastgroup
@@ -329,6 +350,7 @@ class ConflictedFile:
         segments: list[tuple[str, object]] = []
         chunk_blocks: list[tuple[str, ...]] = []
         regions = []
+        memo = LineNodes()
         done = 0  # lines before this one are in a segment
         for marks in spans:
             start, sep, end = marks["start"], marks["sep"], marks["end"]
@@ -339,7 +361,8 @@ class ConflictedFile:
             # A base section's content is dropped.
             first, second = tuple(lines[start + 1:marks.get("base", sep)]), tuple(lines[sep + 1:end])
             main_lines, fork_lines = (second, first) if side_order == "fork-first" else (first, second)
-            regions.append((tokenize_nodes(main_lines), tokenize_nodes(fork_lines), main_lines, fork_lines))
+            main_nodes, fork_nodes = tokenize_nodes(main_lines, memo), tokenize_nodes(fork_lines, memo)
+            regions.append((main_nodes, fork_nodes, main_lines, fork_lines))
             done = end + 1
         if done < len(lines):
             segments.append(("text", tuple(lines[done:])))
@@ -347,7 +370,7 @@ class ConflictedFile:
         if header_text is not None:
             headers = {path: contents for path in _include_paths(regions)
                        if (contents := header_text(path)) is not None}
-        return cls(file_path, segments, chunk_blocks, text.endswith("\n"), tuple(regions), headers)
+        return cls(file_path, segments, chunk_blocks, text.endswith("\n"), tuple(regions), headers, memo)
 
     def render(self, resolutions: dict[int, tuple[Node, ...]] | None = None) -> str:
         """Rebuild the file text, substituting resolved chunks.

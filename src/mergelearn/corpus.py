@@ -110,7 +110,7 @@ def _align(parsed: ConflictedFile, resolved_text: str) -> list[AlignedChunk]:
         start = mapping[gap - 1] + 1 if gap > 0 else 0
         # Matching blocks rise in both sequences, so start <= end.
         end = mapping[gap] if gap < len(outside) else len(resolved_lines)
-        results.append(AlignedChunk(tokenize_nodes(resolved_lines[start:end])))
+        results.append(AlignedChunk(tokenize_nodes(resolved_lines[start:end], parsed.line_nodes)))
     return results
 
 

@@ -360,7 +360,7 @@ class Suggestion:
 
     @classmethod
     def none(cls) -> "Suggestion":
-        return cls(NO_SUGGESTION)
+        return _NO_SUGGESTION
 
     @classmethod
     def failed(cls, error: str) -> "Suggestion":
@@ -369,6 +369,10 @@ class Suggestion:
     @property
     def is_resolved(self) -> bool:
         return self.kind == RESOLVED
+
+
+# Every guard miss returns this one value; a Suggestion is immutable.
+_NO_SUGGESTION = Suggestion(NO_SUGGESTION)
 
 
 def run_program(program: Program, conflict: ConflictInput, config: SynthConfig = DEFAULT_CONFIG,
@@ -382,7 +386,7 @@ def run_program(program: Program, conflict: ConflictInput, config: SynthConfig =
     if pdict is None:
         pdict = build_pattern_dictionary(conflict, config)
     if not eval_condition(program.condition, conflict, pdict):
-        return Suggestion.none()
+        return _NO_SUGGESTION
     try:
         return Suggestion.resolved(eval_transformation(program.transformation, conflict, pdict))
     except EvaluationFailed as exc:
@@ -445,11 +449,15 @@ def _expect_dict(value, where: str) -> dict:
     return value
 
 
+# Each literal class's field names, in declaration order.
+_FIELD_NAMES = {cls: tuple(f.name for f in fields(cls)) for cls in (Predicate, Selection)}
+
+
 def _literal_node(cls, obj, where: str):
     """A Predicate or Selection from its JSON object; any fault is a ParseError."""
     obj = _expect_dict(obj, where)
-    names = [f.name for f in fields(cls)]
-    extra = set(obj) - set(names)
+    names = _FIELD_NAMES[cls]
+    extra = obj.keys() - names
     if extra:
         raise ParseError(f"{where}: unexpected fields {sorted(extra)}")
     try:

@@ -32,9 +32,10 @@ admits a transformation when it names every Pattern key the
 transformation selects. ``learn`` lists one transformation and one guard
 and returns a ``RankedPrograms`` over the product of the guards and the
 root stream: a pair's entry is ``(score, size, guard's structural key,
-transformation's structural key, Program)``, which sorts as the program's
-rank entry, and only the pairs whose guard admits the transformation are
-listed. So reading the top program lists what it needs. The list is cut at
+transformation's structural key, guard, transformation)``, which sorts as
+the program's rank entry, and only the pairs whose guard admits the
+transformation are listed; a ``Program`` is built only for an entry that
+is read. So reading the top program lists what it needs. The list is cut at
 ``MAX_PROGRAMS`` entries; ties at the cut fall in rank order, so a cut list
 is the uncut list's prefix.
 
@@ -134,8 +135,10 @@ class RankedPrograms(Sequence):
     only as far as a caller reads, each built the first time it is read.
 
     ``learn``'s stream pairs guards with transformations; ``rank``'s is its
-    sorted entries. An entry's first field is its score and its last the
-    program, and reading it replaces it with a ``RankedProgram``. The list
+    sorted entries. An entry's first field is its score. Its program is its
+    fourth field in ``rank``'s list; in ``learn``'s, the ``Program`` of its
+    last two, the guard and the transformation, is built when the entry is
+    read. Reading an entry replaces it with a ``RankedProgram``. The list
     stops at ``MAX_PROGRAMS`` entries. Listing one more marks the list
     ``truncated`` and logs that results may be incomplete; then, or when
     the stream runs dry, the stream, and with it the learner, is let go.
@@ -164,7 +167,8 @@ class RankedPrograms(Sequence):
     def _entry(self, i: int) -> RankedProgram:
         entry = self._entries[i]
         if type(entry) is tuple:
-            entry = self._entries[i] = RankedProgram(entry[-1], entry[0])
+            program = entry[3] if len(entry) == 4 else Program(entry[4], entry[5])
+            entry = self._entries[i] = RankedProgram(program, entry[0])
         return entry
 
     def __getitem__(self, index):
@@ -580,9 +584,10 @@ class _Guards:
 
 def _guarded_entry(guard: tuple, t: tuple) -> tuple:
     """A guarded program's entry, ``(score, size, guard key, transformation
-    key, Program)``: it sorts as the program's rank entry when the guard
-    admits the transformation, which then earns every Pattern credit."""
-    return t[0] + guard[0], t[1] + guard[1], guard[2], t[2], Program(guard[3], t[3])
+    key, Condition, Transformation)``: it sorts as the program's rank entry
+    when the guard admits the transformation, which then earns every
+    Pattern credit. Its ``Program`` is built when the entry is read."""
+    return t[0] + guard[0], t[1] + guard[1], guard[2], t[2], guard[3], t[3]
 
 
 def _admits(guard: tuple, t: tuple) -> bool:

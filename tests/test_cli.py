@@ -812,12 +812,12 @@ def test_usage_error_exit_2():
     assert exc.value.code == 2
 
 
-def _run_module(*args):
-    """``python -m mergelearn`` as a separate process, importing this checkout's package."""
+def _run_module(*args, module="mergelearn"):
+    """``python -m <module>`` as a separate process, importing this checkout's package."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(Path(mergelearn.__file__).parents[1]),
                                                       env.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, "-m", "mergelearn", *args], capture_output=True, text=True,
+    return subprocess.run([sys.executable, "-m", module, *args], capture_output=True, text=True,
                           env=env, timeout=60)
 
 
@@ -829,6 +829,14 @@ def test_module_entry_point_exit_codes(tmp_path):
     top = _run_module("learn", "--examples", "e.json", "--out", str(tmp_path / "x.json"), "--top", "0")
     assert top.returncode == 2
     assert top.stderr == "error: --top must be at least 1\n"
+
+
+def test_the_cli_module_runs_as_a_script(tmp_path):
+    # ``python -m mergelearn.cli`` reaches the module's own ``__main__`` guard.
+    assert _run_module("--help", module="mergelearn.cli").returncode == 0
+    missing = _run_module("classify", str(tmp_path / "missing"), "--report", "-", module="mergelearn.cli")
+    assert missing.returncode == 1
+    assert missing.stderr == f"error: corpus root {tmp_path / 'missing'} does not exist\n"
 
 
 def test_learn_apply_round_trip(tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Tests for conflict parsing and node tokenization."""
 
+import re
+import sys
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -11,6 +14,7 @@ from mergelearn.conflicts import (
     ConflictedFile,
     UnbalancedMarkersError,
     conflict_kind,
+    normalize_line,
     parse_conflict_file,
     render_nodes,
     tokenize_line,
@@ -239,6 +243,16 @@ def test_tokenize_plain_statement_is_raw():
     assert tokenize_line("lowercase_call(x)").kind == RAW
 
 
+@given(st.text(st.sampled_from(" \t\x0b\x0c\x1c\x85\xa0\u2028\u3000ab#(")))
+def test_normalize_line_collapses_whitespace_as_the_regex_does(line):
+    assert normalize_line(line) == re.sub(r"\s+", " ", line.strip())
+
+
+def test_split_and_a_regex_space_agree_on_every_character():
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert set(re.findall(r"\s", every)) == {c for c in every if c.isspace()}
+
+
 def test_node_equality_ignores_whitespace():
     assert tokenize_line('#include  "a.h"') == tokenize_line('#include "a.h"')
     assert tokenize_line("FOO( x,  y )") == tokenize_line("FOO( x, y )")
@@ -367,3 +381,39 @@ def _chunk_lines(draw):
 def test_parse_render_round_trip(pieces, newline, trailing):
     text = newline.join(line for piece in pieces for line in piece) + (newline if trailing else "")
     assert ConflictedFile.parse(text, "f.cc").render() == text.replace("\r\n", "\n")
+
+
+# Lines that recur, and variants of one include and one macro that differ
+# only in spacing: equal as nodes, distinct as lines.
+_recurring_line = st.sampled_from((
+    "", "  ", '#include "a/b.h"', '#  include   "a/b.h"', '#include "a/b.h"  ', "FOO(x) {", "FOO (x)   {",
+    "  FOO(x) {", "int x;", "int  x;", "<<<<<<<<x", "=======", "|||||||"))
+
+
+@st.composite
+def _recurring_chunk(draw):
+    region = st.lists(_recurring_line.filter(lambda line: line not in ("=======", "|||||||")), max_size=4)
+    lines = ["<<<<<<<" + draw(_label), *draw(region)]
+    if draw(st.booleans()):
+        lines += ["|||||||" + draw(_label), *draw(region)]
+    return lines + ["=======", *draw(region), ">>>>>>>" + draw(_label)]
+
+
+@given(st.lists(_recurring_line.map(lambda line: [line]) | _recurring_chunk(), max_size=8),
+       _recurring_line.filter(lambda line: line not in ("=======", "|||||||")), st.sampled_from(("\n", "\r\n")))
+def test_equal_lines_of_a_file_share_one_node_that_tokenizes_as_the_line_alone(pieces, repeated, newline):
+    # One line always recurs: on both sides of a chunk and outside it.
+    pieces.append(["<<<<<<<", repeated, "=======", repeated, ">>>>>>>", repeated])
+    parsed = ConflictedFile.parse("".join(line + newline for piece in pieces for line in piece), "f.cc")
+    for chunk in parsed.chunks:
+        assert chunk.main_nodes == tokenize_nodes(chunk.main_lines)
+        assert chunk.fork_nodes == tokenize_nodes(chunk.fork_lines)
+    assert parsed._outside_nodes == tokenize_nodes(parsed.outside_content)
+    shared: dict = {}
+    pairs = [(lines, nodes) for main_nodes, fork_nodes, main_lines, fork_lines in parsed.regions
+             for lines, nodes in ((main_lines, main_nodes), (fork_lines, fork_nodes))]
+    for lines, nodes in pairs + [(parsed.outside_content, parsed._outside_nodes)]:
+        for line, node in zip(lines, nodes):
+            assert shared.setdefault(line, node) is node, line
+    last = parsed.chunks[-1]
+    assert last.main_nodes[0] is last.fork_nodes[0] is parsed._outside_nodes[-1]

@@ -432,15 +432,16 @@ OUTSIDE_PROGRAM = Program(Condition((Predicate("DuplicateMainOutside"),)), Selec
 
 @pytest.fixture
 def outside_reads(monkeypatch):
-    """Record the lines of each ``tokenize_nodes`` call of the parser, each
-    ``match_index`` call it makes and each stem search."""
+    """Record the lines of each ``tokenize_nodes`` call of the parser, with
+    or without the file's line memo, each ``match_index`` call it makes and
+    each stem search."""
     calls = {"tokenized": [], "indexed": 0, "stem_searches": 0}
     real_tokenize, real_index, real_stem_users = conflicts.tokenize_nodes, conflicts.match_index, conflicts._stem_users
 
-    def tokenize(lines):
+    def tokenize(lines, memo=None):
         lines = tuple(lines)
         calls["tokenized"].append(lines)
-        return real_tokenize(lines)
+        return real_tokenize(lines, memo)
 
     def index(nodes):
         calls["indexed"] += 1

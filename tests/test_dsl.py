@@ -18,6 +18,7 @@ from mergelearn.dsl import (
     SELECTION_TAGS,
     Concat,
     Condition,
+    NO_SUGGESTION,
     EvaluationFailed,
     ParseError,
     Predicate,
@@ -26,6 +27,7 @@ from mergelearn.dsl import (
     RemoveMismatch,
     Select,
     Selection,
+    Suggestion,
     SynthConfig,
     build_pattern_dictionary,
     deserialize_program,
@@ -261,6 +263,14 @@ def test_run_program_fb_on_d(fig1d):
 
 def test_run_program_guard_refuses_on_a(fig1a):
     assert run_program(FB_PROGRAM, fig1a).kind == "no-suggestion"
+
+
+def test_every_guard_miss_returns_the_one_shared_no_suggestion(fig1a, fig1c):
+    miss = run_program(FB_PROGRAM, fig1a)
+    assert miss.kind == NO_SUGGESTION and not miss.is_resolved and miss.nodes is None and miss.error is None
+    fs_program = Program(Condition((Predicate("ForkSpecific"),)), Select(Selection("Fork")))
+    assert run_program(fs_program, fig1c) is miss and Suggestion.none() is miss
+    assert run_program(FB_PROGRAM, fig1c) is not miss
 
 
 def test_run_program_dup_on_a(fig1a):

@@ -748,27 +748,31 @@ def test_learn_leaves_the_deferred_product_unbuilt_while_the_head_beats_its_boun
 
 def test_learn_builds_only_the_programs_read(monkeypatch):
     # A spec at the MAX_PROGRAMS cap: learning it and asking its size builds
-    # no RankedProgram, and each read builds only the entries it touches,
-    # once. Settling the cut lets the stream, and with it the learner, go.
+    # no Program and no RankedProgram, and each read builds only the entries
+    # it touches, once. Settling the cut lets the stream, and with it the
+    # learner, go.
     built = Counter()
 
-    def counted(*args):
-        built["programs"] += 1
-        return RankedProgram(*args)
+    def counting(cls):
+        def build(*args):
+            built[cls.__name__] += 1
+            return cls(*args)
+        return build
 
-    monkeypatch.setattr(synth, "RankedProgram", counted)
+    monkeypatch.setattr(synth, "Program", counting(Program))
+    monkeypatch.setattr(synth, "RankedProgram", counting(RankedProgram))
     ranked = learn(ExampleSpec(cut_by_guard_pairing()[0]))
     assert ranked._entries == [] and ranked._stream is not None
     assert len(ranked) == synth.MAX_PROGRAMS and ranked and ranked.truncated
-    assert built["programs"] == 0 and ranked._stream is None
+    assert built == Counter() and ranked._stream is None
     ranked.top
-    assert built["programs"] == 1
+    assert built == Counter(Program=1, RankedProgram=1)
     ranked[:20]
-    assert built["programs"] == 20
+    assert built == Counter(Program=20, RankedProgram=20)
     ranked[-1], ranked[:20], ranked.top
-    assert built["programs"] == 21 and len(ranked._entries) == synth.MAX_PROGRAMS
+    assert built == Counter(Program=21, RankedProgram=21) and len(ranked._entries) == synth.MAX_PROGRAMS
     list(ranked)
-    assert built["programs"] == synth.MAX_PROGRAMS
+    assert built == Counter(Program=synth.MAX_PROGRAMS, RankedProgram=synth.MAX_PROGRAMS)
 
 
 @pytest.mark.parametrize("which", [0, 2])
