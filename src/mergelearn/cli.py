@@ -49,8 +49,9 @@ def _build_config(args) -> SynthConfig:
             raise ValueError(f"{KEYWORDS_ENV}: {exc}") from exc
         for side in ("fork", "main"):
             words = data.get(side, []) if isinstance(data, dict) else None
-            if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
-                raise ValueError(f"{KEYWORDS_ENV}: expected an object whose fork/main are arrays of strings")
+            # An empty keyword is in every line, so it would match them all.
+            if not isinstance(words, list) or not all(isinstance(w, str) and w for w in words):
+                raise ValueError(f"{KEYWORDS_ENV}: expected an object whose fork/main are arrays of non-empty strings")
             if side in data:
                 kwargs[f"{side}_keywords"] = tuple(words)
     return SynthConfig(**kwargs)
@@ -59,13 +60,20 @@ def _build_config(args) -> SynthConfig:
 def _read_text(path) -> tuple[str, str]:
     """The file's text, read with universal newlines, and its line ending:
     "\r\n" when every line ending in it was CRLF, else "\n". A file that is
-    not UTF-8 raises a ValueError that names it."""
-    with open(path, encoding="utf-8") as f:
-        try:
-            text = f.read()
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-        return text, "\r\n" if f.newlines == "\r\n" else "\n"
+    not UTF-8, or a path holding a NUL, raises a ValueError that names it."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read(), "\r\n" if f.newlines == "\r\n" else "\n"
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to ``path``; a path holding a NUL raises a ValueError that names it."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _load_example_spec(path: Path, side_order: str) -> ExampleSpec:
@@ -125,16 +133,13 @@ def cmd_learn(args) -> int:
     spec = _load_example_spec(spec_path, args.side_order)
     ranked = learn(spec, config)
     if not ranked:
-        print("error: no consistent program found for the given examples", file=sys.stderr)
+        print(f"error: {spec_path}: no consistent program found for the given examples", file=sys.stderr)
         return 1
     spec_hash = hashlib.sha256(spec_path.read_bytes()).hexdigest()
     top = ranked[: args.top]
     payload = [_program_file_json(entry, config, spec_hash, i) for i, entry in enumerate(top)]
     out_path = Path(args.out)
-    out_path.write_text(
-        json.dumps(payload[0] if len(payload) == 1 else payload, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    _write_text(out_path, json.dumps(payload[0] if len(payload) == 1 else payload, indent=2) + "\n")
     for i, (entry, out) in enumerate(zip(top, payload)):
         feats = " ".join(f"{k}={v}" for k, v in out["meta"]["features"].items())
         print(f"rank={i} score={entry.score:g} {feats}")
@@ -212,7 +217,7 @@ def _replace_file(path: Path, text: str, newline: str) -> None:
 
 def _write_report(report_arg: str, json_dict: dict, table: str) -> None:
     if report_arg != "-":
-        Path(report_arg).write_text(json.dumps(json_dict, indent=2) + "\n", encoding="utf-8")
+        _write_text(report_arg, json.dumps(json_dict, indent=2) + "\n")
     print(table)
 
 

@@ -329,8 +329,11 @@ class ConflictedFile:
             raise ValueError(f"side_order must be one of {SIDE_ORDERS}, got {side_order!r}")
         lines = split_lines(text)
 
-        spans: list[dict[str, int]] = []  # each chunk's marker line numbers
-        state = "outside"
+        segments: list[tuple[str, object]] = []
+        chunk_blocks: list[tuple[str, ...]] = []
+        regions = []
+        memo = LineNodes()
+        state, done = "outside", 0  # lines before done are in a segment
         for lineno, line in enumerate(lines):
             if not line or line[0] not in _MARKER_CHARS or (m := _MARKER_RE.match(line)) is None:
                 continue
@@ -342,28 +345,22 @@ class ConflictedFile:
                 continue
             state = moves[marker]
             if marker == "start":
-                spans.append({})
-            spans[-1][marker] = lineno
+                marks = {}  # the open chunk's marker line numbers
+            marks[marker] = lineno
+            if marker == "end":
+                start, sep = marks["start"], marks["sep"]
+                if start > done:
+                    segments.append(("text", tuple(lines[done:start])))
+                segments.append(("chunk", len(chunk_blocks)))
+                chunk_blocks.append(tuple(lines[start:lineno + 1]))
+                # A base section's content is dropped.
+                first, second = tuple(lines[start + 1:marks.get("base", sep)]), tuple(lines[sep + 1:lineno])
+                main_lines, fork_lines = (second, first) if side_order == "fork-first" else (first, second)
+                main_nodes, fork_nodes = tokenize_nodes(main_lines, memo), tokenize_nodes(fork_lines, memo)
+                regions.append((main_nodes, fork_nodes, main_lines, fork_lines))
+                done = lineno + 1
         if state != "outside":
             raise UnbalancedMarkersError(file_path, ": unterminated conflict at end of file")
-
-        segments: list[tuple[str, object]] = []
-        chunk_blocks: list[tuple[str, ...]] = []
-        regions = []
-        memo = LineNodes()
-        done = 0  # lines before this one are in a segment
-        for marks in spans:
-            start, sep, end = marks["start"], marks["sep"], marks["end"]
-            if start > done:
-                segments.append(("text", tuple(lines[done:start])))
-            segments.append(("chunk", len(chunk_blocks)))
-            chunk_blocks.append(tuple(lines[start:end + 1]))
-            # A base section's content is dropped.
-            first, second = tuple(lines[start + 1:marks.get("base", sep)]), tuple(lines[sep + 1:end])
-            main_lines, fork_lines = (second, first) if side_order == "fork-first" else (first, second)
-            main_nodes, fork_nodes = tokenize_nodes(main_lines, memo), tokenize_nodes(fork_lines, memo)
-            regions.append((main_nodes, fork_nodes, main_lines, fork_lines))
-            done = end + 1
         if done < len(lines):
             segments.append(("text", tuple(lines[done:])))
         headers = {}

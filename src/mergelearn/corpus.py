@@ -67,9 +67,9 @@ class AlignedChunk:
     reason: str | None = None
 
 
-def align_resolution(conflict_text: str, resolved_text: str, file_path: str = "<memory>",
-                     side_order: str = "fork-first") -> list[AlignedChunk]:
-    """Recover each chunk's resolution region from the resolved file.
+def align_resolution(parsed: ConflictedFile, resolved_text: str) -> list[AlignedChunk]:
+    """Recover each chunk's resolution region of a parsed conflicted file
+    from its resolved text.
 
     The outside lines of the conflicted file are matched against the
     resolved file; a chunk's resolution is whatever sits strictly between
@@ -77,10 +77,6 @@ def align_resolution(conflict_text: str, resolved_text: str, file_path: str = "<
     flanks cannot be matched (shared or edited context) is flagged
     ambiguous rather than guessed.
     """
-    return _align(ConflictedFile.parse(conflict_text, file_path, side_order=side_order), resolved_text)
-
-
-def _align(parsed: ConflictedFile, resolved_text: str) -> list[AlignedChunk]:
     resolved_lines = split_lines(resolved_text)
     outside: list[str] = []
     gaps: list[int] = []  # chunk i sits before outside index gaps[i]
@@ -171,7 +167,7 @@ def _load_case_dir(merge_id: str, case_dir: Path) -> list[CorpusCase]:
             raise ValueError("resolved file still contains markers")
         parsed = ConflictedFile.parse(conflict_text, file_path, side_order=meta.get("side_order", "fork-first"),
                                       header_text=_header_reader(case_dir))
-        aligned = _align(parsed, resolved_text)
+        aligned = align_resolution(parsed, resolved_text)
     except (OSError, ValueError, RecursionError) as exc:
         logger.warning("skipping %s: %s", case_dir, exc)
         return []

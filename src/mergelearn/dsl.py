@@ -3,8 +3,10 @@
 A program is a guarded transformation ``Apply(condition, transformation)``.
 The condition is a conjunction of predicates over a conflict; the
 transformation concatenates and removes node selections from the two
-regions. Predicates and ``Pattern`` selections share a per-conflict
-dictionary mapping each pattern name to the nodes it matched.
+regions. A conflict's pattern dictionary is its one evaluation context:
+a mapping from each pattern name with a non-empty match to the nodes it
+matched, holding the chunk it was built for, so every evaluator takes the
+dictionary alone.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 from .conflicts import INCLUDE, MACRO, ConflictInput, Node, match_index, match_key
 
@@ -159,25 +161,6 @@ class SynthConfig:
 DEFAULT_CONFIG = SynthConfig()
 
 
-@dataclass(frozen=True)
-class PatternDictionary:
-    """Per-conflict map from pattern name to the nodes it matched.
-
-    Only non-empty matches are entries, so a predicate holds exactly when
-    its entry exists. ``frequent`` keeps per-path matches for the
-    FrequentPattern predicate. ``build_pattern_dictionary`` computes each
-    pattern's entry on first lookup and keeps it, so replaying a program
-    computes only the patterns it reads; iterating ``patterns``, or
-    comparing it, computes them all. ``patterns`` may also be a plain dict.
-    """
-
-    patterns: Mapping[str, tuple[Node, ...]] = field(default_factory=dict)
-    frequent: dict[str, tuple[Node, ...]] = field(default_factory=dict)
-
-    def entry(self, key: str) -> tuple[Node, ...]:
-        return self.patterns.get(key, ())
-
-
 def _headers_equal(conflict: ConflictInput, path_a: str, path_b: str) -> bool:
     # Content equality is only checkable when the corpus ships both headers.
     contents = conflict.header_contents
@@ -244,34 +227,45 @@ _PATTERN_ENTRIES = {
 }
 
 
-class _PatternEntries(Mapping):
-    """The non-empty pattern entries of one conflict, each computed on first lookup."""
+class PatternDictionary(Mapping):
+    """One conflict's pattern dictionary, the context every predicate and
+    selection is evaluated in: it holds its chunk, ``conflict``.
 
-    __slots__ = ("_conflict", "_config", "_memo")
+    It maps each pattern name whose match is non-empty to the nodes it
+    matched, so a predicate holds exactly when its entry exists. Each entry
+    is computed on first lookup and kept, so replaying a program computes
+    only the patterns it reads; iterating or comparing computes them all.
+    ``frequent`` maps each include path of the regions to its nodes.
+    """
 
-    def __init__(self, conflict: ConflictInput, config: SynthConfig):
-        self._conflict, self._config, self._memo = conflict, config, {}
+    __slots__ = ("conflict", "frequent", "_config", "_memo")
 
-    def _nodes(self, key) -> tuple[Node, ...]:
+    def __init__(self, conflict: ConflictInput, config: SynthConfig = DEFAULT_CONFIG):
+        frequent: dict[str, list[Node]] = {}
+        for node in conflict.region_nodes():
+            if node.kind == INCLUDE:
+                frequent.setdefault(node.include_path, []).append(node)
+        self.conflict, self._config, self._memo = conflict, config, {}
+        self.frequent = {path: tuple(nodes) for path, nodes in frequent.items()}
+
+    def entry(self, key: str) -> tuple[Node, ...]:
+        """The nodes ``key`` matched; () when none did or it names no pattern."""
         memo = self._memo
         if key not in memo:
             compute = _PATTERN_ENTRIES.get(key)
             if compute is None:
                 return ()
-            memo[key] = compute(self._conflict, self._config)
+            memo[key] = compute(self.conflict, self._config)
         return memo[key]
 
     def __getitem__(self, key) -> tuple[Node, ...]:
-        nodes = self._nodes(key)
+        nodes = self.entry(key)
         if not nodes:
             raise KeyError(key)
         return nodes
 
-    def get(self, key, default=None):
-        return self._nodes(key) or default
-
     def __iter__(self):
-        return iter([key for key in _PATTERN_ENTRIES if self._nodes(key)])
+        return iter([key for key in _PATTERN_ENTRIES if self.entry(key)])
 
     def __len__(self) -> int:
         return sum(1 for _ in self)
@@ -282,28 +276,21 @@ class _PatternEntries(Mapping):
 
 def build_pattern_dictionary(conflict: ConflictInput, config: SynthConfig = DEFAULT_CONFIG) -> PatternDictionary:
     """The pattern dictionary of one conflict; its pattern entries are computed on first lookup."""
-    frequent: dict[str, list[Node]] = {}
-    for node in conflict.region_nodes():
-        if node.kind == INCLUDE:
-            frequent.setdefault(node.include_path, []).append(node)
-    return PatternDictionary(
-        patterns=_PatternEntries(conflict, config),
-        frequent={path: tuple(nodes) for path, nodes in frequent.items()},
-    )
+    return PatternDictionary(conflict, config)
 
 
-def eval_predicate(predicate: Predicate, conflict: ConflictInput, pdict: PatternDictionary) -> bool:
+def eval_predicate(predicate: Predicate, pdict: PatternDictionary) -> bool:
     if predicate.tag == "FrequentPattern":
         return bool(pdict.frequent.get(predicate.path))
-    return bool(pdict.patterns.get(predicate.tag))
+    return bool(pdict.entry(predicate.tag))
 
 
-def eval_condition(condition: Condition, conflict: ConflictInput, pdict: PatternDictionary) -> bool:
-    return all(eval_predicate(p, conflict, pdict) for p in condition.predicates)
+def eval_condition(condition: Condition, pdict: PatternDictionary) -> bool:
+    return all(eval_predicate(p, pdict) for p in condition.predicates)
 
 
-def eval_selection(selection: Selection, conflict: ConflictInput, pdict: PatternDictionary) -> tuple[Node, ...]:
-    tag = selection.tag
+def eval_selection(selection: Selection, pdict: PatternDictionary) -> tuple[Node, ...]:
+    tag, conflict = selection.tag, pdict.conflict
     if tag == "Main":
         return conflict.main_nodes
     if tag == "Fork":
@@ -330,17 +317,17 @@ def remove_nodes(source: tuple[Node, ...], removed: tuple[Node, ...]) -> tuple[N
     return tuple(out)
 
 
-def eval_transformation(t: Transformation, conflict: ConflictInput, pdict: PatternDictionary) -> tuple[Node, ...]:
+def eval_transformation(t: Transformation, pdict: PatternDictionary) -> tuple[Node, ...]:
     if isinstance(t, Select):
-        return eval_selection(t.selection, conflict, pdict)
+        return eval_selection(t.selection, pdict)
     if isinstance(t, Remove):
-        source = eval_selection(t.source, conflict, pdict)
-        removed = eval_selection(t.removed, conflict, pdict)
+        source = eval_selection(t.source, pdict)
+        removed = eval_selection(t.removed, pdict)
         result = remove_nodes(source, removed)
         if result is None:
             raise RemoveMismatch(f"Remove: {len(removed)} node(s) not all present in source")
         return result
-    return eval_transformation(t.left, conflict, pdict) + eval_transformation(t.right, conflict, pdict)
+    return eval_transformation(t.left, pdict) + eval_transformation(t.right, pdict)
 
 
 RESOLVED = "resolved"
@@ -385,10 +372,10 @@ def run_program(program: Program, conflict: ConflictInput, config: SynthConfig =
     """
     if pdict is None:
         pdict = build_pattern_dictionary(conflict, config)
-    if not eval_condition(program.condition, conflict, pdict):
+    if not eval_condition(program.condition, pdict):
         return _NO_SUGGESTION
     try:
-        return Suggestion.resolved(eval_transformation(program.transformation, conflict, pdict))
+        return Suggestion.resolved(eval_transformation(program.transformation, pdict))
     except EvaluationFailed as exc:
         return Suggestion.failed(str(exc))
 
@@ -521,10 +508,15 @@ def deserialize_program(text: str) -> Program:
     return _decode(text, program_from_json)
 
 
+def _programs_from_json(data) -> list[Program]:
+    if data == []:
+        raise ParseError("expected a program or a non-empty array of programs")
+    return [program_from_json(item) for item in (data if isinstance(data, list) else [data])]
+
+
 def deserialize_programs(text: str) -> list[Program]:
-    """The programs of a program file: one program or an array of them."""
-    return _decode(text, lambda data: [program_from_json(item)
-                                       for item in (data if isinstance(data, list) else [data])])
+    """The programs of a program file: one program or a non-empty array of them."""
+    return _decode(text, _programs_from_json)
 
 
 # --- features and scoring ---------------------------------------------------

@@ -330,25 +330,25 @@ class _TransformationLearner:
     the product of their splits.
 
     Equal nodes share an int id, as do equal selections, so targets and memo
-    keys are int tuples. Each example's selection table is built in one pass
-    from the ids of its two regions: index selections are single ids, path
-    selections group the region ids by include path, and each non-empty
-    pattern entry is interned once. A selection is a plain ``(tag, k, path,
-    key)`` tuple with an id. Each example indexes its selections by value ids
-    (the inverse of selection) and its non-empty ones by sorted value ids
-    (Remove's multiset), and keeps each region's ids for ``_removed``. The
-    inverses emit ``(source id or -1, selection id)`` pairs; ``_base``
-    builds transformations only for shared pairs, and ``selection`` builds
-    each of their ``Selection``s once.
+    keys are int tuples. An example is its chunk's dictionary, and its
+    selection table is built in one pass from the ids of the chunk's two
+    regions: index selections are single ids, path selections group the
+    region ids by include path, and each non-empty pattern entry is interned
+    once. A selection is a plain ``(tag, k, path, key)`` tuple with an id.
+    Each example indexes its selections by value ids (the inverse of
+    selection) and its non-empty ones by sorted value ids (Remove's
+    multiset), and keeps each region's ids for ``_removed``. The inverses
+    emit ``(source id or -1, selection id)`` pairs; ``_base`` builds the
+    shared pairs' transformations, and ``selection`` their ``Selection``s once.
     """
 
-    def __init__(self, conflicts, pdicts):
+    def __init__(self, pdicts):
         self._ids: dict = {}  # node -> id
         keys: dict = {}  # (tag, k, path, key) -> selection id
         self._indexes = []  # per example: (selections by value, by sorted value, (source id, region ids))
-        for conflict, pdict in zip(conflicts, pdicts):
-            sides = (("Main", conflict.main_nodes, self.intern(conflict.main_nodes)),
-                     ("Fork", conflict.fork_nodes, self.intern(conflict.fork_nodes)))
+        for pdict in pdicts:
+            main, fork = pdict.conflict.main_nodes, pdict.conflict.fork_nodes
+            sides = (("Main", main, self.intern(main)), ("Fork", fork, self.intern(fork)))
             table = [((tag, None, None, None), ids) for tag, _, ids in sides]
             table += [((tag + "ByIndex", k, None, None), (i,)) for tag, _, ids in sides for k, i in enumerate(ids)]
             for tag, nodes, ids in sides:
@@ -358,7 +358,7 @@ class _TransformationLearner:
                         by_path.setdefault(path, []).append(i)
                 table += [((tag + "ByPath", None, path, None), tuple(by_path[path])) for path in sorted(by_path)]
             table += [(("Pattern", None, None, key), self.intern(entry))
-                      for key in PATTERN_KEYS if (entry := pdict.patterns.get(key))]
+                      for key in PATTERN_KEYS if (entry := pdict.entry(key))]
             by_value, by_multiset = {}, {}
             for key, value in table:
                 sid = keys.setdefault(key, len(keys))
@@ -475,17 +475,17 @@ class _TransformationLearner:
                        (self, targets, self.core(tuple(() for _ in targets), depth - 1), depth - 1))
 
 
-def _candidates(conflicts, targets, pdicts, config: SynthConfig) -> _Stream:
+def _candidates(pdicts, targets, config: SynthConfig) -> _Stream:
     """Every transformation within ``config.max_concat_depth`` mapping each
-    input to exactly its target node list, as a stream in rank order."""
-    learner = _TransformationLearner(conflicts, pdicts)
+    dictionary's chunk to exactly its target node list, in rank order."""
+    learner = _TransformationLearner(pdicts)
     return learner.full(tuple(map(learner.intern, targets)), config.max_concat_depth)
 
 
-def _learn_transformations(conflicts, targets, pdicts, config: SynthConfig) -> ProgramSet:
+def _learn_transformations(pdicts, targets, config: SynthConfig) -> ProgramSet:
     """The first ``MAX_PROGRAMS`` of ``_candidates``, marked ``truncated`` when
     there are more."""
-    root = _candidates(conflicts, targets, pdicts, config)
+    root = _candidates(pdicts, targets, config)
     truncated = root.pull(MAX_PROGRAMS + 1)
     return ProgramSet(tuple(root.entries[:MAX_PROGRAMS]), truncated=truncated)
 
@@ -496,7 +496,7 @@ def learn_transformation(conflict: ConflictInput, target, config: SynthConfig = 
     input to exactly the target node list, rank-ordered."""
     if pdict is None:
         pdict = build_pattern_dictionary(conflict, config)
-    return _learn_transformations((conflict,), (target,), (pdict,), config)
+    return _learn_transformations((pdict,), (target,), config)
 
 
 def learn_condition(inputs, config: SynthConfig = DEFAULT_CONFIG, pdicts=None) -> Condition:
@@ -508,7 +508,7 @@ def learn_condition(inputs, config: SynthConfig = DEFAULT_CONFIG, pdicts=None) -
     """
     if pdicts is None:
         pdicts = [build_pattern_dictionary(conflict, config) for conflict in inputs]
-    predicates = [Predicate(tag) for tag in PATTERN_KEYS if all(pd.patterns.get(tag) for pd in pdicts)]
+    predicates = [Predicate(tag) for tag in PATTERN_KEYS if all(pd.entry(tag) for pd in pdicts)]
     shared_paths: set[str] | None = None
     for pd in pdicts:
         paths = set(pd.frequent)
@@ -612,7 +612,7 @@ def learn(spec: ExampleSpec, config: SynthConfig = DEFAULT_CONFIG) -> RankedProg
     except EmptyConditionError:
         logger.info("no program found: no predicate holds on every example")
         return RankedPrograms(_Stream([], []))
-    root = _candidates(spec.inputs, (output for _, output in spec.cases), pdicts, config)
+    root = _candidates(pdicts, (output for _, output in spec.cases), config)
     if not root.pull(1):
         logger.info("no program found: no transformation is consistent with every example")
         return RankedPrograms(_Stream([], []))

@@ -203,7 +203,7 @@ def gen_conflict(rng, max_nodes=3, pool=PATH_POOL, force_paths=(), macros=True, 
 
 
 def true_predicates(conflict: ConflictInput, pdict: PatternDictionary):
-    preds = [Predicate(tag) for tag in pdict.patterns]
+    preds = [Predicate(tag) for tag in pdict]
     preds.extend(Predicate("FrequentPattern", path=p) for p in sorted(pdict.frequent))
     return preds
 
@@ -305,7 +305,7 @@ def canonical_selections(conflict: ConflictInput, pdict: PatternDictionary):
         for path in sorted({n.include_path for n in region if n.include_path is not None}):
             out.append((Selection(tag, path=path), tuple(n for n in region if n.include_path == path)))
     for key in PATTERN_KEYS:
-        entry = pdict.patterns.get(key)
+        entry = pdict.get(key)
         if entry:
             out.append((Selection("Pattern", key=key), entry))
     return out

@@ -241,31 +241,27 @@ def test_criterion_5_interpreter_algebra():
             selections = canonical_selections(conflict, pdict)
             sels = [sel for sel, _ in selections]
             a, b, c = (Select(rng.choice(sels)) for _ in range(3))
-            left = eval_transformation(Concat(Concat(a, b), c), conflict, pdict)
-            right = eval_transformation(Concat(a, Concat(b, c)), conflict, pdict)
+            left = eval_transformation(Concat(Concat(a, b), c), pdict)
+            right = eval_transformation(Concat(a, Concat(b, c)), pdict)
             assert left == right, "concatenation is not associative"
 
             s = rng.choice(sels)
-            assert eval_transformation(Remove(s, s), conflict, pdict) == ()
+            assert eval_transformation(Remove(s, s), pdict) == ()
 
             absent = Selection("MainByPath", path="no/where/at_all.h")
-            assert eval_selection(absent, conflict, pdict) == ()
-            assert eval_transformation(Remove(s, absent), conflict, pdict) == eval_selection(
-                s, conflict, pdict
-            )
+            assert eval_selection(absent, pdict) == ()
+            assert eval_transformation(Remove(s, absent), pdict) == eval_selection(s, pdict)
 
             for tag, whole in (("MainByIndex", "Main"), ("ForkByIndex", "Fork")):
-                region = eval_selection(Selection(whole), conflict, pdict)
+                region = eval_selection(Selection(whole), pdict)
                 for k in range(len(region)):
-                    assert eval_selection(Selection(tag, k=k), conflict, pdict) == (region[k],)
+                    assert eval_selection(Selection(tag, k=k), pdict) == (region[k],)
 
-            for key, entry in pdict.patterns.items():
-                assert eval_predicate(Predicate(key), conflict, pdict) == bool(entry)
-                assert eval_selection(Selection("Pattern", key=key), conflict, pdict) == entry
+            for key, entry in pdict.items():
+                assert eval_predicate(Predicate(key), pdict) == bool(entry)
+                assert eval_selection(Selection("Pattern", key=key), pdict) == entry
             for path, entry in pdict.frequent.items():
-                assert eval_predicate(
-                    Predicate("FrequentPattern", path=path), conflict, pdict
-                ) == bool(entry)
+                assert eval_predicate(Predicate("FrequentPattern", path=path), pdict) == bool(entry)
 
 
 def test_criterion_6_guard_refusal():

@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import hashlib
+import io
 import json
 import logging
 import itertools
@@ -10,9 +11,14 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import mergelearn
 
@@ -103,7 +109,9 @@ def test_learn_contradictory_examples_exit_1(tmp_path, capsys):
     spec.write_text(json.dumps(entries), encoding="utf-8")
     code = main(["learn", "--examples", str(spec), "--out", str(tmp_path / "x.json")])
     assert code == 1
-    assert "no consistent program" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "no consistent program" in err
+    assert err == f"error: {spec}: no consistent program found for the given examples\n"
 
 
 def test_learn_top_n_emits_rank_ordered_array(tmp_path, capsys):
@@ -212,7 +220,7 @@ def test_learn_max_depth_zero_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "x.json").exists()
 
 
-@pytest.mark.parametrize("content", [None, "{not json", '["EDGEONLY"]', '{"fork": "EDGEONLY"}'])
+@pytest.mark.parametrize("content", [None, "{not json", '["EDGEONLY"]', '{"fork": "EDGEONLY"}', '{"fork": [""]}'])
 def test_bad_keywords_file_is_clean_error(tmp_path, capsys, monkeypatch, content):
     keywords = tmp_path / "keywords.json"
     if content is not None:
@@ -433,6 +441,22 @@ def test_apply_in_place_failed_rename_leaves_file_untouched(tmp_path, capsys, mo
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cc", "program.json"]
 
 
+@pytest.mark.parametrize("command", ["apply", "learn", "classify", "eval"])
+def test_a_path_holding_a_nul_is_named(tmp_path, capsys, command):
+    # An argument of a shell command cannot hold a NUL; one from a caller of main can.
+    bad = str(tmp_path / "a\0b.json")
+    corpus = str(write_fig_corpus(tmp_path / "corpus"))
+    program = str(write_program(tmp_path, FB_PROGRAM))
+    argv = {
+        "apply": ["apply", "--program", program, bad, "--print"],
+        "learn": ["learn", "--examples", str(write_example_spec(tmp_path, ["c", "d"])), "--out", bad],
+        "classify": ["classify", corpus, "--report", bad],
+        "eval": ["eval", "--program", program, corpus, "--report", bad],
+    }[command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {bad}: embedded null byte\n"
+
+
 @pytest.mark.parametrize("command", ["learn", "classify", "eval"])
 def test_unwritable_output_is_clean_error(tmp_path, capsys, command):
     unwritable = str(tmp_path / "missing" / "out.json")
@@ -522,8 +546,8 @@ def _duplicate_predicates() -> bytes:
 
 
 @pytest.mark.parametrize("command", ["apply", "eval"])
-@pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe{}", _duplicate_predicates()],
-                         ids=["not-json", "not-utf8", "duplicate-predicates"])
+@pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe{}", _duplicate_predicates(), b"[]"],
+                         ids=["not-json", "not-utf8", "duplicate-predicates", "empty-array"])
 def test_bad_program_file_is_one_error_line(tmp_path, capsys, command, content):
     # The bad file comes after a good one, and the error line names it.
     good = write_program(tmp_path, FB_PROGRAM, "good.json")
@@ -929,3 +953,113 @@ def test_keywords_env_config(tmp_path, capsys, monkeypatch):
     program = program_from_json(json.loads(out.read_text(encoding="utf-8")))
     assert any(p.tag == "ForkSpecific" for p in program.condition.predicates)
     capsys.readouterr()
+
+
+# --- every argv: exit 0, 1 or 2, and a failure is one line naming its input ---
+
+class _In(str):
+    """A file name of the argv property's workspace, made absolute when run."""
+
+
+def _write_cli_workspace(root: Path) -> None:
+    """The inputs the argv property picks from: valid ones and ones a command
+    must refuse, each under its name in ``_ROLES``."""
+    write_example_spec(root, ["c", "d"])
+    (root / "crlf").mkdir()
+    write_example_spec(root / "crlf", ["c", "d"], newline="\r\n")
+    contradictory = json.loads((root / "examples.json").read_text(encoding="utf-8"))[:1]
+    (root / "resolution_other.txt").write_text('#include "base/web.h"\n', encoding="utf-8")
+    contradictory.append({**contradictory[0], "resolution": "resolution_other.txt"})
+    (root / "contradictory.json").write_text(json.dumps(contradictory), encoding="utf-8")
+    write_program(root, FB_PROGRAM)
+    programs = [program_to_json(FB_PROGRAM), program_to_json(DUP_PROGRAM)]
+    (root / "programs.json").write_text(json.dumps(programs), encoding="utf-8")
+    write_fig_corpus(root / "corpus")
+    for name in ("dir", "out"):
+        (root / name).mkdir()
+    texts = {
+        "conflict.cc": fig_file_text("c"),
+        "crlf.cc": fig_file_text("c").replace("\n", "\r\n"),
+        "plain.cc": "int x;\n",
+        "unbalanced.cc": "<<<<<<< fork\nx\n",
+        "empty.txt": "",
+        "deep.json": deep_program_text(600),
+        "brackets.json": "[" * 100_000,
+        "empty_array.json": "[]",
+        "keywords.json": json.dumps({"fork": ["logging"], "main": ["notreached"]}),
+        "empty_keyword.json": '{"fork": [""]}',
+    }
+    for name, text in texts.items():
+        (root / name).write_text(text, encoding="utf-8")
+    (root / "not_utf8.txt").write_bytes(b"\xff\xfe" + fig_file_text("c").encode("utf-8"))
+
+
+# Each role's (valid, invalid) inputs. Every role may get a directory, a
+# missing file, a NUL in the path or the wrong kind of file.
+_ANY_BAD = ("dir", "missing.json", "a\0b", "not_utf8.txt", "empty.txt")
+_ROLES = {
+    "spec": (("examples.json", "crlf/examples.json"),
+             ("contradictory.json", "brackets.json", "empty_array.json", "conflict.cc", *_ANY_BAD)),
+    "program": (("program.json", "programs.json"),
+                ("deep.json", "brackets.json", "empty_array.json", "conflict.cc", *_ANY_BAD)),
+    "conflicted": (("conflict.cc", "crlf.cc", "plain.cc"), ("unbalanced.cc", "program.json", *_ANY_BAD)),
+    "root": (("corpus",), ("dir", "conflict.cc", "missing", "a\0b")),
+    "output": (("out/x.json",), ("missing/x.json", "dir", "a\0b")),
+    "keywords": (("keywords.json",), ("empty_keyword.json", "brackets.json", "missing.json", "not_utf8.txt")),
+}
+_WORDS = ("learn", "apply", "classify", "eval", "--print", "--program", "--top", "--report", "--help", "-", "x")
+
+
+@st.composite
+def _argv(draw):
+    """``(argv, keywords file or None)`` from a small grammar of the four
+    commands and their flags; argv's paths are ``_In`` names, each invalid
+    one time in four."""
+    def pick(role):
+        valid, invalid = _ROLES[role]
+        return _In(draw(st.sampled_from(invalid if draw(st.integers(0, 3)) == 0 else valid)))
+
+    command = draw(st.sampled_from(("learn", "apply", "classify", "eval", "words")))
+    if command == "learn":
+        argv = ["learn", "--examples", pick("spec"), "--out", pick("output")]
+        argv += draw(st.sampled_from(([], ["--top", "3"], ["--top", "0"], ["--max-depth", "1"],
+                                      ["--max-depth", "0"], ["--side-order", "ours-first"])))
+    elif command == "apply":
+        argv = ["apply"]
+        for _ in range(draw(st.integers(1, 2))):
+            argv += ["--program", pick("program")]
+        argv += [pick("conflicted"), draw(st.sampled_from(("--print", "--diff", "--in-place")))]
+        argv += draw(st.sampled_from(([], ["--partial"], ["--side-order", "ours-first"])))
+    elif command in ("classify", "eval"):
+        argv = [command, *(["--program", pick("program")] if command == "eval" else []), pick("root"), "--report"]
+        argv += ["-" if draw(st.booleans()) else pick("output")]
+        argv += draw(st.sampled_from(([], ["--order-insensitive-includes"]))) if command == "eval" else []
+    else:  # usage errors, and --help
+        argv = draw(st.lists(st.sampled_from(_WORDS), max_size=4))
+    return argv, pick("keywords") if draw(st.booleans()) else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv())
+def test_every_argv_exits_0_1_or_2_and_a_failure_is_one_error_line_naming_its_input(drawn):
+    argv, keywords = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        _write_cli_workspace(root)
+        argv = [str(root / arg) if isinstance(arg, _In) else arg for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ), redirect_stdout(out), redirect_stderr(err):
+            os.environ.pop("MERGELEARN_KEYWORDS", None)
+            if keywords is not None:
+                os.environ["MERGELEARN_KEYWORDS"] = str(root / keywords)
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse: usage errors and --help
+                code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    if code == 1:
+        # Every input is a workspace path, or the keywords file, which the
+        # line names by its variable.
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+        assert tmp in lines[0] or "MERGELEARN_KEYWORDS" in lines[0], (argv, lines)

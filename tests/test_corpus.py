@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from mergelearn.conflicts import parse_conflict_file, tokenize_nodes
+from mergelearn.conflicts import ConflictedFile, parse_conflict_file, tokenize_nodes
 from mergelearn.dsl import Condition, Predicate, Program, Select, Selection, SynthConfig, build_pattern_dictionary
 from mergelearn.corpus import (
     SIZE_BUCKETS,
@@ -205,7 +205,7 @@ def test_load_corpus_reads_headers_by_include_path(tmp_path):
     assert _header_reader(tmp_path) is None
     (case,) = load_corpus(root)
     assert case.conflict.header_contents == contents
-    assert "DuplicateMainFork" not in build_pattern_dictionary(case.conflict).patterns
+    assert "DuplicateMainFork" not in build_pattern_dictionary(case.conflict)
 
 
 def test_unreadable_header_skips_its_case_at_load(tmp_path, caplog):
@@ -239,7 +239,7 @@ def test_load_corpus_honors_side_order(tmp_path):
 def test_align_identity_kept_fork():
     conflict_text = fig_file_text("c")
     resolved = fig_resolved_text("c")
-    (aligned,) = align_resolution(conflict_text, resolved)
+    (aligned,) = align_resolution(ConflictedFile.parse(conflict_text, "<memory>"), resolved)
     assert aligned.nodes == fig_resolution_nodes("c")
 
 
@@ -247,20 +247,20 @@ def test_align_kept_fork_side_verbatim():
     conflict_text = marker_text(['#include "a/a.h"', '#include "b/b.h"'], ['#include "c/c.h"'],
                                 before=("top",), after=("bottom",))
     resolved = "top\n" + '#include "a/a.h"\n#include "b/b.h"\n' + "bottom\n"
-    (aligned,) = align_resolution(conflict_text, resolved)
+    (aligned,) = align_resolution(ConflictedFile.parse(conflict_text, "<memory>"), resolved)
     assert aligned.nodes == tokenize_nodes(['#include "a/a.h"', '#include "b/b.h"'])
 
 
 def test_align_deleted_region():
     conflict_text = marker_text(['#include "a/a.h"'], ['#include "b/b.h"'],
                                 before=("top",), after=("bottom",))
-    (aligned,) = align_resolution(conflict_text, "top\nbottom\n")
+    (aligned,) = align_resolution(ConflictedFile.parse(conflict_text, "<memory>"), "top\nbottom\n")
     assert aligned.nodes == ()
 
 
 def test_align_whole_file_is_one_chunk():
     conflict_text = "<<<<<<< fork\nkept line\n=======\ndropped line\n>>>>>>> main\n"
-    (aligned,) = align_resolution(conflict_text, "kept line\n")
+    (aligned,) = align_resolution(ConflictedFile.parse(conflict_text, "<memory>"), "kept line\n")
     assert aligned.nodes == tokenize_nodes(["kept line"])
 
 
@@ -284,7 +284,7 @@ def test_align_ambiguous_context_flagged():
     # The developer collapsed the two identical context lines into one,
     # so the second chunk's flanks cannot be anchored.
     resolved = "context\nfork line one\n"
-    results = align_resolution(conflict_text, resolved)
+    results = align_resolution(ConflictedFile.parse(conflict_text, "<memory>"), resolved)
     assert any(r.nodes is None for r in results)
 
 
@@ -305,7 +305,7 @@ def test_align_adjacent_chunks_flagged():
             "bottom",
         ]
     ) + "\n"
-    results = align_resolution(conflict_text, "top\none\nthree\nbottom\n")
+    results = align_resolution(ConflictedFile.parse(conflict_text, "<memory>"), "top\none\nthree\nbottom\n")
     assert [r.nodes for r in results] == [None, None]
 
 
@@ -354,7 +354,7 @@ def _conflicted_and_resolved(draw):
 @given(_conflicted_and_resolved())
 def test_align_recovers_each_chunks_fresh_lines(case):
     conflicted, resolved, fresh = case
-    aligned = align_resolution(conflicted, resolved)
+    aligned = align_resolution(ConflictedFile.parse(conflicted, "<memory>"), resolved)
     assert [(a.nodes, a.reason) for a in aligned] == [(tokenize_nodes(lines), None) for lines in fresh]
 
 
@@ -436,6 +436,12 @@ def test_classify_location_comments_are_others():
     chunk = parse_conflict_file(
         marker_text(["// a comment", "/* block */"], ["// other comment"]), "c.cc"
     )[0]
+    assert classify_location(chunk) == "Others"
+
+
+def test_classify_location_of_two_empty_regions_is_others():
+    (chunk,) = parse_conflict_file("<<<<<<< fork\n=======\n>>>>>>> main\n", "c.cc")
+    assert chunk.region_nodes() == ()
     assert classify_location(chunk) == "Others"
 
 

@@ -18,6 +18,7 @@ import random
 import re
 import sys
 import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -28,7 +29,6 @@ from mergelearn.conflicts import INCLUDE, MACRO, ConflictedFile, tokenize_nodes
 from mergelearn.corpus import evaluate, load_corpus
 from mergelearn.dsl import (
     Condition,
-    PatternDictionary,
     Predicate,
     Program,
     Remove,
@@ -146,8 +146,9 @@ def _ref_dependency_nodes(chunk, siblings):
     return tuple(out)
 
 
-def reference_dictionary(chunk, siblings, header_text, config) -> PatternDictionary:
-    """The dictionary of ``chunk``, with headers looked up for its own include paths only."""
+def reference_dictionary(chunk, siblings, header_text, config) -> SimpleNamespace:
+    """The dictionary of ``chunk``, with headers looked up for its own include paths only: its
+    non-empty ``patterns`` and its ``frequent`` per-path matches."""
     region = chunk.main_nodes + chunk.fork_nodes
     paths = list(dict.fromkeys(n.include_path for n in region if n.kind == INCLUDE))
     contents = {p: header_text(p) for p in paths if header_text(p) is not None}
@@ -166,7 +167,13 @@ def reference_dictionary(chunk, siblings, header_text, config) -> PatternDiction
         "Rename": _ref_rename_nodes(chunk),
     }
     frequent = {p: tuple(n for n in region if n.include_path == p) for p in paths}
-    return PatternDictionary(patterns={k: v for k, v in entries.items() if v}, frequent=frequent)
+    return SimpleNamespace(patterns={k: v for k, v in entries.items() if v}, frequent=frequent)
+
+
+def contents(pdict) -> tuple:
+    """A dictionary's entries and its ``frequent``: a dictionary's ``==`` is a
+    mapping's, which compares the entries only."""
+    return dict(pdict), pdict.frequent
 
 
 # --- fuzzed multi-chunk files ------------------------------------------------
@@ -227,7 +234,8 @@ def test_every_chunk_dictionary_equals_the_line_by_line_reference():
         for i, chunk in enumerate(parsed.chunks):
             siblings = [c for j, c in enumerate(parsed.chunks) if j != i]
             expected = reference_dictionary(chunk, siblings, header_text, config)
-            assert build_pattern_dictionary(chunk, config) == expected, (text, i)
+            got = build_pattern_dictionary(chunk, config)
+            assert contents(got) == (expected.patterns, expected.frequent), (text, i)
             for key in seen:
                 seen[key] += key in expected.patterns
     # The fuzz reaches every pattern that reads the per-file context.
@@ -251,10 +259,10 @@ def test_entries_read_in_any_order_equal_the_line_by_line_reference():
             pdict = build_pattern_dictionary(chunk, config)
             for key in order.sample(dsl.PREDICATE_TAGS, order.randint(0, len(dsl.PREDICATE_TAGS))):
                 if order.random() < 0.5:
-                    assert pdict.entry(key) == expected.entry(key), (text, i, key)
+                    assert pdict.entry(key) == expected.patterns.get(key, ()), (text, i, key)
                 else:
-                    assert (key in pdict.patterns) == (key in expected.patterns), (text, i, key)
-            assert pdict == expected, (text, i)
+                    assert (key in pdict) == (key in expected.patterns), (text, i, key)
+            assert contents(pdict) == (expected.patterns, expected.frequent), (text, i)
 
 
 def test_stem_users_match_word_boundaries_at_the_edges():
@@ -277,7 +285,7 @@ def test_stem_users_match_word_boundaries_at_the_edges():
     parsed = ConflictedFile.parse(text, "edges.cc")
     first = parsed.chunks[0]
     siblings = parsed.chunks[1:]
-    got = build_pattern_dictionary(first).patterns.get("Dependency", ())
+    got = build_pattern_dictionary(first).get("Dependency", ())
     assert got == reference_dictionary(first, siblings, lambda p: None, dsl.DEFAULT_CONFIG).patterns["Dependency"]
     # "x.y" is used in the sibling; "-b" needs a word character before it, which
     # "a-b-" has; "b-" needs one after it, which neither has.
@@ -303,7 +311,7 @@ def test_pickled_chunks_keep_their_context():
     copies = pickle.loads(pickle.dumps(parsed.chunks))
     assert copies[0].context is copies[-1].context
     for chunk, copy in zip(parsed.chunks, copies):
-        assert build_pattern_dictionary(copy) == build_pattern_dictionary(chunk)
+        assert contents(build_pattern_dictionary(copy)) == contents(build_pattern_dictionary(chunk))
         assert [c.main_lines for c in copy.sibling_chunks] == [c.main_lines for c in chunk.sibling_chunks]
         assert copy.header_contents == chunk.header_contents
         with pytest.raises(TypeError):
@@ -315,12 +323,12 @@ def test_chunks_pickled_before_and_after_reading_give_the_same_dictionaries():
     parsed = ConflictedFile.parse(fig_file_text("a") + text, "p.cc", header_text=header_text)
     unread = pickle.dumps(parsed.chunks)
     originals = [build_pattern_dictionary(chunk) for chunk in parsed.chunks]
-    assert sum(len(pdict.patterns) for pdict in originals)  # computes every entry, and so the file's caches
+    assert sum(len(pdict) for pdict in originals)  # computes every entry, and so the file's caches
     read = pickle.dumps(parsed.chunks)
     # A copy carries the inputs only and recomputes its caches.
     assert read == unread
     for copies in (pickle.loads(unread), pickle.loads(read)):
-        assert [build_pattern_dictionary(copy) for copy in copies] == originals
+        assert [contents(build_pattern_dictionary(copy)) for copy in copies] == list(map(contents, originals))
 
 
 def test_threads_sharing_a_file_and_its_dictionaries_read_the_same_entries():
@@ -344,7 +352,7 @@ def test_threads_sharing_a_file_and_its_dictionaries_read_the_same_entries():
                     order.shuffle(keys)
                     for key in keys:
                         pdict.entry(key)
-                out.append([dict(pdict.patterns) for pdict in pdicts])
+                out.append([dict(pdict) for pdict in pdicts])
             results[worker] = out
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
@@ -360,9 +368,9 @@ def test_threads_sharing_a_file_and_its_dictionaries_read_the_same_entries():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads) and not errors, errors
-    want = [[dict(pdict.patterns) for pdict in pdicts] for pdicts in expected]
+    want = [[dict(pdict) for pdict in pdicts] for pdicts in expected]
     assert all(results[w] == want for w in range(len(threads)))
-    assert shared == expected
+    assert [list(map(contents, pdicts)) for pdicts in shared] == [list(map(contents, pdicts)) for pdicts in expected]
 
 
 # --- one dictionary per chunk --------------------------------------------------

@@ -64,16 +64,16 @@ def pdict_of(chunk, config=DEFAULT_CONFIG):
 
 def test_dictionary_duplicate_main_fork(fig1a):
     pdict = pdict_of(fig1a)
-    assert pdict.patterns["DuplicateMainFork"] == (fig1a.main_nodes[0],)
+    assert pdict["DuplicateMainFork"] == (fig1a.main_nodes[0],)
     assert fig1a.main_nodes[0].include_path == "ui/base/cursor/mojom/cursor_type.mojom-shared.h"
 
 
 def test_dictionary_repr_shows_only_the_non_empty_entries(fig1a):
     # The entries are computed on lookup; the repr looks each one up and
     # shows those that hold nodes, as a dict would.
-    assert repr(pdict_of(fig1a).patterns) == repr({"DuplicateMainFork": (fig1a.main_nodes[0],)})
+    assert repr(pdict_of(fig1a)) == repr({"DuplicateMainFork": (fig1a.main_nodes[0],)})
     (chunk,) = parse_conflict_file(marker_text(['#include "x/one.h"'], ['#include "y/two.h"']), "a.cc")
-    assert repr(pdict_of(chunk).patterns) == "{}"
+    assert repr(pdict_of(chunk)) == "{}"
 
 
 def test_dictionary_rename_entry():
@@ -83,13 +83,13 @@ def test_dictionary_rename_entry():
     )
     (chunk,) = parse_conflict_file(text, "test.cc")
     pdict = pdict_of(chunk)
-    assert pdict.patterns["Rename"] == (chunk.main_nodes[0],)
+    assert pdict["Rename"] == (chunk.main_nodes[0],)
 
 
 def test_dictionary_vacuous_case():
     text = marker_text(['#include "x/one.h"'], ['#include "y/two.h"'])
     (chunk,) = parse_conflict_file(text, "a.cc")
-    assert pdict_of(chunk).patterns == {}
+    assert pdict_of(chunk) == {}
 
 
 def test_dictionary_fork_specific_keywords():
@@ -99,8 +99,8 @@ def test_dictionary_fork_specific_keywords():
     )
     (chunk,) = parse_conflict_file(text, "test.cc")
     pdict = pdict_of(chunk)
-    assert pdict.patterns["ForkSpecific"] == chunk.fork_nodes
-    assert "MainSpecific" not in pdict.patterns  # no main keywords configured
+    assert pdict["ForkSpecific"] == chunk.fork_nodes
+    assert "MainSpecific" not in pdict  # no main keywords configured
 
 
 def test_dictionary_keywords_are_config():
@@ -108,8 +108,8 @@ def test_dictionary_keywords_are_config():
     (chunk,) = parse_conflict_file(text, "k.cc")
     config = SynthConfig(fork_keywords=("EDGE_ONLY",), main_keywords=("UPSTREAM_ONLY",))
     pdict = pdict_of(chunk, config)
-    assert pdict.patterns["ForkSpecific"] == chunk.fork_nodes
-    assert pdict.patterns["MainSpecific"] == chunk.main_nodes
+    assert pdict["ForkSpecific"] == chunk.fork_nodes
+    assert pdict["MainSpecific"] == chunk.main_nodes
 
 
 def test_dictionary_duplicate_outside():
@@ -125,8 +125,8 @@ def test_dictionary_duplicate_outside():
     ) + "\n"
     (chunk,) = parse_conflict_file(text, "a.cc")
     pdict = pdict_of(chunk)
-    assert pdict.patterns["DuplicateForkOutside"] == chunk.fork_nodes
-    assert "DuplicateMainOutside" not in pdict.patterns
+    assert pdict["DuplicateForkOutside"] == chunk.fork_nodes
+    assert "DuplicateMainOutside" not in pdict
 
 
 def test_dictionary_dependency_via_sibling():
@@ -148,23 +148,23 @@ def test_dictionary_dependency_via_sibling():
     ) + "\n"
     first, second = parse_conflict_file(text, "dep.cc")
     pdict = pdict_of(first)
-    assert pdict.patterns["Dependency"] == (first.fork_nodes[0],)
+    assert pdict["Dependency"] == (first.fork_nodes[0],)
 
 
 def test_dictionary_header_contents_distinguish_same_name():
     text = marker_text(['#include "ui/a/cursor.h"'], ['#include "ui/b/cursor.h"'])
     (chunk,) = parse_conflict_file(text, "a.cc")
-    assert pdict_of(chunk).patterns["DuplicateMainFork"]
+    assert pdict_of(chunk)["DuplicateMainFork"]
     headers = {"ui/a/cursor.h": "class A;", "ui/b/cursor.h": "class B;"}
     (chunk,) = ConflictedFile.parse(text, "a.cc", header_text=headers.get).chunks
-    assert "DuplicateMainFork" not in pdict_of(chunk).patterns
+    assert "DuplicateMainFork" not in pdict_of(chunk)
 
 
 def test_eval_predicate_frequent_pattern(fig1c):
     pdict = pdict_of(fig1c)
-    assert eval_predicate(Predicate("FrequentPattern", path="base/logging.h"), fig1c, pdict)
-    assert not eval_predicate(Predicate("DuplicateMainFork"), fig1c, pdict)
-    assert not eval_predicate(Predicate("FrequentPattern", path="missing/path.h"), fig1c, pdict)
+    assert eval_predicate(Predicate("FrequentPattern", path="base/logging.h"), pdict)
+    assert not eval_predicate(Predicate("DuplicateMainFork"), pdict)
+    assert not eval_predicate(Predicate("FrequentPattern", path="missing/path.h"), pdict)
 
 
 def test_eval_predicate_empty_regions_all_false():
@@ -172,7 +172,7 @@ def test_eval_predicate_empty_regions_all_false():
     (chunk,) = parse_conflict_file(text, "a.cc")
     pdict = pdict_of(chunk)
     for tag in PATTERN_KEYS:
-        assert not eval_predicate(Predicate(tag), chunk, pdict)
+        assert not eval_predicate(Predicate(tag), pdict)
 
 
 def test_eval_condition_conjunction(fig1a):
@@ -180,70 +180,70 @@ def test_eval_condition_conjunction(fig1a):
     dup = Predicate("DuplicateMainFork")
     freq = Predicate("FrequentPattern", path="ui/base/anonymous_ui_base_features.h")
     missing = Predicate("Rename")
-    assert eval_condition(Condition((dup, freq)), fig1a, pdict)
-    assert not eval_condition(Condition((dup, missing)), fig1a, pdict)
-    assert eval_condition(Condition((dup,)), fig1a, pdict) == eval_predicate(dup, fig1a, pdict)
+    assert eval_condition(Condition((dup, freq)), pdict)
+    assert not eval_condition(Condition((dup, missing)), pdict)
+    assert eval_condition(Condition((dup,)), pdict) == eval_predicate(dup, pdict)
 
 
 def test_condition_learned_on_c_holds_on_d(fig1c, fig1d):
     condition = learn_condition([fig1c, fig1d])
-    assert eval_condition(condition, fig1d, pdict_of(fig1d))
+    assert eval_condition(condition, pdict_of(fig1d))
 
 
 def test_eval_selection_fork_by_path(fig1c):
-    result = eval_selection(Selection("ForkByPath", path="base/logging.h"), fig1c, pdict_of(fig1c))
+    result = eval_selection(Selection("ForkByPath", path="base/logging.h"), pdict_of(fig1c))
     assert result == (fig1c.fork_nodes[0],)
 
 
 def test_eval_selection_main_by_index(fig1c):
-    result = eval_selection(Selection("MainByIndex", k=0), fig1c, pdict_of(fig1c))
+    result = eval_selection(Selection("MainByIndex", k=0), pdict_of(fig1c))
     assert result == (fig1c.main_nodes[0],)
     assert result[0].include_path == "base/notreached.h"
 
 
 def test_eval_selection_pattern(fig1a):
-    result = eval_selection(Selection("Pattern", key="DuplicateMainFork"), fig1a, pdict_of(fig1a))
+    result = eval_selection(Selection("Pattern", key="DuplicateMainFork"), pdict_of(fig1a))
     assert result == (fig1a.main_nodes[0],)
 
 
 def test_eval_selection_index_out_of_range(fig1c):
     with pytest.raises(EvaluationFailed, match="IndexOutOfRange"):
-        eval_selection(Selection("MainByIndex", k=5), fig1c, pdict_of(fig1c))
+        eval_selection(Selection("MainByIndex", k=5), pdict_of(fig1c))
 
 
 def test_eval_selection_by_path_no_match_is_empty(fig1c):
-    assert eval_selection(Selection("MainByPath", path="no/such.h"), fig1c, pdict_of(fig1c)) == ()
+    assert eval_selection(Selection("MainByPath", path="no/such.h"), pdict_of(fig1c)) == ()
 
 
 def test_eval_selection_frequent_pattern_key_is_empty(fig1a):
     # The per-path frequent entries back the predicate only; as a pattern
     # key the name selects nothing.
     sel = Selection("Pattern", key="FrequentPattern")
-    assert eval_selection(sel, fig1a, pdict_of(fig1a)) == ()
+    assert eval_selection(sel, pdict_of(fig1a)) == ()
 
 
 def test_eval_transformation_remove(fig1c):
     t = Remove(Selection("Fork"), Selection("ForkByPath", path="base/logging.h"))
-    assert eval_transformation(t, fig1c, pdict_of(fig1c)) == (fig1c.fork_nodes[1],)
+    assert eval_transformation(t, pdict_of(fig1c)) == (fig1c.fork_nodes[1],)
 
 
 def test_eval_transformation_self_removal(fig1c):
     t = Remove(Selection("Fork"), Selection("Fork"))
-    assert eval_transformation(t, fig1c, pdict_of(fig1c)) == ()
+    assert eval_transformation(t, pdict_of(fig1c)) == ()
 
 
 def test_eval_transformation_concat():
     text = marker_text(['#include "b/b.h"', '#include "c/c.h"'], ['#include "a/a.h"'])
     (chunk,) = parse_conflict_file(text, "x.cc")
     t = Concat(Select(Selection("Main")), Select(Selection("Fork")))
-    result = eval_transformation(t, chunk, pdict_of(chunk))
+    result = eval_transformation(t, pdict_of(chunk))
     assert [n.include_path for n in result] == ["a/a.h", "b/b.h", "c/c.h"]
 
 
 def test_eval_transformation_remove_mismatch(fig1c):
     t = Remove(Selection("Main"), Selection("Fork"))
     with pytest.raises(RemoveMismatch):
-        eval_transformation(t, fig1c, pdict_of(fig1c))
+        eval_transformation(t, pdict_of(fig1c))
 
 
 def test_run_program_fb_on_c(fig1c):
@@ -304,7 +304,7 @@ def test_run_program_resolves_only_when_guard_holds(fig1a, fig1c, fig1d):
         for chunk in (fig1a, fig1c, fig1d):
             result = run_program(program, chunk)
             if result.is_resolved:
-                assert eval_condition(program.condition, chunk, pdict_of(chunk))
+                assert eval_condition(program.condition, pdict_of(chunk))
 
 
 def test_serialize_round_trip_worked_example():

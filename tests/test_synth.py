@@ -119,7 +119,7 @@ def test_single_example_guard_generalizes_to_sibling_case(fig1c, fig1d):
     assert guard.predicates == (Predicate("FrequentPattern", path="base/logging.h"),)
     from mergelearn.dsl import eval_condition
 
-    assert eval_condition(guard, fig1d, build_pattern_dictionary(fig1d, DEFAULT_CONFIG))
+    assert eval_condition(guard, build_pattern_dictionary(fig1d, DEFAULT_CONFIG))
 
 
 def test_learn_deletion_resolution():
@@ -178,7 +178,7 @@ def test_learn_transformation_results_evaluate_to_target(fig1a):
     pdict = build_pattern_dictionary(fig1a, DEFAULT_CONFIG)
     target = fig1a.fork_nodes
     for t in learn_transformation(fig1a, target, pdict=pdict).programs:
-        assert eval_transformation(t, fig1a, pdict) == target
+        assert eval_transformation(t, pdict) == target
 
 
 def test_wf_concat_two_nodes(fig1d):
@@ -315,7 +315,7 @@ def test_interned_inverses_agree_with_the_node_reference():
     rng = random.Random(0x1D5)
     kinds = Counter()
     for conflicts, targets, pdicts in itertools.islice(_inverse_oracle_cases(rng), 200):
-        learner = synth._TransformationLearner(conflicts, pdicts)
+        learner = synth._TransformationLearner(pdicts)
         got = learner.core(tuple(map(learner.intern, targets)), 0).entries
         assert got == reference_base_candidates(conflicts, targets, pdicts), targets
         kinds[len(conflicts), "found" if got else "none"] += 1
@@ -381,7 +381,7 @@ def test_selection_table_equals_the_reference_on_rich_inputs():
     tags, keys = Counter(), Counter()
     for _ in range(120):
         examples = [next(chunks) for _ in range(rng.randint(1, 3))]
-        learner = synth._TransformationLearner(*zip(*examples))
+        learner = synth._TransformationLearner([pdict for _, pdict in examples])
         for i, (chunk, pdict) in enumerate(examples):
             expected = canonical_selections(chunk, pdict)
             assert Counter(_table(learner, i)) == Counter(expected)
@@ -436,7 +436,7 @@ def test_intersect_set_algebra():
 
 def _joint_set(cases, pdicts, config=DEFAULT_CONFIG):
     """The candidates ``learn`` builds for every example at once."""
-    return synth._learn_transformations([c for c, _ in cases], [o for _, o in cases], pdicts, config)
+    return synth._learn_transformations(pdicts, [o for _, o in cases], config)
 
 
 def test_learned_sets_and_their_intersection_reproduce_every_example():
@@ -454,12 +454,12 @@ def test_learned_sets_and_their_intersection_reproduce_every_example():
         for (conflict, output), pdict, learned in zip(cases, pdicts, sets):
             assert learned.entries, "no candidate for a realizable example"
             for entry in learned.entries:
-                assert eval_transformation(entry[3], conflict, pdict) == output, entry[3]
+                assert eval_transformation(entry[3], pdict) == output, entry[3]
         consistent = intersect_program_sets(sets).entries
         joint = _joint_set(cases, pdicts).entries if len(cases) > 1 else ()
         for entry in (*consistent, *joint):
             for (conflict, output), pdict in zip(cases, pdicts):
-                assert eval_transformation(entry[3], conflict, pdict) == output, entry[3]
+                assert eval_transformation(entry[3], pdict) == output, entry[3]
         shared += len(cases) > 1 and bool(consistent) and bool(joint)
     # Not vacuous: nearly every multi-example spec keeps a shared program.
     assert shared >= 90
@@ -596,7 +596,7 @@ def _guarded_by_brute_force(cases, cap):
     scoring at most the ``cap + 1``-th get a rank key."""
     conflicts = [conflict for conflict, _ in cases]
     pdicts = [build_pattern_dictionary(conflict) for conflict in conflicts]
-    root = synth._candidates(conflicts, [output for _, output in cases], pdicts, DEFAULT_CONFIG)
+    root = synth._candidates(pdicts, [output for _, output in cases], DEFAULT_CONFIG)
     guards = synth._Guards(learn_condition(conflicts, pdicts=pdicts))
     guards.pull(len(guards))
     guards = guards.entries
@@ -709,7 +709,7 @@ def test_the_deferred_padded_product_lists_what_the_eager_root_did():
         pdicts = [build_pattern_dictionary(conflict) for conflict in conflicts]
         roots = []
         for build in (synth._TransformationLearner.full, eager_full):
-            learner = synth._TransformationLearner(conflicts, pdicts)
+            learner = synth._TransformationLearner(pdicts)
             targets = tuple(learner.intern(output) for _, output in cases)
             roots.append((build(learner, targets, depth), learner, targets))
         (lazy, learner, targets), (eager, _, _) = roots
@@ -981,7 +981,7 @@ def test_many_long_examples_split_only_where_a_program_can(monkeypatch):
         cases = []
         while len(cases) < size:
             conflict = gen_conflict(rng, max_nodes=5, force_paths=("base/alpha.h",))
-            output = eval_transformation(transformation, conflict, build_pattern_dictionary(conflict))
+            output = eval_transformation(transformation, build_pattern_dictionary(conflict))
             if 10 <= len(output) <= 20:
                 cases.append((conflict, output))
         splits.clear()
@@ -1071,7 +1071,7 @@ def test_guards_past_twelve_predicates_are_every_subset(predicates):
     assert len(preds) == predicates
     guards = [rank_entry(Condition(subset)) for size in range(1, predicates + 1)
               for subset in itertools.combinations(preds, size)]
-    root = synth._candidates([chunk], [output], pdicts, DEFAULT_CONFIG)
+    root = synth._candidates(pdicts, [output], DEFAULT_CONFIG)
     assert not root.pull(8)
     # A program's rank entry is its guard's and transformation's summed,
     # keyed "Apply" + guard key + transformation key.
