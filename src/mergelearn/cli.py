@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import functools
 import hashlib
 import json
 import logging
@@ -133,8 +134,7 @@ def cmd_learn(args) -> int:
     spec = _load_example_spec(spec_path, args.side_order)
     ranked = learn(spec, config)
     if not ranked:
-        print(f"error: {spec_path}: no consistent program found for the given examples", file=sys.stderr)
-        return 1
+        raise ValueError(f"{spec_path}: no consistent program found for the given examples")
     spec_hash = hashlib.sha256(spec_path.read_bytes()).hexdigest()
     top = ranked[: args.top]
     payload = [_program_file_json(entry, config, spec_hash, i) for i, entry in enumerate(top)]
@@ -234,7 +234,11 @@ def cmd_eval(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of the four commands, built on the first call and shared by
+    every later one: parsing leaves no state in it, and the help formatter
+    reads the terminal width each time it prints."""
     parser = argparse.ArgumentParser(
         prog="mergelearn",
         description="Learn merge-conflict resolution programs from examples and apply them.",
@@ -284,7 +288,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # A path holding a line break is still named on one line.
+        message = str(exc).replace("\r", "\\r").replace("\n", "\\n")
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

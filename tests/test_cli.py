@@ -457,6 +457,40 @@ def test_a_path_holding_a_nul_is_named(tmp_path, capsys, command):
     assert capsys.readouterr().err == f"error: {bad}: embedded null byte\n"
 
 
+@pytest.mark.parametrize("command", ["apply", "learn-out", "learn-examples", "eval"])
+def test_a_path_holding_a_line_break_is_named_on_one_line(tmp_path, capsys, command):
+    # The error line escapes each CR and LF of the name, so it stays one line.
+    def escaped(path):
+        return str(path).replace("\r", "\\r").replace("\n", "\\n")
+
+    program = str(write_program(tmp_path, FB_PROGRAM))
+    if command == "apply":
+        bad = tmp_path / "a\r\nb.cc"
+        bad.write_bytes(b"\xff" + fig_file_text("c").encode("utf-8"))
+        argv = ["apply", "--program", program, str(bad), "--print"]
+        detail = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    elif command == "learn-out":
+        bad = tmp_path / "a\r\nb\0.json"
+        argv = ["learn", "--examples", str(write_example_spec(tmp_path, ["c", "d"])), "--out", str(bad)]
+        detail = "embedded null byte"
+    elif command == "learn-examples":
+        (tmp_path / "a\r\nb").mkdir()
+        bad = write_example_spec(tmp_path / "a\r\nb", ["c"])
+        (bad.parent / "resolution_other.txt").write_text('#include "base/web.h"\n', encoding="utf-8")
+        entries = json.loads(bad.read_text(encoding="utf-8"))
+        bad.write_text(json.dumps([*entries, {**entries[0], "resolution": "resolution_other.txt"}]),
+                       encoding="utf-8")
+        argv = ["learn", "--examples", str(bad), "--out", str(tmp_path / "x.json")]
+        detail = "no consistent program found for the given examples"
+    else:
+        bad = tmp_path / "a\r\nb.json"
+        bad.write_text("{not json", encoding="utf-8")
+        argv = ["eval", "--program", str(bad), str(write_fig_corpus(tmp_path / "corpus")), "--report", "-"]
+        detail = "invalid JSON at position 1: Expecting property name enclosed in double quotes"
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {escaped(bad)}: {detail}\n"
+
+
 @pytest.mark.parametrize("command", ["learn", "classify", "eval"])
 def test_unwritable_output_is_clean_error(tmp_path, capsys, command):
     unwritable = str(tmp_path / "missing" / "out.json")
@@ -836,6 +870,85 @@ def test_usage_error_exit_2():
     assert exc.value.code == 2
 
 
+def _call(argv):
+    """``main(argv)``'s exit code, stdout and stderr, argparse's exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: usage errors and --help
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _fig_target(tmp_path):
+    """A program file and Fig. 1c's conflicted file, as ``apply --print`` argv."""
+    program = write_program(tmp_path, FB_PROGRAM)
+    target = tmp_path / "c.cc"
+    target.write_text(fig_file_text("c"), encoding="utf-8")
+    return ["apply", "--program", str(program), str(target), "--print"]
+
+
+def test_the_parser_is_built_by_the_first_call_only(tmp_path, monkeypatch):
+    argv = _fig_target(tmp_path)
+    init = argparse.ArgumentParser.__init__
+    built = []
+
+    def counted(self, *args, **kwargs):
+        built[-1] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    build_parser.cache_clear()
+    for _ in range(3):
+        built.append(0)
+        assert _call(argv)[0] == 0
+    assert built[0] > 0 and built[1:] == [0, 0], built
+
+
+def test_a_usage_error_leaves_nothing_for_the_next_call(tmp_path):
+    argv = _fig_target(tmp_path)
+    build_parser.cache_clear()
+    alone = _call(argv)
+    assert alone[:2] == (0, fig_resolved_text("c"))
+    build_parser.cache_clear()
+    code, out, err = _call(argv[:-1])  # no --print, --diff or --in-place
+    assert (code, out) == (2, "") and "one of the arguments --print --in-place --diff is required" in err
+    assert _call(argv) == alone
+
+
+def test_help_wraps_to_the_columns_of_each_call(monkeypatch):
+    description = "Learn merge-conflict resolution programs from examples and apply them."
+    helps = []
+    for columns in (40, 200, 40):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        code, out, err = _call(["--help"])
+        assert (code, err) == (0, "")
+        helps.append(out.splitlines())
+    assert description in helps[1]
+    assert ["Learn merge-conflict resolution", "programs from examples and apply them."] == [
+        line for line in helps[0] if line.startswith(("Learn", "programs"))]
+    assert helps[2] == helps[0]
+
+
+def test_a_batch_of_in_process_calls_gives_what_separate_processes_give(tmp_path):
+    # Five files of Fig. 1 chunks, one of them CRLF and one not UTF-8.
+    rng = random.Random(0xBA7C)
+    fb = write_program(tmp_path, FB_PROGRAM, "fb.json")
+    dup = write_program(tmp_path, DUP_PROGRAM, "dup.json")
+    argvs = []
+    for i in range(5):
+        text = "".join(fig_file_text(name) for name in rng.choices("abcd", k=rng.randint(1, 3)))
+        data = text.replace("\n", "\r\n").encode("utf-8") if i == 3 else text.encode("utf-8")
+        target = tmp_path / f"file{i}.cc"
+        target.write_bytes(b"\xff" + data if i == 4 else data)
+        argvs.append(["apply", "--program", str(fb), "--program", str(dup), "--print", str(target)])
+    batch = [_call(argv) for argv in argvs]
+    separate = [_run_module(*argv) for argv in argvs]
+    assert batch == [(run.returncode, run.stdout, run.stderr) for run in separate]
+    assert [code for code, _, _ in batch] == [0, 0, 0, 0, 1]
+
+
 def _run_module(*args, module="mergelearn"):
     """``python -m <module>`` as a separate process, importing this checkout's package."""
     env = dict(os.environ)
@@ -991,12 +1104,13 @@ def _write_cli_workspace(root: Path) -> None:
     }
     for name, text in texts.items():
         (root / name).write_text(text, encoding="utf-8")
-    (root / "not_utf8.txt").write_bytes(b"\xff\xfe" + fig_file_text("c").encode("utf-8"))
+    for name in ("not_utf8.txt", "not\r\nutf8.txt"):
+        (root / name).write_bytes(b"\xff\xfe" + fig_file_text("c").encode("utf-8"))
 
 
 # Each role's (valid, invalid) inputs. Every role may get a directory, a
-# missing file, a NUL in the path or the wrong kind of file.
-_ANY_BAD = ("dir", "missing.json", "a\0b", "not_utf8.txt", "empty.txt")
+# missing file, a NUL or a line break in the path or the wrong kind of file.
+_ANY_BAD = ("dir", "missing.json", "a\0b", "not_utf8.txt", "not\r\nutf8.txt", "empty.txt")
 _ROLES = {
     "spec": (("examples.json", "crlf/examples.json"),
              ("contradictory.json", "brackets.json", "empty_array.json", "conflict.cc", *_ANY_BAD)),
@@ -1047,19 +1161,33 @@ def test_every_argv_exits_0_1_or_2_and_a_failure_is_one_error_line_naming_its_in
         root = Path(tmp)
         _write_cli_workspace(root)
         argv = [str(root / arg) if isinstance(arg, _In) else arg for arg in argv]
-        out, err = io.StringIO(), io.StringIO()
-        with mock.patch.dict(os.environ), redirect_stdout(out), redirect_stderr(err):
+        with mock.patch.dict(os.environ):
             os.environ.pop("MERGELEARN_KEYWORDS", None)
             if keywords is not None:
                 os.environ["MERGELEARN_KEYWORDS"] = str(root / keywords)
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse: usage errors and --help
-                code = exc.code
+            code, _, err = _call(argv)
     assert code in (0, 1, 2), (argv, code)
     if code == 1:
         # Every input is a workspace path, or the keywords file, which the
-        # line names by its variable.
-        lines = err.getvalue().splitlines()
+        # line names by its variable; a line break in a name is escaped.
+        lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
         assert tmp in lines[0] or "MERGELEARN_KEYWORDS" in lines[0], (argv, lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argv())
+def test_the_shared_parser_parses_as_a_fresh_one(drawn):
+    # The shared parser has parsed every earlier example, and every argv of
+    # the other tests, before it parses this one.
+    argv = [str(arg) for arg in drawn[0]]
+
+    def parse(parser):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                return vars(parser.parse_args(argv))
+            except SystemExit as exc:
+                return exc.code, out.getvalue(), err.getvalue()
+
+    assert parse(build_parser()) == parse(build_parser.__wrapped__())
