@@ -280,8 +280,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _StderrHandler(logging.StreamHandler):
+    """A handler that writes each record to ``sys.stderr`` as it is when the
+    record is emitted, so that every ``main`` call's diagnostics go to that
+    call's stderr, not to the stream of the first call."""
+
+    def __init__(self):
+        # Not StreamHandler.__init__, which would assign the stream.
+        logging.Handler.__init__(self)
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
+_STDERR_HANDLER = _StderrHandler()
+
+
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
+    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s",
+                        handlers=[_STDERR_HANDLER])
     args = build_parser().parse_args(argv)
     # The one place a fault becomes an error line: OSError for a file that
     # cannot be read or written, ValueError for input that cannot be used.

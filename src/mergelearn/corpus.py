@@ -9,8 +9,10 @@ on the unchanged lines around each conflict.
 from __future__ import annotations
 
 import difflib
+import errno
 import json
 import logging
+import os
 import re
 from collections import Counter
 from dataclasses import asdict, dataclass
@@ -110,21 +112,80 @@ def align_resolution(parsed: ConflictedFile, resolved_text: str) -> list[Aligned
     return results
 
 
-def _header_reader(case_dir: Path):
+_MARKER_LINE_RE = re.compile(f"^{START_MARKER}", re.M)
+
+
+def _listing(path) -> dict[str, os.DirEntry]:
+    """The entries of a directory by name, from one listing."""
+    with os.scandir(path) as entries:
+        return {entry.name: entry for entry in entries}
+
+
+# The errors on which ``Path.is_file`` and ``Path.is_dir`` of Python 3.10 to
+# 3.12 answer False; they raise any other.
+_MISSING_ERRNOS = frozenset({errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP})
+
+
+def _is_file(entry: os.DirEntry | None) -> bool:
+    """``Path.is_file`` for a listed entry: symlinks are followed, and an
+    entry that is missing or whose stat fails as for a missing file is no
+    file."""
+    try:
+        return entry is not None and entry.is_file()
+    except OSError as exc:
+        if exc.errno not in _MISSING_ERRNOS:
+            raise
+        return False
+
+
+def _is_dir(entry: os.DirEntry | None) -> bool:
+    """``Path.is_dir`` for a listed entry, as ``_is_file``."""
+    try:
+        return entry is not None and entry.is_dir()
+    except OSError as exc:
+        if exc.errno not in _MISSING_ERRNOS:
+            raise
+        return False
+
+
+def _read_text(path: str) -> str:
+    with open(path, encoding="utf-8") as f:
+        return f.read()
+
+
+def _header_reader(case_dir: str, entries: dict[str, os.DirEntry]):
     """Header text for an include path: the case's ``headers/<include path>``
     when the path is relative without ``..`` and that file exists, else
-    ``headers/<basename>`` if it exists. None when there is no ``headers/``."""
-    headers = case_dir / "headers"
-    if not headers.is_dir():
+    ``headers/<basename>`` if it exists. None when the case's listing
+    ``entries`` has no ``headers/`` directory.
+
+    ``headers/`` is listed on the first lookup, and a path of one part is
+    found in that listing; a nested path is stat'ed only when its first part
+    is a listed directory."""
+    if not _is_dir(entries.get("headers")):
         return None
+    headers = Path(case_dir, "headers")
+    listed: dict[str, os.DirEntry] | None = None
 
     def read(path: str) -> str | None:
+        nonlocal listed
+        if listed is None:
+            listed = _listing(headers)
         include = PurePosixPath(path)
-        if not include.is_absolute() and ".." not in include.parts and (headers / include).is_file():
-            return (headers / include).read_text(encoding="utf-8")
-        by_name = headers / path.rsplit("/", 1)[-1]
-        return by_name.read_text(encoding="utf-8") if by_name.is_file() else None
+        if not include.is_absolute() and ".." not in include.parts:
+            if len(include.parts) == 1 and _is_file(listed.get(include.name)):
+                return _read_text(listed[include.name].path)
+            if (len(include.parts) > 1 and _is_dir(listed.get(include.parts[0]))
+                    and (headers / include).is_file()):
+                return (headers / include).read_text(encoding="utf-8")
+        by_name = listed.get(path.rsplit("/", 1)[-1])
+        return _read_text(by_name.path) if _is_file(by_name) else None
     return read
+
+
+def _subdirectories(path: Path) -> list[Path]:
+    """The directories in ``path``, in name order."""
+    return [path / name for name, entry in sorted(_listing(path).items()) if _is_dir(entry)]
 
 
 def load_corpus(root) -> list[CorpusCase]:
@@ -132,41 +193,41 @@ def load_corpus(root) -> list[CorpusCase]:
 
     Malformed entries (bad markers, missing files, unresolvable alignment)
     are skipped with a logged diagnostic; an entirely unusable corpus is an
-    error.
+    error. Each merge and case directory is listed once, and only the files
+    the listing shows are opened.
     """
     root = Path(root)
     if not root.is_dir():
         raise EmptyCorpusError(f"corpus root {root} {'is not a directory' if root.exists() else 'does not exist'}")
     cases: list[CorpusCase] = []
-    for merge_dir in sorted(p for p in root.iterdir() if p.is_dir()):
-        for case_dir in sorted(p for p in merge_dir.iterdir() if p.is_dir()):
-            cases.extend(_load_case_dir(merge_dir.name, case_dir))
+    for merge_dir in _subdirectories(root):
+        for case_dir in _subdirectories(merge_dir):
+            cases.extend(_load_case_dir(merge_dir.name, str(case_dir)))
     if not cases:
         raise EmptyCorpusError(f"no usable cases under {root}")
     return cases
 
 
-def _load_case_dir(merge_id: str, case_dir: Path) -> list[CorpusCase]:
-    conflict_file = case_dir / "conflict.txt"
-    resolved_file = case_dir / "resolved.txt"
-    meta_file = case_dir / "meta.json"
+def _load_case_dir(merge_id: str, case_dir: str) -> list[CorpusCase]:
     try:
-        if not conflict_file.is_file():
+        entries = _listing(case_dir)
+        conflict_file, resolved_file, meta_file = map(entries.get, ("conflict.txt", "resolved.txt", "meta.json"))
+        if not _is_file(conflict_file):
             raise ValueError("no conflict.txt")
-        if not resolved_file.is_file():
+        if not _is_file(resolved_file):
             raise ValueError("missing resolution")
-        meta = json.loads(meta_file.read_text(encoding="utf-8")) if meta_file.is_file() else {}
+        meta = json.loads(_read_text(meta_file.path)) if _is_file(meta_file) else {}
         if not isinstance(meta, dict) or not all(
             isinstance(meta.get(key, ""), str) for key in ("file_path", "label", "side_order")
         ):
             raise ValueError("meta.json must be an object whose file_path, label and side_order are strings")
-        file_path = meta.get("file_path") or case_dir.name
-        conflict_text = conflict_file.read_text(encoding="utf-8")
-        resolved_text = resolved_file.read_text(encoding="utf-8")
-        if re.search(f"^{START_MARKER}", resolved_text, flags=re.M):
+        file_path = meta.get("file_path") or os.path.basename(case_dir)
+        conflict_text = _read_text(conflict_file.path)
+        resolved_text = _read_text(resolved_file.path)
+        if _MARKER_LINE_RE.search(resolved_text):
             raise ValueError("resolved file still contains markers")
         parsed = ConflictedFile.parse(conflict_text, file_path, side_order=meta.get("side_order", "fork-first"),
-                                      header_text=_header_reader(case_dir))
+                                      header_text=_header_reader(case_dir, entries))
         aligned = align_resolution(parsed, resolved_text)
     except (OSError, ValueError, RecursionError) as exc:
         logger.warning("skipping %s: %s", case_dir, exc)

@@ -5,13 +5,18 @@ from __future__ import annotations
 
 import itertools
 import json
+import logging
+import os
 import random
+import re
 from collections import Counter
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import pytest
 
-from mergelearn.conflicts import ConflictInput, parse_conflict_file, tokenize_nodes
+import mergelearn
+from mergelearn.conflicts import START_MARKER, ConflictedFile, ConflictInput, parse_conflict_file, tokenize_nodes
+from mergelearn.corpus import CorpusCase, EmptyCorpusError, align_resolution, load_corpus
 from mergelearn.dsl import (
     PATTERN_KEYS,
     Concat,
@@ -149,6 +154,15 @@ def fig1d():
     return fig_chunk("d")
 
 
+def checkout_env() -> dict:
+    """The environment for a Python subprocess that imports this checkout's
+    package and these test helpers."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(Path(mergelearn.__file__).parents[1]),
+                                                      str(Path(__file__).parent), env.get("PYTHONPATH"))))
+    return env
+
+
 def write_fig_corpus(root: Path) -> Path:
     """Encode the four worked examples in the on-disk corpus layout."""
     merges = {"a": "merge-001", "b": "merge-001", "c": "merge-002", "d": "merge-002"}
@@ -161,6 +175,114 @@ def write_fig_corpus(root: Path) -> Path:
         (case_dir / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
     return root
 
+
+
+# --- the reference corpus loader --------------------------------------------
+
+_corpus_logger = logging.getLogger("mergelearn.corpus")
+
+
+def _reference_header_reader(case_dir: Path):
+    headers = case_dir / "headers"
+    if not headers.is_dir():
+        return None
+
+    def read(path: str) -> str | None:
+        include = PurePosixPath(path)
+        if not include.is_absolute() and ".." not in include.parts and (headers / include).is_file():
+            return (headers / include).read_text(encoding="utf-8")
+        by_name = headers / path.rsplit("/", 1)[-1]
+        return by_name.read_text(encoding="utf-8") if by_name.is_file() else None
+    return read
+
+
+def _reference_load_case_dir(merge_id: str, case_dir: Path) -> list[CorpusCase]:
+    conflict_file = case_dir / "conflict.txt"
+    resolved_file = case_dir / "resolved.txt"
+    meta_file = case_dir / "meta.json"
+    try:
+        if not conflict_file.is_file():
+            raise ValueError("no conflict.txt")
+        if not resolved_file.is_file():
+            raise ValueError("missing resolution")
+        meta = json.loads(meta_file.read_text(encoding="utf-8")) if meta_file.is_file() else {}
+        if not isinstance(meta, dict) or not all(
+            isinstance(meta.get(key, ""), str) for key in ("file_path", "label", "side_order")
+        ):
+            raise ValueError("meta.json must be an object whose file_path, label and side_order are strings")
+        file_path = meta.get("file_path") or case_dir.name
+        conflict_text = conflict_file.read_text(encoding="utf-8")
+        resolved_text = resolved_file.read_text(encoding="utf-8")
+        if re.search(f"^{START_MARKER}", resolved_text, flags=re.M):
+            raise ValueError("resolved file still contains markers")
+        parsed = ConflictedFile.parse(conflict_text, file_path, side_order=meta.get("side_order", "fork-first"),
+                                      header_text=_reference_header_reader(case_dir))
+        aligned = align_resolution(parsed, resolved_text)
+    except (OSError, ValueError, RecursionError) as exc:
+        _corpus_logger.warning("skipping %s: %s", case_dir, exc)
+        return []
+    out = []
+    for index, (chunk, res) in enumerate(zip(parsed.chunks, aligned)):
+        if res.nodes is None:
+            _corpus_logger.warning("skipping %s chunk %d: %s", case_dir, index, res.reason)
+            continue
+        out.append(CorpusCase(chunk, res.nodes, merge_id, file_path, index, meta.get("label")))
+    return out
+
+
+def reference_load_corpus(root) -> list[CorpusCase]:
+    """``corpus.load_corpus`` as it was before it listed each directory
+    once: a ``pathlib`` stat for every probe and a ``Path`` for every file.
+    The reference that the listing loader must equal, in its cases and in
+    the skip messages it logs to the ``mergelearn.corpus`` logger."""
+    root = Path(root)
+    if not root.is_dir():
+        raise EmptyCorpusError(f"corpus root {root} {'is not a directory' if root.exists() else 'does not exist'}")
+    cases: list[CorpusCase] = []
+    for merge_dir in sorted(p for p in root.iterdir() if p.is_dir()):
+        for case_dir in sorted(p for p in merge_dir.iterdir() if p.is_dir()):
+            cases.extend(_reference_load_case_dir(merge_dir.name, case_dir))
+    if not cases:
+        raise EmptyCorpusError(f"no usable cases under {root}")
+    return cases
+
+
+def corpus_case_record(case: CorpusCase) -> tuple:
+    """A corpus case as plain values: the chunks of two parses of one file
+    are never equal, since a chunk's equality includes its parsed file's
+    identity."""
+    context = case.conflict.context
+    return (case.merge_id, case.file_path, case.chunk_index, case.label, case.human_resolution,
+            case.conflict.index, context.file_path, context.segments, context.chunk_blocks,
+            context.trailing_newline, context.regions, dict(context.header_contents))
+
+
+class _Messages(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.seen: list[str] = []
+
+    def emit(self, record):
+        self.seen.append(record.getMessage())
+
+
+def load_both(root) -> dict:
+    """The corpus under ``root`` as ``load_corpus`` and as
+    ``reference_load_corpus`` load it: for each, the ``corpus_case_record``
+    of every case and the messages it logged."""
+    out = {}
+    for name, load in (("listing", load_corpus), ("reference", reference_load_corpus)):
+        handler = _Messages()
+        level = _corpus_logger.level
+        _corpus_logger.addHandler(handler)
+        _corpus_logger.setLevel(logging.WARNING)
+        try:
+            cases = load(root)
+        finally:
+            _corpus_logger.removeHandler(handler)
+            _corpus_logger.setLevel(level)
+        out[name] = {"cases": [corpus_case_record(case) for case in cases], "messages": handler.seen}
+    return out
 
 # --- random generation for fuzz suites --------------------------------------
 

@@ -20,8 +20,6 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-import mergelearn
-
 from mergelearn import cli, synth
 from mergelearn.cli import _build_config, _load_example_spec, _program_file_json, build_parser, main
 from mergelearn.dsl import (
@@ -47,6 +45,7 @@ from conftest import (
     FB_PROGRAM,
     OUTSIDE_AFTER,
     OUTSIDE_BEFORE,
+    checkout_env,
     criterion3_cases,
     cut_by_guard_pairing,
     deep_program_text,
@@ -951,11 +950,34 @@ def test_a_batch_of_in_process_calls_gives_what_separate_processes_give(tmp_path
 
 def _run_module(*args, module="mergelearn"):
     """``python -m <module>`` as a separate process, importing this checkout's package."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(Path(mergelearn.__file__).parents[1]),
-                                                      env.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, "-m", module, *args], capture_output=True, text=True,
-                          env=env, timeout=60)
+                          env=checkout_env(), timeout=60)
+
+
+_CLASSIFY_EACH_ROOT = """
+import contextlib, io, json, sys
+from mergelearn.cli import main
+captured = []
+for root in sys.argv[1:]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        main(["classify", root, "--report", "-"])
+    captured.append(err.getvalue())
+print(json.dumps(captured))
+"""
+
+
+def test_each_call_logs_to_its_own_stderr(tmp_path):
+    # In a subprocess: under pytest a root handler is already installed, so main configures no logging.
+    skipped = []
+    for name in ("first", "second"):
+        skipped.append(write_fig_corpus(tmp_path / name) / "merge-003" / f"{name}-bad")
+        skipped[-1].mkdir(parents=True)
+    run = subprocess.run([sys.executable, "-c", _CLASSIFY_EACH_ROOT, *(str(path.parents[1]) for path in skipped)],
+                         capture_output=True, text=True, env=checkout_env(), timeout=60)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert json.loads(run.stdout) == [f"WARNING mergelearn.corpus: skipping {path}: no conflict.txt\n"
+                                      for path in skipped]
 
 
 def test_module_entry_point_exit_codes(tmp_path):

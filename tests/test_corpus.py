@@ -1,7 +1,13 @@
 """Tests for corpus loading, alignment, classification and evaluation."""
 
+import errno
 import json
 import logging
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -14,6 +20,7 @@ from mergelearn.corpus import (
     CorpusCase,
     EmptyCorpusError,
     _header_reader,
+    _listing,
     align_resolution,
     classify_file_type,
     classify_location,
@@ -30,11 +37,14 @@ from conftest import (
     FAILING_PROGRAM,
     FB_PROGRAM,
     FIG1_REGIONS,
+    OUTSIDE_AFTER,
     OUTSIDE_BEFORE,
+    checkout_env,
     fig_chunk,
     fig_file_text,
     fig_resolution_nodes,
     fig_resolved_text,
+    load_both,
     marker_text,
     write_fig_corpus,
 )
@@ -201,8 +211,8 @@ def test_load_corpus_reads_headers_by_include_path(tmp_path):
     # Only a relative path without ".." is looked up in full.
     case_dir.joinpath("escaped.h").write_text("outside\n", encoding="utf-8")
     case_dir.joinpath("headers", "escaped.h").write_text("by name\n", encoding="utf-8")
-    assert _header_reader(case_dir)("../escaped.h") == "by name\n"
-    assert _header_reader(tmp_path) is None
+    assert _header_reader(str(case_dir), _listing(case_dir))("../escaped.h") == "by name\n"
+    assert _header_reader(str(tmp_path), _listing(tmp_path)) is None
     (case,) = load_corpus(root)
     assert case.conflict.header_contents == contents
     assert "DuplicateMainFork" not in build_pattern_dictionary(case.conflict)
@@ -235,6 +245,180 @@ def test_load_corpus_honors_side_order(tmp_path):
         "ui/base/mojom/cursor_type.mojom-shared.h",
     ]
 
+
+def _write_case(case_dir: Path, files: dict) -> Path:
+    """Write ``files``, a name-to-text-or-bytes map, into a new case directory."""
+    case_dir.mkdir(parents=True)
+    for name, content in files.items():
+        (case_dir / name).parent.mkdir(parents=True, exist_ok=True)
+        (case_dir / name).write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
+    return case_dir
+
+
+def _generated_case(rng) -> dict:
+    """A case of one to three figure conflicts in one file, with its
+    resolution, and sometimes CRLF endings, metadata, headers at their full
+    include path or by name, or a defect that makes the loader skip it."""
+    names = rng.choices("abcd", k=rng.randint(1, 3))
+    files = {"conflict.txt": "".join(map(fig_file_text, names)),
+             "resolved.txt": "".join(map(fig_resolved_text, names))}
+    if rng.random() < 0.2:
+        files = {name: text.replace("\n", "\r\n") for name, text in files.items()}
+    roll = rng.random()
+    if roll < 0.4:
+        files["meta.json"] = json.dumps({"file_path": f"src/{''.join(names)}.cc", "label": rng.choice("AB")})
+    elif roll < 0.5:
+        files["meta.json"] = rng.choice(['{"label": 5}', "[1]", "{not json"])
+    if rng.random() < 0.5:
+        paths = sorted({path for name in names for path in
+                        (*FIG1_REGIONS[name]["fork"], *FIG1_REGIONS[name]["main"])})
+        for line in rng.sample(paths, rng.randint(1, len(paths))):
+            path = line.split('"')[1]
+            where = path if rng.random() < 0.5 else path.rsplit("/", 1)[-1]
+            files[f"headers/{where}"] = f"// {where}\n"
+    defect = rng.random()
+    if defect < 0.08:
+        del files["resolved.txt"]
+    elif defect < 0.14:
+        del files["conflict.txt"]
+    elif defect < 0.2:
+        files["resolved.txt"] = files["conflict.txt"]
+    elif defect < 0.25:
+        files["conflict.txt"] = b"\xff" + files["conflict.txt"].encode("utf-8")
+    return files
+
+
+def test_the_listing_loader_equals_the_reference_on_generated_corpora(tmp_path):
+    rng = random.Random(0x10AD)
+    messages = cases = 0
+    for r in range(3):
+        root = tmp_path / f"root-{r}"
+        for m in range(rng.randint(2, 4)):
+            for c in range(rng.randint(2, 6)):
+                _write_case(root / f"merge-{m:02d}" / f"case-{c:02d}", _generated_case(rng))
+        loads = load_both(root)
+        assert loads["listing"] == loads["reference"]
+        cases += len(loads["listing"]["cases"])
+        messages += len(loads["listing"]["messages"])
+    assert cases > 20 and messages > 5
+
+
+# Both loads of the root named by argv[1], as JSON: whether they agree, their
+# messages, and each loaded case's file path with its header contents.
+_LOAD_BOTH = """
+import json, sys
+from conftest import load_both
+loads = load_both(sys.argv[1])
+listing = loads["listing"]
+print(json.dumps({"equal": listing == loads["reference"], "messages": listing["messages"],
+                  "reference_messages": loads["reference"]["messages"],
+                  "headers": {record[1]: record[-1] for record in listing["cases"]}}))
+"""
+
+
+def _write_odd_corpus(tmp_path) -> Path:
+    """A corpus of one merge, whose cases each hold one odd entry, beside a
+    symlinked merge directory. Symlink targets sit outside the root."""
+    root, outside = tmp_path / "corpus", tmp_path / "outside"
+    merge = root / "merge-000"
+    fig_a = {"conflict.txt": fig_file_text("a"), "resolved.txt": fig_resolved_text("a")}
+    _write_case(merge / "conflict-is-a-directory", {"resolved.txt": fig_resolved_text("a")})
+    (merge / "conflict-is-a-directory" / "conflict.txt").mkdir()
+    os.mkfifo(_write_case(merge / "fifo-resolution", {"conflict.txt": fig_file_text("a")}) / "resolved.txt")
+    os.mkfifo(merge / "fifo-case")
+    targets = _write_case(outside, {"conflict.txt": fig_file_text("c"), "resolved.txt": fig_resolved_text("c"),
+                                    "linked.h": "// linked\n"})
+    linked = _write_case(merge / "linked-files", {})
+    for name in ("conflict.txt", "resolved.txt"):
+        (linked / name).symlink_to(targets / name)
+    dangling = _write_case(merge / "dangling-resolution", {"conflict.txt": fig_file_text("a")})
+    (dangling / "resolved.txt").symlink_to(outside / "missing.txt")
+    looped = _write_case(merge / "looped-meta", fig_a)
+    (looped / "meta.json").symlink_to(looped / "meta.json")
+    (merge / "linked-case").symlink_to(_write_case(outside / "case-b", {
+        "conflict.txt": fig_file_text("b"), "resolved.txt": fig_resolved_text("b"),
+        "meta.json": json.dumps({"file_path": "linked-case.cc"})}))
+    (merge / "dangling-case").symlink_to(outside / "nowhere")
+    _write_case(outside / "merge" / "case-d", {"conflict.txt": fig_file_text("d"),
+                                               "resolved.txt": fig_resolved_text("d")})
+    (root / "merge-001").symlink_to(outside / "merge")
+    (root / "stray.txt").write_text("not a merge\n", encoding="utf-8")
+    (merge / "stray.txt").write_text("not a case\n", encoding="utf-8")
+    _write_case(merge / "crlf", {name: text.replace("\n", "\r\n") for name, text in
+                                 {"conflict.txt": fig_file_text("c"), "resolved.txt": fig_resolved_text("c"),
+                                  "meta.json": '{"file_path": "crlf.cc"}\n'}.items()})
+    _write_case(merge / "latin-1-conflict", {"conflict.txt": fig_file_text("a").encode("utf-8") + b"// caf\xe9\n",
+                                             "resolved.txt": fig_resolved_text("a")})
+    _write_case(merge / "latin-1-header", fig_a | {"headers/anonymous_ui_base_features.h": b"caf\xe9\n"})
+    _write_case(merge / "headers-is-a-file", fig_a | {"headers": "not a directory\n",
+                                                       "meta.json": '{"file_path": "headers-file.cc"}'})
+    fork = [f'#include "{path}"' for path in
+            ("./x.h", "../x.h", "/abs/x.h", "a//b.h", "dir/", "dir/../a/b.h", "fifo.h", "n/fifo.h")]
+    main = [f'#include "{path}"' for path in ("nested/deep/y.h", "q/b.h", "linked.h", "missing/z.h")]
+    includes = _write_case(merge / "includes", {
+        "conflict.txt": marker_text(fork, main),
+        "resolved.txt": "\n".join([*OUTSIDE_BEFORE, *main, *OUTSIDE_AFTER]) + "\n",
+        "meta.json": '{"file_path": "includes.cc"}',
+        "headers/x.h": "// x by name\n", "headers/abs/x.h": "// abs nested\n", "headers/a/b.h": "// a nested\n",
+        "headers/b.h": "// b by name\n", "headers/q": "// q is a file\n", "headers/dir/b.h": "// in dir\n",
+        "headers/nested/deep/y.h": "// y nested\n"})
+    (includes / "headers" / "linked.h").symlink_to(targets / "linked.h")
+    os.mkfifo(includes / "headers" / "fifo.h")
+    (includes / "headers" / "n").mkdir()
+    os.mkfifo(includes / "headers" / "n" / "fifo.h")
+    return root
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs and symlinks")
+def test_the_listing_loader_equals_the_reference_on_an_odd_layout(tmp_path):
+    # In a subprocess with a timeout: a loader that opened a FIFO would wait for a writer forever.
+    root = _write_odd_corpus(tmp_path)
+    run = subprocess.run([sys.executable, "-c", _LOAD_BOTH, str(root)], capture_output=True, text=True,
+                         env=checkout_env(), timeout=60)
+    assert run.returncode == 0, run.stderr
+    loads = json.loads(run.stdout)
+    assert loads["equal"]
+    assert loads["messages"] == loads["reference_messages"]
+    merge = root / "merge-000"
+    assert [message.split(": ", 1) for message in loads["messages"]] == [
+        [f"skipping {merge / 'conflict-is-a-directory'}", "no conflict.txt"],
+        [f"skipping {merge / 'dangling-resolution'}", "missing resolution"],
+        [f"skipping {merge / 'fifo-resolution'}", "missing resolution"],
+        [f"skipping {merge / 'latin-1-conflict'}",
+         f"'utf-8' codec can't decode byte 0xe9 in position {len(fig_file_text('a')) + 6}: "
+         "invalid continuation byte"],
+        [f"skipping {merge / 'latin-1-header'}",
+         "'utf-8' codec can't decode byte 0xe9 in position 3: invalid continuation byte"],
+    ]
+    # The symlinked files, case directory and merge directory are loaded; so is the looped meta.json, as absent.
+    assert sorted(loads["headers"]) == ["case-d", "crlf.cc", "headers-file.cc", "includes.cc", "linked-case.cc",
+                                        "linked-files", "looped-meta"]
+    assert loads["headers"]["headers-file.cc"] == {}
+    assert loads["headers"]["includes.cc"] == {
+        "./x.h": "// x by name\n", "../x.h": "// x by name\n", "/abs/x.h": "// x by name\n",
+        "a//b.h": "// a nested\n", "dir/../a/b.h": "// b by name\n", "nested/deep/y.h": "// y nested\n",
+        "q/b.h": "// b by name\n",
+        "linked.h": "// linked\n",
+    }
+
+
+def test_a_listed_file_whose_stat_fails_otherwise_than_missing_skips_its_case(tmp_path, caplog):
+    # A symlink to a name too long to stat: ENAMETOOLONG is no "missing" errno, so, as Path.is_file does on
+    # Python 3.10-3.12, the stat error skips the case rather than the file counting as absent.
+    root = write_fig_corpus(tmp_path / "corpus")
+    too_long = tmp_path / ("x" * 300)
+    fig_a = {"conflict.txt": fig_file_text("a"), "resolved.txt": fig_resolved_text("a")}
+    linked = {"long-meta": "meta.json", "long-header": "headers/anonymous_ui_base_features.h"}
+    for case, name in linked.items():
+        case_dir = _write_case(root / "merge-003" / case, fig_a | {"headers/other.h": "// other\n"})
+        (case_dir / name).symlink_to(too_long)
+    with caplog.at_level(logging.WARNING):
+        cases = load_corpus(root)
+    assert [case.merge_id for case in cases] == ["merge-001", "merge-001", "merge-002", "merge-002"]
+    error = f"[Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}"
+    assert [record.message for record in caplog.records] == [
+        f"skipping {root / 'merge-003' / case}: {error}: '{root / 'merge-003' / case / name}'"
+        for case, name in sorted(linked.items())]
 
 def test_align_identity_kept_fork():
     conflict_text = fig_file_text("c")
