@@ -31,8 +31,6 @@ from .dsl import (
 )
 from .synth import ExampleSpec, learn
 
-logger = logging.getLogger(__name__)
-
 KEYWORDS_ENV = "MERGELEARN_KEYWORDS"
 
 
@@ -77,9 +75,12 @@ def _write_text(path, text: str) -> None:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _load_example_spec(path: Path, side_order: str) -> ExampleSpec:
+def _load_example_spec(path: Path, side_order: str) -> tuple[ExampleSpec, bytes]:
+    """The examples of the spec at ``path`` and its bytes, read once, so a FIFO can hold it."""
     try:
-        entries = json.loads(path.read_text(encoding="utf-8"))
+        data = path.read_bytes()
+        # Line endings read as text mode reads them, so a JSON error names the same position.
+        entries = json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
         raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(entries, list) or not entries:
@@ -109,7 +110,7 @@ def _load_example_spec(path: Path, side_order: str) -> ExampleSpec:
         if len(chunks) != 1:
             raise ValueError(f"{conflict_path}: example files must contain exactly one conflict, found {len(chunks)}")
         cases.append((chunks[0], tokenize_nodes(split_lines(_read_text(resolution_path)[0]))))
-    return ExampleSpec(tuple(cases))
+    return ExampleSpec(tuple(cases)), data
 
 
 def _program_file_json(entry, config: SynthConfig, spec_hash: str, rank_index: int) -> dict:
@@ -131,11 +132,11 @@ def cmd_learn(args) -> int:
             return 2
     config = _build_config(args)
     spec_path = Path(args.examples)
-    spec = _load_example_spec(spec_path, args.side_order)
+    spec, spec_data = _load_example_spec(spec_path, args.side_order)
     ranked = learn(spec, config)
     if not ranked:
         raise ValueError(f"{spec_path}: no consistent program found for the given examples")
-    spec_hash = hashlib.sha256(spec_path.read_bytes()).hexdigest()
+    spec_hash = hashlib.sha256(spec_data).hexdigest()
     top = ranked[: args.top]
     payload = [_program_file_json(entry, config, spec_hash, i) for i, entry in enumerate(top)]
     out_path = Path(args.out)

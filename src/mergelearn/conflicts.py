@@ -14,9 +14,11 @@ becomes lines by one rule, ``split_lines``.
 
 from __future__ import annotations
 
+import posixpath
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
 from typing import Callable, Mapping
 
@@ -136,12 +138,8 @@ def render_nodes(nodes) -> str:
     return "\n".join(node.render() for node in nodes)
 
 
-def _basename(path: str) -> str:
-    return path.rsplit("/", 1)[-1]
-
-
 def _stem(path: str) -> str:
-    name = _basename(path)
+    name = posixpath.basename(path)
     return name.rsplit(".", 1)[0] if "." in name else name
 
 
@@ -151,7 +149,7 @@ def match_key(node: Node):
     if node.is_blank:
         return None
     if node.kind == INCLUDE:
-        return ("include", _basename(node.include_path))
+        return ("include", posixpath.basename(node.include_path))
     if node.kind == MACRO:
         return ("macro", node.children)
     return ("raw", node.raw_text)
@@ -191,9 +189,9 @@ def _stem_users(paths, outside_code: str, chunk_codes) -> dict[str, frozenset[in
     return {path: users[_stem(path)] for path in paths}
 
 
-def _include_paths(regions) -> dict[str, None]:
-    """The distinct include paths of every region, first-occurrence order."""
-    return dict.fromkeys(n.include_path for main, fork, _, _ in regions for n in main + fork if n.kind == INCLUDE)
+def _include_paths(chunks) -> dict[str, None]:
+    """The distinct include paths of the chunks' regions, first-occurrence order."""
+    return dict.fromkeys(n.include_path for chunk in chunks for n in chunk.region_nodes() if n.kind == INCLUDE)
 
 
 @dataclass(frozen=True)
@@ -260,12 +258,14 @@ def split_lines(text: str) -> list[str]:
 class ConflictedFile:
     """A parsed conflicted file: its chunks and what they share.
 
-    ``segments`` interleaves ``("text", lines)`` and ``("chunk", index)`` in
-    file order and ``chunk_blocks`` keeps each chunk's exact marker lines,
-    so unresolved chunks can be written back verbatim. ``regions`` holds
-    each chunk's ``(main_nodes, fork_nodes, main_lines, fork_lines)``, and
-    the read-only ``header_contents`` maps include paths to header text
-    when the corpus ships headers (empty otherwise). ``line_nodes`` is the
+    The file's text is held once, as ``lines`` (``split_lines`` of it).
+    ``spans[i]`` is the ``(start, end)`` slice of ``lines`` that holds
+    chunk ``i``'s marker block, markers included, so an unresolved chunk is
+    written back verbatim; the lines outside every span are the outside
+    text. Each of ``chunks`` holds its regions' lines and nodes, one
+    ``(main_nodes, fork_nodes, main_lines, fork_lines)`` of ``regions``. The
+    read-only ``header_contents`` maps include paths to header text when
+    the corpus ships headers (empty otherwise). ``line_nodes`` is the
     file's ``LineNodes``: every line of the file is tokenized through it,
     so equal lines are tokenized once and share one node. The outside
     lines, their ``match_index`` (``outside_index``) and ``stem_users``
@@ -277,13 +277,12 @@ class ConflictedFile:
     to share across workers.
     """
 
-    def __init__(self, file_path, segments, chunk_blocks, trailing_newline, regions, header_contents,
+    def __init__(self, file_path, lines, spans, trailing_newline, regions, header_contents,
                  line_nodes: LineNodes | None = None):
         self.file_path = file_path
-        self.segments = segments
-        self.chunk_blocks = chunk_blocks
+        self.lines = lines
+        self.spans = spans
         self.trailing_newline = trailing_newline
-        self.regions = regions
         self.header_contents = MappingProxyType(header_contents)
         if line_nodes is None:  # a copy: its regions' lines seed the memo
             line_nodes = LineNodes(pair for mn, fn, ml, fl in regions for pair in zip(ml + fl, mn + fn))
@@ -293,12 +292,15 @@ class ConflictedFile:
     def __reduce__(self):
         # Only the inputs: mapping proxies do not pickle, and a copy
         # recomputes its caches on first read.
-        return ConflictedFile, (self.file_path, self.segments, self.chunk_blocks, self.trailing_newline,
-                                self.regions, dict(self.header_contents))
+        regions = tuple((c.main_nodes, c.fork_nodes, c.main_lines, c.fork_lines) for c in self.chunks)
+        return ConflictedFile, (self.file_path, self.lines, self.spans, self.trailing_newline, regions,
+                                dict(self.header_contents))
 
     @cached_property
     def outside_content(self) -> tuple[str, ...]:
-        return tuple(line for tag, payload in self.segments if tag == "text" for line in payload)
+        # The runs from each span's end (0 first) to the next span's start (the file's end last).
+        bounds = (0, *chain.from_iterable(self.spans), len(self.lines))
+        return tuple(chain.from_iterable(self.lines[start:end] for start, end in zip(bounds[::2], bounds[1::2])))
 
     @cached_property
     def _outside_nodes(self) -> tuple[Node, ...]:
@@ -311,9 +313,9 @@ class ConflictedFile:
     @cached_property
     def stem_users(self) -> Mapping[str, frozenset[int]]:
         users = {}
-        if len(self.regions) > 1:
-            chunk_codes = [_code(ml + fl, mn + fn) for mn, fn, ml, fl in self.regions]
-            users = _stem_users(_include_paths(self.regions), _code(self.outside_content, self._outside_nodes),
+        if len(self.chunks) > 1:
+            chunk_codes = [_code(c.main_lines + c.fork_lines, c.region_nodes()) for c in self.chunks]
+            users = _stem_users(_include_paths(self.chunks), _code(self.outside_content, self._outside_nodes),
                                 chunk_codes)
         return MappingProxyType(users)
 
@@ -327,13 +329,11 @@ class ConflictedFile:
         """
         if side_order not in SIDE_ORDERS:
             raise ValueError(f"side_order must be one of {SIDE_ORDERS}, got {side_order!r}")
-        lines = split_lines(text)
+        lines = tuple(split_lines(text))
 
-        segments: list[tuple[str, object]] = []
-        chunk_blocks: list[tuple[str, ...]] = []
-        regions = []
+        spans, regions = [], []
         memo = LineNodes()
-        state, done = "outside", 0  # lines before done are in a segment
+        state = "outside"
         for lineno, line in enumerate(lines):
             if not line or line[0] not in _MARKER_CHARS or (m := _MARKER_RE.match(line)) is None:
                 continue
@@ -349,25 +349,19 @@ class ConflictedFile:
             marks[marker] = lineno
             if marker == "end":
                 start, sep = marks["start"], marks["sep"]
-                if start > done:
-                    segments.append(("text", tuple(lines[done:start])))
-                segments.append(("chunk", len(chunk_blocks)))
-                chunk_blocks.append(tuple(lines[start:lineno + 1]))
+                spans.append((start, lineno + 1))
                 # A base section's content is dropped.
-                first, second = tuple(lines[start + 1:marks.get("base", sep)]), tuple(lines[sep + 1:lineno])
+                first, second = lines[start + 1:marks.get("base", sep)], lines[sep + 1:lineno]
                 main_lines, fork_lines = (second, first) if side_order == "fork-first" else (first, second)
-                main_nodes, fork_nodes = tokenize_nodes(main_lines, memo), tokenize_nodes(fork_lines, memo)
-                regions.append((main_nodes, fork_nodes, main_lines, fork_lines))
-                done = lineno + 1
+                regions.append((tokenize_nodes(main_lines, memo), tokenize_nodes(fork_lines, memo),
+                                main_lines, fork_lines))
         if state != "outside":
             raise UnbalancedMarkersError(file_path, ": unterminated conflict at end of file")
-        if done < len(lines):
-            segments.append(("text", tuple(lines[done:])))
-        headers = {}
+        parsed = cls(file_path, lines, tuple(spans), text.endswith("\n"), regions, {}, memo)
         if header_text is not None:
-            headers = {path: contents for path in _include_paths(regions)
-                       if (contents := header_text(path)) is not None}
-        return cls(file_path, segments, chunk_blocks, text.endswith("\n"), tuple(regions), headers, memo)
+            parsed.header_contents = MappingProxyType({path: contents for path in _include_paths(parsed.chunks)
+                                                       if (contents := header_text(path)) is not None})
+        return parsed
 
     def render(self, resolutions: dict[int, tuple[Node, ...]] | None = None) -> str:
         """Rebuild the file text, substituting resolved chunks.
@@ -377,15 +371,14 @@ class ConflictedFile:
         """
         resolutions = resolutions or {}
         out: list[str] = []
-        for tag, payload in self.segments:
-            if tag == "text":
-                out.extend(payload)
-            elif payload in resolutions:
-                nodes = resolutions[payload]
-                if nodes:
-                    out.extend(render_nodes(nodes).split("\n"))
-            else:
-                out.extend(self.chunk_blocks[payload])
+        done = 0  # lines before done are written or replaced
+        for index, (start, end) in enumerate(self.spans):
+            if index in resolutions:
+                out += self.lines[done:start]
+                if resolutions[index]:
+                    out += render_nodes(resolutions[index]).split("\n")
+                done = end
+        out += self.lines[done:]
         text = "\n".join(out)
         # Test the lines, not the text: a lone blank line joins to "".
         if self.trailing_newline and out:

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import difflib
 import errno
+import functools
 import json
 import logging
 import os
+import posixpath
 import re
 from collections import Counter
 from dataclasses import asdict, dataclass
@@ -73,20 +75,21 @@ def align_resolution(parsed: ConflictedFile, resolved_text: str) -> list[Aligned
     """Recover each chunk's resolution region of a parsed conflicted file
     from its resolved text.
 
-    The outside lines of the conflicted file are matched against the
-    resolved file; a chunk's resolution is whatever sits strictly between
-    the matched positions of its flanking outside lines. A chunk whose
-    flanks cannot be matched (shared or edited context) is flagged
+    The outside lines of the conflicted file (``parsed.outside_content``)
+    are matched against the resolved file; a chunk's resolution is
+    whatever sits strictly between the matched positions of its flanking
+    outside lines. A chunk's gap, the index of the first outside line after
+    it, is its span's start less the lines of the spans before it. A chunk
+    whose flanks cannot be matched (shared or edited context) is flagged
     ambiguous rather than guessed.
     """
     resolved_lines = split_lines(resolved_text)
-    outside: list[str] = []
+    outside = parsed.outside_content
     gaps: list[int] = []  # chunk i sits before outside index gaps[i]
-    for tag, payload in parsed.segments:
-        if tag == "text":
-            outside.extend(payload)
-        else:
-            gaps.append(len(outside))
+    inside = 0  # the lines of the spans before the chunk
+    for start, end in parsed.spans:
+        gaps.append(start - inside)
+        inside += end - start
 
     matcher = difflib.SequenceMatcher(None, outside, resolved_lines, autojunk=False)
     mapping: dict[int, int] = {}
@@ -126,26 +129,20 @@ def _listing(path) -> dict[str, os.DirEntry]:
 _MISSING_ERRNOS = frozenset({errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP})
 
 
-def _is_file(entry: os.DirEntry | None) -> bool:
-    """``Path.is_file`` for a listed entry: symlinks are followed, and an
-    entry that is missing or whose stat fails as for a missing file is no
-    file."""
+def _entry_is(kind, entry: os.DirEntry | None) -> bool:
+    """``Path.is_file`` or ``Path.is_dir`` for a listed entry, as ``kind`` is
+    ``os.DirEntry.is_file`` or ``is_dir``: symlinks are followed, and an entry
+    that is missing or whose stat fails as for a missing file is neither."""
     try:
-        return entry is not None and entry.is_file()
+        return entry is not None and kind(entry)
     except OSError as exc:
         if exc.errno not in _MISSING_ERRNOS:
             raise
         return False
 
 
-def _is_dir(entry: os.DirEntry | None) -> bool:
-    """``Path.is_dir`` for a listed entry, as ``_is_file``."""
-    try:
-        return entry is not None and entry.is_dir()
-    except OSError as exc:
-        if exc.errno not in _MISSING_ERRNOS:
-            raise
-        return False
+_is_file = functools.partial(_entry_is, os.DirEntry.is_file)
+_is_dir = functools.partial(_entry_is, os.DirEntry.is_dir)
 
 
 def _read_text(path: str) -> str:
@@ -178,7 +175,7 @@ def _header_reader(case_dir: str, entries: dict[str, os.DirEntry]):
             if (len(include.parts) > 1 and _is_dir(listed.get(include.parts[0]))
                     and (headers / include).is_file()):
                 return (headers / include).read_text(encoding="utf-8")
-        by_name = listed.get(path.rsplit("/", 1)[-1])
+        by_name = listed.get(posixpath.basename(path))
         return _read_text(by_name.path) if _is_file(by_name) else None
     return read
 
@@ -192,23 +189,29 @@ def load_corpus(root) -> list[CorpusCase]:
     """Load every usable chunk under the corpus root, in stable order.
 
     Malformed entries (bad markers, missing files, unresolvable alignment)
-    are skipped with a logged diagnostic; an entirely unusable corpus is an
-    error. Each merge and case directory is listed once, and only the files
-    the listing shows are opened.
+    are skipped, each with a logged diagnostic, in load order. An entirely
+    unusable corpus is an error instead, which logs nothing and names the
+    number of skips and the first reason. Each merge and case directory is
+    listed once, and only the files the listing shows are opened.
     """
     root = Path(root)
     if not root.is_dir():
         raise EmptyCorpusError(f"corpus root {root} {'is not a directory' if root.exists() else 'does not exist'}")
     cases: list[CorpusCase] = []
+    skips: list[str] = []
     for merge_dir in _subdirectories(root):
         for case_dir in _subdirectories(merge_dir):
-            cases.extend(_load_case_dir(merge_dir.name, str(case_dir)))
+            cases.extend(_load_case_dir(merge_dir.name, str(case_dir), skips))
     if not cases:
-        raise EmptyCorpusError(f"no usable cases under {root}")
+        raise EmptyCorpusError(f"no usable cases under {root}"
+                               + (f" ({len(skips)} skipped; the first: {skips[0]})" if skips else ""))
+    for skip in skips:
+        logger.warning("skipping %s", skip)
     return cases
 
 
-def _load_case_dir(merge_id: str, case_dir: str) -> list[CorpusCase]:
+def _load_case_dir(merge_id: str, case_dir: str, skips: list[str]) -> list[CorpusCase]:
+    """The usable chunks of one case directory; each skip's reason goes to ``skips``."""
     try:
         entries = _listing(case_dir)
         conflict_file, resolved_file, meta_file = map(entries.get, ("conflict.txt", "resolved.txt", "meta.json"))
@@ -230,12 +233,12 @@ def _load_case_dir(merge_id: str, case_dir: str) -> list[CorpusCase]:
                                       header_text=_header_reader(case_dir, entries))
         aligned = align_resolution(parsed, resolved_text)
     except (OSError, ValueError, RecursionError) as exc:
-        logger.warning("skipping %s: %s", case_dir, exc)
+        skips.append(f"{case_dir}: {exc}")
         return []
     out = []
     for index, (chunk, res) in enumerate(zip(parsed.chunks, aligned)):
         if res.nodes is None:
-            logger.warning("skipping %s chunk %d: %s", case_dir, index, res.reason)
+            skips.append(f"{case_dir} chunk {index}: {res.reason}")
             continue
         out.append(CorpusCase(chunk, res.nodes, merge_id, file_path, index, meta.get("label")))
     return out
@@ -248,7 +251,7 @@ _HEADER_EXTS = {".h", ".hpp", ".hh"}
 
 
 def classify_file_type(path: str) -> str:
-    name = path.rsplit("/", 1)[-1]
+    name = posixpath.basename(path)
     suffix = ("." + name.rsplit(".", 1)[-1]) if "." in name else ""
     if name == "DEPS" or suffix == ".gni":
         return "Dependency"

@@ -253,8 +253,9 @@ def corpus_case_record(case: CorpusCase) -> tuple:
     identity."""
     context = case.conflict.context
     return (case.merge_id, case.file_path, case.chunk_index, case.label, case.human_resolution,
-            case.conflict.index, context.file_path, context.segments, context.chunk_blocks,
-            context.trailing_newline, context.regions, dict(context.header_contents))
+            case.conflict.index, context.file_path, context.lines, context.spans, context.trailing_newline,
+            tuple((c.main_nodes, c.fork_nodes, c.main_lines, c.fork_lines) for c in context.chunks),
+            dict(context.header_contents))
 
 
 class _Messages(logging.Handler):

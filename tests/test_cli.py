@@ -12,6 +12,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -147,7 +148,7 @@ def test_learn_top_merges_only_the_programs_it_writes(tmp_path, capsys, caplog, 
     cases = cut_by_guard_pairing()[0]
     (conflict, output), = cases
     spec = _write_cases(tmp_path, cases)
-    (loaded, loaded_output), = _load_example_spec(spec, "fork-first").cases
+    (loaded, loaded_output), = _load_example_spec(spec, "fork-first")[0].cases
     assert loaded_output == output and loaded.outside_content == conflict.outside_content
     assert (loaded.file_path, loaded.main_lines, loaded.fork_lines) == (conflict.file_path, conflict.main_lines,
                                                                          conflict.fork_lines)
@@ -173,8 +174,10 @@ def test_learn_top_writes_the_first_programs_of_the_ranked_list(tmp_path, capsys
     # --top reads a prefix of the ranked list; at every length, including
     # one past its end, the file and rank lines are those of the full list.
     spec_path = write_example_spec(tmp_path, ["c", "d"])
-    ranked = list(learn(_load_example_spec(spec_path, "fork-first")))
-    spec_hash = hashlib.sha256(spec_path.read_bytes()).hexdigest()
+    spec, spec_data = _load_example_spec(spec_path, "fork-first")
+    assert spec_data == spec_path.read_bytes()
+    ranked = list(learn(spec))
+    spec_hash = hashlib.sha256(spec_data).hexdigest()
     for top in (1, 3, len(ranked) + 5):
         out = tmp_path / f"top{top}.json"
         assert main(["learn", "--examples", str(spec_path), "--out", str(out), "--top", str(top)]) == 0
@@ -440,7 +443,7 @@ def test_apply_in_place_failed_rename_leaves_file_untouched(tmp_path, capsys, mo
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cc", "program.json"]
 
 
-@pytest.mark.parametrize("command", ["apply", "learn", "classify", "eval"])
+@pytest.mark.parametrize("command", ["apply", "learn", "learn-examples", "classify", "eval"])
 def test_a_path_holding_a_nul_is_named(tmp_path, capsys, command):
     # An argument of a shell command cannot hold a NUL; one from a caller of main can.
     bad = str(tmp_path / "a\0b.json")
@@ -449,6 +452,7 @@ def test_a_path_holding_a_nul_is_named(tmp_path, capsys, command):
     argv = {
         "apply": ["apply", "--program", program, bad, "--print"],
         "learn": ["learn", "--examples", str(write_example_spec(tmp_path, ["c", "d"])), "--out", bad],
+        "learn-examples": ["learn", "--examples", bad, "--out", str(tmp_path / "out.json")],
         "classify": ["classify", corpus, "--report", bad],
         "eval": ["eval", "--program", program, corpus, "--report", bad],
     }[command]
@@ -978,6 +982,47 @@ def test_each_call_logs_to_its_own_stderr(tmp_path):
     assert (run.returncode, run.stderr) == (0, "")
     assert json.loads(run.stdout) == [f"WARNING mergelearn.corpus: skipping {path}: no conflict.txt\n"
                                       for path in skipped]
+
+
+@pytest.mark.parametrize("command", ["classify", "eval"])
+def test_a_corpus_with_no_usable_case_prints_one_error_line(tmp_path, command):
+    # In a subprocess, where main's logging writes to stderr: the skip is named in the error line, not logged.
+    case = tmp_path / "corpus" / "merge-0" / "case-0"
+    case.mkdir(parents=True)
+    (case / "conflict.txt").write_text(fig_file_text("c"), encoding="utf-8")
+    programs = ["--program", str(write_program(tmp_path, FB_PROGRAM))] if command == "eval" else []
+    run = _run_module(command, *programs, str(tmp_path / "corpus"), "--report", "-")
+    assert (run.returncode, run.stdout) == (1, "")
+    assert run.stderr == (f"error: no usable cases under {tmp_path / 'corpus'} "
+                          f"(1 skipped; the first: {case}: missing resolution)\n")
+
+
+def test_learn_reads_a_fifo_spec_once(tmp_path):
+    # A FIFO yields its bytes to one reader: a second open would wait for a writer that never comes.
+    spec = write_example_spec(tmp_path, ["c", "d"])
+    data = spec.read_bytes()
+    fifo = tmp_path / "examples.fifo"
+    os.mkfifo(fifo)
+
+    def write():
+        with open(fifo, "wb") as f:
+            f.write(data)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    out = tmp_path / "fb.json"
+    try:
+        run = subprocess.run([sys.executable, "-m", "mergelearn", "learn", "--examples", str(fifo), "--out", str(out)],
+                             capture_output=True, text=True, env=checkout_env(), timeout=30)
+    finally:
+        if writer.is_alive():  # the command never opened the FIFO: let the writer's open return
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(5)
+    assert not writer.is_alive()
+    assert (run.returncode, run.stderr) == (0, "")
+    learned = json.loads(out.read_text(encoding="utf-8"))
+    assert program_from_json(learned) == FB_PROGRAM
+    assert learned["meta"]["spec_hash"] == hashlib.sha256(data).hexdigest()
 
 
 def test_module_entry_point_exit_codes(tmp_path):

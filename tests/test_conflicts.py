@@ -1,5 +1,6 @@
 """Tests for conflict parsing and node tokenization."""
 
+import itertools
 import re
 import sys
 
@@ -17,6 +18,7 @@ from mergelearn.conflicts import (
     normalize_line,
     parse_conflict_file,
     render_nodes,
+    split_lines,
     tokenize_line,
     tokenize_nodes,
 )
@@ -168,8 +170,8 @@ def test_marker_like_lines_are_text():
     assert chunk.fork_lines == tuple(fork)
     assert chunk.main_lines == tuple(main)
     assert chunk.outside_content == (*outside_before, "=======")
-    assert parsed.segments == [("text", tuple(outside_before)), ("chunk", 0), ("text", ("=======",))]
-    assert parsed.chunk_blocks == [tuple(lines[5:-1])]
+    assert parsed.lines == tuple(lines)
+    assert parsed.spans == ((5, len(lines) - 1),)
     assert parsed.render() == text
 
 
@@ -178,8 +180,8 @@ def test_base_section_content_is_dropped_but_kept_in_the_block():
     parsed = ConflictedFile.parse("\n".join(lines), "a.cc")
     (chunk,) = parsed.chunks
     assert (chunk.fork_lines, chunk.main_lines) == (("a",), ("c",))
-    assert parsed.chunk_blocks == [tuple(lines)]
-    assert parsed.segments == [("chunk", 0)]
+    assert parsed.lines == tuple(lines)
+    assert parsed.spans == ((0, len(lines)),)
     assert parsed.render() == "\n".join(lines)
 
 
@@ -380,7 +382,17 @@ def _chunk_lines(draw):
        st.sampled_from(("\n", "\r\n")), st.booleans())
 def test_parse_render_round_trip(pieces, newline, trailing):
     text = newline.join(line for piece in pieces for line in piece) + (newline if trailing else "")
-    assert ConflictedFile.parse(text, "f.cc").render() == text.replace("\r\n", "\n")
+    parsed = ConflictedFile.parse(text, "f.cc")
+    assert parsed.render() == text.replace("\r\n", "\n")
+    # The spans are the chunks' pieces and the outside lines all the others, in order; each span is one
+    # marker block.
+    assert parsed.lines == tuple(split_lines(text))
+    assert parsed.spans == tuple((start, start + len(piece)) for start, piece in
+                                 zip(itertools.accumulate(map(len, pieces), initial=0), pieces) if len(piece) > 1)
+    assert parsed.outside_content == tuple(line for i, line in enumerate(parsed.lines)
+                                           if not any(start <= i < end for start, end in parsed.spans))
+    for start, end in parsed.spans:
+        assert re.fullmatch(r"<{7}(?:\s.*)?", parsed.lines[start]) and re.fullmatch(r">{7}(?:\s.*)?", parsed.lines[end - 1])
 
 
 # Lines that recur, and variants of one include and one macro that differ
@@ -410,8 +422,8 @@ def test_equal_lines_of_a_file_share_one_node_that_tokenizes_as_the_line_alone(p
         assert chunk.fork_nodes == tokenize_nodes(chunk.fork_lines)
     assert parsed._outside_nodes == tokenize_nodes(parsed.outside_content)
     shared: dict = {}
-    pairs = [(lines, nodes) for main_nodes, fork_nodes, main_lines, fork_lines in parsed.regions
-             for lines, nodes in ((main_lines, main_nodes), (fork_lines, fork_nodes))]
+    pairs = [(lines, nodes) for chunk in parsed.chunks
+             for lines, nodes in ((chunk.main_lines, chunk.main_nodes), (chunk.fork_lines, chunk.fork_nodes))]
     for lines, nodes in pairs + [(parsed.outside_content, parsed._outside_nodes)]:
         for line, node in zip(lines, nodes):
             assert shared.setdefault(line, node) is node, line
