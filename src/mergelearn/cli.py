@@ -75,12 +75,18 @@ def _write_text(path, text: str) -> None:
         raise ValueError(f"{path}: {exc}") from exc
 
 
+def _decode_json_text(data: bytes) -> str:
+    """UTF-8 ``data`` with CRLF and lone CR read as LF, as text mode reads
+    them, so a JSON error names the same position."""
+    text = data.decode("utf-8")
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
 def _load_example_spec(path: Path, side_order: str) -> tuple[ExampleSpec, bytes]:
     """The examples of the spec at ``path`` and its bytes, read once, so a FIFO can hold it."""
     try:
         data = path.read_bytes()
-        # Line endings read as text mode reads them, so a JSON error names the same position.
-        entries = json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
+        entries = json.loads(_decode_json_text(data))
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
         raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(entries, list) or not entries:
@@ -155,8 +161,9 @@ def _load_programs(paths) -> list[Program]:
     programs = []
     for path in paths:
         try:
-            with open(path, encoding="utf-8") as f:
-                programs.extend(deserialize_programs(f.read()))
+            with open(path, "rb", buffering=0) as f:
+                data = f.read()
+            programs.extend(deserialize_programs(_decode_json_text(data)))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
     return programs
@@ -235,6 +242,9 @@ def cmd_eval(args) -> int:
     return 0
 
 
+_REPORT_HELP = "JSON report path; with -, no JSON is written (the summary table goes to stdout either way)"
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of the four commands, built on the first call and shared by
@@ -268,13 +278,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     classify_p = sub.add_parser("classify", help="classify a conflict corpus")
     classify_p.add_argument("root", help="corpus root directory")
-    classify_p.add_argument("--report", required=True, help="report path, or - for stdout")
+    classify_p.add_argument("--report", required=True, help=_REPORT_HELP)
     classify_p.set_defaults(func=cmd_classify)
 
     eval_p = sub.add_parser("eval", help="evaluate programs against human resolutions")
     eval_p.add_argument("--program", action="append", required=True, help="program file (repeatable)")
     eval_p.add_argument("root", help="corpus root directory")
-    eval_p.add_argument("--report", required=True, help="report path, or - for stdout")
+    eval_p.add_argument("--report", required=True, help=_REPORT_HELP)
     eval_p.add_argument("--order-insensitive-includes", action="store_true",
                         help="compare include-only resolutions as multisets")
     eval_p.set_defaults(func=cmd_eval)

@@ -249,7 +249,7 @@ def conflict_kind(conflict: ConflictInput) -> str:
 def split_lines(text: str) -> list[str]:
     """The lines of ``text``, with CRLF read as LF. A final newline ends the
     last line; it does not start an empty one."""
-    lines = text.replace("\r\n", "\n").split("\n")
+    lines = (text.replace("\r\n", "\n") if "\r" in text else text).split("\n")
     if lines[-1] == "":
         lines.pop()
     return lines

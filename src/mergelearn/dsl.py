@@ -241,12 +241,12 @@ class PatternDictionary(Mapping):
     __slots__ = ("conflict", "frequent", "_config", "_memo")
 
     def __init__(self, conflict: ConflictInput, config: SynthConfig = DEFAULT_CONFIG):
-        frequent: dict[str, list[Node]] = {}
+        frequent: dict[str, tuple[Node, ...]] = {}
         for node in conflict.region_nodes():
             if node.kind == INCLUDE:
-                frequent.setdefault(node.include_path, []).append(node)
-        self.conflict, self._config, self._memo = conflict, config, {}
-        self.frequent = {path: tuple(nodes) for path, nodes in frequent.items()}
+                path = node.include_path
+                frequent[path] = frequent.get(path, ()) + (node,)
+        self.conflict, self.frequent, self._config, self._memo = conflict, frequent, config, {}
 
     def entry(self, key: str) -> tuple[Node, ...]:
         """The nodes ``key`` matched; () when none did or it names no pattern."""
@@ -279,14 +279,23 @@ def build_pattern_dictionary(conflict: ConflictInput, config: SynthConfig = DEFA
     return PatternDictionary(conflict, config)
 
 
-def eval_predicate(predicate: Predicate, pdict: PatternDictionary) -> bool:
-    if predicate.tag == "FrequentPattern":
-        return bool(pdict.frequent.get(predicate.path))
-    return bool(pdict.entry(predicate.tag))
-
-
 def eval_condition(condition: Condition, pdict: PatternDictionary) -> bool:
-    return all(eval_predicate(p, pdict) for p in condition.predicates)
+    """Whether every predicate of the guard holds: a FrequentPattern when
+    the regions include its path, any other when its entry is non-empty."""
+    frequent, entry = pdict.frequent, pdict.entry
+    for predicate in condition.predicates:
+        path = predicate.path
+        if path is not None:
+            if path not in frequent:
+                return False
+        elif not entry(predicate.tag):
+            return False
+    return True
+
+
+def eval_predicate(predicate: Predicate, pdict: PatternDictionary) -> bool:
+    """Whether one predicate holds: the guard of that predicate alone."""
+    return eval_condition(Condition((predicate,)), pdict)
 
 
 def eval_selection(selection: Selection, pdict: PatternDictionary) -> tuple[Node, ...]:
@@ -387,6 +396,13 @@ def first_resolution(programs, conflict: ConflictInput, config: SynthConfig = DE
     is Resolved and its nodes, or ``(None, None, failures)`` when none is.
     ``failures`` are the ``(index, error)`` of the failed programs tried
     before it; guard misses fall through silently.
+
+    The call shape is a contract with the benchmark's tracer
+    (``bench/tracing.py``), which wraps ``build_pattern_dictionary``,
+    ``run_program`` and ``program_from_json`` by name: one dictionary build
+    per chunk, one ``run_program`` call per program tried, each returning a
+    ``Suggestion``. Its traced self-check counts the Resolved suggestions,
+    so a replay loop that inlined ``run_program`` would fail it.
     """
     pdict = build_pattern_dictionary(conflict, config)
     failures = []
@@ -436,21 +452,28 @@ def _expect_dict(value, where: str) -> dict:
     return value
 
 
-# Each literal class's field names, in declaration order.
+# Each literal class's field names, in declaration order, and as a set.
 _FIELD_NAMES = {cls: tuple(f.name for f in fields(cls)) for cls in (Predicate, Selection)}
+_FIELD_SETS = {cls: frozenset(names) for cls, names in _FIELD_NAMES.items()}
 
 
-def _literal_node(cls, obj, where: str):
-    """A Predicate or Selection from its JSON object; any fault is a ParseError."""
-    obj = _expect_dict(obj, where)
+def _literal_node(cls, obj, where: str, field: str = "", index: int | None = None):
+    """A Predicate or Selection from its JSON object; any fault is a
+    ParseError at ``where + field``, then ``[index]`` when an index is
+    given. The path is formatted only for a fault."""
     names = _FIELD_NAMES[cls]
-    extra = obj.keys() - names
-    if extra:
-        raise ParseError(f"{where}: unexpected fields {sorted(extra)}")
-    try:
-        return cls(**{name: obj.get(name) for name in names})
-    except (ValueError, TypeError) as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+    if isinstance(obj, dict) and _FIELD_SETS[cls].issuperset(obj):
+        try:
+            return cls(*map(obj.get, names))
+        except (ValueError, TypeError) as exc:
+            raise ParseError(f"{_path(where, field, index)}: {exc}") from exc
+    where = _path(where, field, index)
+    obj = _expect_dict(obj, where)
+    raise ParseError(f"{where}: unexpected fields {sorted(obj.keys() - names)}")
+
+
+def _path(where: str, field: str, index: int | None) -> str:
+    return f"{where}{field}" if index is None else f"{where}{field}[{index}]"
 
 
 def _transformation_from_json(obj, where: str) -> Transformation:
@@ -469,11 +492,11 @@ def _transformation_from_json(obj, where: str) -> Transformation:
         if not isinstance(payload, list) or len(payload) != 2:
             raise ParseError(f"{where}.remove: expected a pair")
         return Remove(
-            _literal_node(Selection, payload[0], f"{where}.remove[0]"),
-            _literal_node(Selection, payload[1], f"{where}.remove[1]"),
+            _literal_node(Selection, payload[0], where, ".remove", 0),
+            _literal_node(Selection, payload[1], where, ".remove", 1),
         )
     if op == "select":
-        return Select(_literal_node(Selection, payload, f"{where}.select"))
+        return Select(_literal_node(Selection, payload, where, ".select"))
     raise ParseError(f"{where}: unknown operator {op!r}")
 
 
@@ -486,7 +509,7 @@ def program_from_json(obj: dict) -> Program:
     preds = apply_obj.get("condition")
     if not isinstance(preds, list) or not preds:
         raise ParseError("apply.condition: expected a non-empty array")
-    predicates = tuple(_literal_node(Predicate, p, f"apply.condition[{i}]") for i, p in enumerate(preds))
+    predicates = tuple([_literal_node(Predicate, p, "apply.condition", "", i) for i, p in enumerate(preds)])
     try:
         condition = Condition(predicates)
     except ValueError as exc:

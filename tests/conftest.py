@@ -3,6 +3,7 @@ random conflict/program generators used by the fuzz and acceptance suites."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import logging
@@ -18,9 +19,11 @@ import mergelearn
 from mergelearn.conflicts import START_MARKER, ConflictedFile, ConflictInput, parse_conflict_file, tokenize_nodes
 from mergelearn.corpus import CorpusCase, EmptyCorpusError, align_resolution, load_corpus
 from mergelearn.dsl import (
+    DSL_VERSION,
     PATTERN_KEYS,
     Concat,
     Condition,
+    ParseError,
     PatternDictionary,
     Predicate,
     Program,
@@ -509,3 +512,71 @@ def deep_program_text(depth: int) -> str:
     for _ in range(depth):
         t = '{"concat": [' + t + ', {"select": {"tag": "Fork"}}]}'
     return '{"dslv": 1, "apply": {"condition": [{"tag": "Rename"}], "transform": ' + t + "}}"
+
+
+# The program decoder as it was before it built literals positionally: the
+# reference ``dsl.program_from_json`` must agree with, value for value and
+# message for message.
+
+def _reference_expect_dict(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ParseError(f"{where}: expected an object, got {type(value).__name__}")
+    return value
+
+
+_REFERENCE_FIELD_NAMES = {
+    cls: tuple(f.name for f in dataclasses.fields(cls)) for cls in (Predicate, Selection)
+}
+
+
+def _reference_literal_node(cls, obj, where: str):
+    obj = _reference_expect_dict(obj, where)
+    names = _REFERENCE_FIELD_NAMES[cls]
+    extra = obj.keys() - names
+    if extra:
+        raise ParseError(f"{where}: unexpected fields {sorted(extra)}")
+    try:
+        return cls(**{name: obj.get(name) for name in names})
+    except (ValueError, TypeError) as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+
+
+def _reference_transformation_from_json(obj, where: str):
+    obj = _reference_expect_dict(obj, where)
+    if len(obj) != 1:
+        raise ParseError(f"{where}: expected exactly one of concat/remove/select")
+    (op, payload), = obj.items()
+    if op == "concat":
+        if not isinstance(payload, list) or len(payload) != 2:
+            raise ParseError(f"{where}.concat: expected a pair")
+        return Concat(
+            _reference_transformation_from_json(payload[0], f"{where}.concat[0]"),
+            _reference_transformation_from_json(payload[1], f"{where}.concat[1]"),
+        )
+    if op == "remove":
+        if not isinstance(payload, list) or len(payload) != 2:
+            raise ParseError(f"{where}.remove: expected a pair")
+        return Remove(
+            _reference_literal_node(Selection, payload[0], f"{where}.remove[0]"),
+            _reference_literal_node(Selection, payload[1], f"{where}.remove[1]"),
+        )
+    if op == "select":
+        return Select(_reference_literal_node(Selection, payload, f"{where}.select"))
+    raise ParseError(f"{where}: unknown operator {op!r}")
+
+
+def reference_program_from_json(obj) -> Program:
+    obj = _reference_expect_dict(obj, "program")
+    dslv = obj.get("dslv")
+    if type(dslv) is not int or dslv != DSL_VERSION:
+        raise ParseError(f"program: unsupported dslv {dslv!r}")
+    apply_obj = _reference_expect_dict(obj.get("apply"), "apply")
+    preds = apply_obj.get("condition")
+    if not isinstance(preds, list) or not preds:
+        raise ParseError("apply.condition: expected a non-empty array")
+    predicates = tuple(_reference_literal_node(Predicate, p, f"apply.condition[{i}]") for i, p in enumerate(preds))
+    try:
+        condition = Condition(predicates)
+    except ValueError as exc:
+        raise ParseError(f"apply.condition: {exc}") from exc
+    return Program(condition, _reference_transformation_from_json(apply_obj.get("transform"), "apply.transform"))

@@ -600,6 +600,48 @@ def test_bad_program_file_is_one_error_line(tmp_path, capsys, command, content):
     assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
 
 
+# A JSON fault on the third line. Read in text mode, CRLF endings become LF,
+# so the fault is at character 26, not at byte 28.
+_FAULT_ON_LINE_3 = '{\n  "dslv": 1,\n  "apply": oops\n}\n'
+_GOOD_PROGRAM = serialize_program(FB_PROGRAM).encode()
+
+
+@pytest.mark.parametrize("command", ["apply", "eval"])
+@pytest.mark.parametrize("content, detail", [
+    (_FAULT_ON_LINE_3.replace("\n", "\r\n").encode(), "invalid JSON at position 26: Expecting value"),
+    # A lone CR reads as LF, one character for one; a reader that dropped CRs would say 24.
+    (_FAULT_ON_LINE_3.replace("\n", "\r").encode(), "invalid JSON at position 26: Expecting value"),
+    (b"\xef\xbb\xbf" + _GOOD_PROGRAM,
+     "invalid JSON at position 0: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    # Past the first 8 KiB, where a text-mode buffer would be refilled: the
+    # position counts from the start of the file.
+    (_GOOD_PROGRAM[:-1] + b" " * 9000 + b"\xff\n",
+     f"'utf-8' codec can't decode byte 0xff in position {len(_GOOD_PROGRAM) - 1 + 9000}: invalid start byte"),
+], ids=["crlf", "lone-cr", "bom", "not-utf8-past-8KiB"])
+def test_a_program_file_reads_as_text_mode_read_it(tmp_path, capsys, command, content, detail):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    target = tmp_path / "c.cc"
+    target.write_text(fig_file_text("c"), encoding="utf-8")
+    corpus = write_fig_corpus(tmp_path / "corpus")
+    rest = [str(target), "--print"] if command == "apply" else [str(corpus), "--report", "-"]
+    code = main([command, "--program", str(bad), *rest])
+    assert (code, capsys.readouterr().err) == (1, f"error: {bad}: {detail}\n")
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "lone-cr"])
+def test_a_program_file_with_cr_line_endings_applies_as_with_lf(tmp_path, capsys, newline):
+    target = tmp_path / "c.cc"
+    target.write_text(fig_file_text("c"), encoding="utf-8")
+    outputs = []
+    for name, ending in (("lf.json", "\n"), ("cr.json", newline)):
+        program = tmp_path / name
+        program.write_bytes(_GOOD_PROGRAM.replace(b"\n", ending.encode()))
+        code = main(["apply", "--program", str(program), str(target), "--print"])
+        outputs.append((code, capsys.readouterr().out))
+    assert outputs[0] == outputs[1] == (0, fig_resolved_text("c"))
+
+
 @pytest.mark.parametrize("command", ["apply", "eval"])
 @pytest.mark.parametrize("content", ["[" * 100_000, deep_program_text(600)], ids=["brackets", "concat-chain"])
 def test_deeply_nested_program_file_is_one_error_line(tmp_path, capsys, command, content):
@@ -932,6 +974,15 @@ def test_help_wraps_to_the_columns_of_each_call(monkeypatch):
     assert ["Learn merge-conflict resolution", "programs from examples and apply them."] == [
         line for line in helps[0] if line.startswith(("Learn", "programs"))]
     assert helps[2] == helps[0]
+
+
+@pytest.mark.parametrize("command, indent", [("classify", 2), ("eval", 7)])
+def test_report_help_says_that_dash_writes_no_json(monkeypatch, command, indent):
+    monkeypatch.setenv("COLUMNS", "200")
+    code, out, err = _call([command, "--help"])
+    assert (code, err) == (0, "")
+    assert ("  --report REPORT" + " " * indent + "JSON report path; with -, no JSON is written "
+            "(the summary table goes to stdout either way)") in out.splitlines()
 
 
 def test_a_batch_of_in_process_calls_gives_what_separate_processes_give(tmp_path):

@@ -38,6 +38,7 @@ from mergelearn.dsl import (
     eval_transformation,
     first_resolution,
     program_features,
+    program_from_json,
     program_score,
     program_to_json,
     rank_entry,
@@ -55,6 +56,7 @@ from conftest import (
     fig_chunk,
     gen_conflict,
     marker_text,
+    reference_program_from_json,
 )
 
 
@@ -183,6 +185,30 @@ def test_eval_condition_conjunction(fig1a):
     assert eval_condition(Condition((dup, freq)), pdict)
     assert not eval_condition(Condition((dup, missing)), pdict)
     assert eval_condition(Condition((dup,)), pdict) == eval_predicate(dup, pdict)
+
+
+def _conditions_on(chunk):
+    """Conditions over the predicates that hold on ``chunk`` and some that do not."""
+    paths = sorted(build_pattern_dictionary(chunk).frequent) + ["missing/path.h", "base/logging.h"]
+    predicate = st.one_of(
+        st.sampled_from([Predicate(tag) for tag in PATTERN_KEYS]),
+        st.sampled_from(paths).map(lambda path: Predicate("FrequentPattern", path=path)),
+    )
+    return st.lists(predicate, min_size=1, max_size=4, unique=True).map(lambda ps: Condition(tuple(ps)))
+
+
+_CONDITION_CHUNKS = st.one_of(
+    st.sampled_from("abcd").map(fig_chunk),
+    st.integers(0, 2**32).map(lambda seed: gen_conflict(random.Random(seed), max_nodes=4)),
+)
+
+
+@settings(max_examples=300)
+@given(_CONDITION_CHUNKS, st.data())
+def test_a_condition_holds_when_each_of_its_predicates_holds(chunk, data):
+    condition = data.draw(_conditions_on(chunk))
+    pdict = build_pattern_dictionary(chunk)
+    assert eval_condition(condition, pdict) == all(eval_predicate(p, pdict) for p in condition.predicates)
 
 
 def test_condition_learned_on_c_holds_on_d(fig1c, fig1d):
@@ -497,6 +523,104 @@ def test_deserialize_program_with_one_field_replaced_raises_only_parse_error(pro
     siblings = [value for key, value in items if key != last]
     parent[last] = copy.deepcopy(data.draw(json_values | st.sampled_from(siblings) if siblings else json_values))
     _parses_or_parse_error(json.dumps(obj))
+
+
+def _objects(value):
+    """Every JSON object in ``value``, outermost first."""
+    if isinstance(value, dict):
+        yield value
+    for child in (value.values() if isinstance(value, dict) else value if isinstance(value, list) else ()):
+        yield from _objects(child)
+
+
+def _transform_of(obj):
+    apply_obj = obj.get("apply") if isinstance(obj, dict) else None
+    return apply_obj.get("transform") if isinstance(apply_obj, dict) else None
+
+
+def _mutate(obj, data, kind):
+    """Put one fault of ``kind`` into the program JSON ``obj``, in place; a
+    fault with no place left to go (an earlier one removed it) is skipped."""
+    draw = data.draw
+
+    def pick(items):
+        items = list(items)
+        return draw(st.sampled_from(items)) if items else None
+
+    literals = [o for o in _objects(obj) if "tag" in o]
+    transforms = [o for o in _objects(_transform_of(obj)) if len(o) == 1 and "tag" not in o]
+    if kind == "extra":
+        target = pick(_objects(obj))
+        target[draw(_names | st.text(max_size=3))] = draw(json_values)
+    elif kind == "missing":
+        target = pick(o for o in _objects(obj) if o)
+        if target is not None:
+            del target[draw(st.sampled_from(sorted(target)))]
+    elif kind == "wrong-type":
+        *parents, last = pick(_json_slots(obj)) or ("dslv",)
+        parent = obj
+        for key in parents:
+            parent = parent[key]
+        parent[last] = draw(st.none() | st.booleans() | st.integers() | st.text(max_size=3)
+                            | st.just([]) | st.just({}) | st.floats())
+    elif kind == "bool-k":
+        literal = pick(literals)
+        if literal is not None:
+            literal.update(tag=draw(st.sampled_from(["MainByIndex", "ForkByIndex", "Main"])), k=draw(st.booleans()))
+    elif kind == "nan":
+        literal = pick(literals)
+        if literal is not None:
+            literal[draw(st.sampled_from(["k", "path", "key", "tag"]))] = float("nan")
+        if draw(st.booleans()):
+            obj["dslv"] = float("nan")
+    elif kind == "empty-path":
+        literal = pick(literals)
+        if literal is not None:
+            literal["path"] = ""
+    elif kind == "unknown-operator":
+        target = pick(transforms)
+        if target is not None:
+            (op, payload), = target.items()
+            del target[op]
+            target[draw(st.sampled_from(["merge", "Select", "", "concat ", *PREDICATE_TAGS]))] = payload
+    elif kind == "not-a-pair":
+        target = pick(transforms)
+        if target is not None:
+            payload = target.popitem()[1]
+            items = payload if isinstance(payload, list) and payload else [payload]
+            op = draw(st.sampled_from(["concat", "remove"]))
+            target[op] = draw(st.sampled_from([[], items[:1], items * 3, {"0": items[0]}, items[0]]))
+    else:  # "nested": a fault two concats down
+        wrapped = {"apply": {"transform": copy.deepcopy(_transform_of(obj))}}
+        _mutate(wrapped, data, draw(st.sampled_from(["extra", "bool-k", "empty-path", "unknown-operator",
+                                                     "not-a-pair"])))
+        main, fork = {"select": {"tag": "Main"}}, {"select": {"tag": "Fork"}}
+        if isinstance(obj.get("apply"), dict):
+            obj["apply"]["transform"] = {"concat": [main, {"concat": [_transform_of(wrapped), fork]}]}
+
+
+_MUTATIONS = ("extra", "missing", "wrong-type", "bool-k", "nan", "empty-path", "unknown-operator",
+              "not-a-pair", "nested")
+
+
+def _decoded(decode, obj):
+    try:
+        return decode(obj)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+@settings(max_examples=500)
+@given(program_strategy, st.lists(st.sampled_from(_MUTATIONS), max_size=2), st.data())
+def test_program_decoding_agrees_with_the_reference(program, mutations, data):
+    # With no mutation the value is a valid program's JSON.
+    obj = program_to_json(program)
+    for kind in mutations:
+        _mutate(obj, data, kind)
+    got = _decoded(program_from_json, obj)
+    assert got == _decoded(reference_program_from_json, obj)
+    if not mutations:
+        assert got == program
 
 
 @pytest.mark.parametrize("text", ["[" * 100_000, deep_program_text(600)], ids=["brackets", "concat-chain"])
