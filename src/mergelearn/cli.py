@@ -199,7 +199,8 @@ def cmd_apply(args) -> int:
     else:  # --in-place
         # A file with no conflict chunks has nothing to resolve and stays as it is.
         if suggested and (suggested == total or args.partial):
-            _replace_file(Path(args.file), resolved_text, newline)
+            # Through a symlink, the file it names is replaced and the link stays.
+            _replace_file(Path(os.path.realpath(args.file)), resolved_text, newline)
             written = True
     summary = {"file": args.file, "total": total, "suggested": suggested, "written": written}
     print(json.dumps(summary), file=sys.stderr)

@@ -66,36 +66,29 @@ class UnbalancedMarkersError(ValueError):
         return "".join(self.args)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     """One region line, reduced to what resolutions care about.
 
-    ``raw_text`` is whitespace-normalized; for include and macro nodes it is
-    canonicalized from ``children``, so equality ignores spacing variations
-    of the original line.
+    ``raw_text`` is the node's canonical text, and the node renders as it:
+    the line with its whitespace normalized, written ``#include "p"`` (or
+    ``#include <p>``) for an include and with no space before the first
+    ``(`` for a macro, so equality ignores spacing variations of the
+    original line. It fixes the node: ``tokenize_line(node.raw_text) ==
+    node``.
     """
 
     kind: str
     raw_text: str
-    children: tuple[str, ...] = ()
 
     @property
     def include_path(self) -> str | None:
         """Path between the quotes/brackets of an include, else None."""
-        if self.kind != INCLUDE:
-            return None
-        return self.children[1][1:-1]
+        return self.raw_text[10:-1] if self.kind == INCLUDE else None
 
     @property
     def is_blank(self) -> bool:
-        return self.kind == RAW and self.raw_text == ""
-
-    def render(self) -> str:
-        if self.kind == INCLUDE:
-            return f"#include {self.children[1]}"
-        if self.kind == MACRO:
-            return self.children[0] + self.children[1]
-        return self.raw_text
+        return not self.raw_text
 
 
 def normalize_line(line: str) -> str:
@@ -108,10 +101,10 @@ def tokenize_line(line: str) -> Node:
     text = normalize_line(line)
     m = _INCLUDE_RE.match(text)
     if m:
-        return Node(INCLUDE, f"#include {m.group(1)}", ("#include", m.group(1)))
+        return Node(INCLUDE, f"#include {m.group(1)}")
     m = _MACRO_RE.match(text)
     if m:
-        return Node(MACRO, m.group(1) + m.group(2), (m.group(1), m.group(2)))
+        return Node(MACRO, m.group(1) + m.group(2))
     return Node(RAW, text)
 
 
@@ -135,7 +128,7 @@ def tokenize_nodes(lines, memo: LineNodes | None = None) -> tuple[Node, ...]:
 
 def render_nodes(nodes) -> str:
     """Render nodes back to text, one line per node."""
-    return "\n".join(node.render() for node in nodes)
+    return "\n".join(node.raw_text for node in nodes)
 
 
 def _stem(path: str) -> str:
@@ -150,9 +143,7 @@ def match_key(node: Node):
         return None
     if node.kind == INCLUDE:
         return ("include", posixpath.basename(node.include_path))
-    if node.kind == MACRO:
-        return ("macro", node.children)
-    return ("raw", node.raw_text)
+    return (node.kind, node.raw_text)
 
 
 def match_index(nodes) -> dict[tuple, tuple[Node, ...]]:
@@ -375,8 +366,7 @@ class ConflictedFile:
         for index, (start, end) in enumerate(self.spans):
             if index in resolutions:
                 out += self.lines[done:start]
-                if resolutions[index]:
-                    out += render_nodes(resolutions[index]).split("\n")
+                out += (node.raw_text for node in resolutions[index])
                 done = end
         out += self.lines[done:]
         text = "\n".join(out)

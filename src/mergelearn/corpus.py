@@ -432,15 +432,11 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def _node_multiset_key(nodes):
-    return sorted((n.kind, n.children, n.raw_text) for n in nodes)
-
-
 def resolutions_match(suggested, actual, conflict: ConflictInput, config: SynthConfig) -> bool:
     if tuple(suggested) == tuple(actual):
         return True
     if config.order_insensitive_includes and conflict_kind(conflict) == "Include":
-        return _node_multiset_key(suggested) == _node_multiset_key(actual)
+        return sorted(n.raw_text for n in suggested) == sorted(n.raw_text for n in actual)
     return False
 
 

@@ -191,17 +191,18 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]{2,}")
 
 
 def _rename_nodes(conflict: ConflictInput) -> tuple[Node, ...]:
-    """Main-side macros paired with a differing fork macro via a shared identifier."""
+    """Main-side macros paired with a differing fork macro via a shared
+    identifier of their arguments, which start at a macro's first ``(``."""
     out: list[Node] = []
     fork_macros = [n for n in conflict.fork_nodes if n.kind == MACRO]
     for m in conflict.main_nodes:
         if m.kind != MACRO:
             continue
-        idents = set(_IDENT_RE.findall(m.children[1]))
+        idents = set(_IDENT_RE.findall(m.raw_text, m.raw_text.index("(")))
         for f in fork_macros:
             if m == f:
                 continue
-            if idents & set(_IDENT_RE.findall(f.children[1])):
+            if idents & set(_IDENT_RE.findall(f.raw_text, f.raw_text.index("("))):
                 out.append(m)
                 break
     return tuple(out)
@@ -235,18 +236,14 @@ class PatternDictionary(Mapping):
     matched, so a predicate holds exactly when its entry exists. Each entry
     is computed on first lookup and kept, so replaying a program computes
     only the patterns it reads; iterating or comparing computes them all.
-    ``frequent`` maps each include path of the regions to its nodes.
+    ``frequent`` is the set of the regions' include paths.
     """
 
     __slots__ = ("conflict", "frequent", "_config", "_memo")
 
     def __init__(self, conflict: ConflictInput, config: SynthConfig = DEFAULT_CONFIG):
-        frequent: dict[str, tuple[Node, ...]] = {}
-        for node in conflict.region_nodes():
-            if node.kind == INCLUDE:
-                path = node.include_path
-                frequent[path] = frequent.get(path, ()) + (node,)
-        self.conflict, self.frequent, self._config, self._memo = conflict, frequent, config, {}
+        self.frequent = frozenset(n.include_path for n in conflict.region_nodes() if n.kind == INCLUDE)
+        self.conflict, self._config, self._memo = conflict, config, {}
 
     def entry(self, key: str) -> tuple[Node, ...]:
         """The nodes ``key`` matched; () when none did or it names no pattern."""

@@ -433,20 +433,29 @@ class _TransformationLearner:
         left, though not every example at once: ``full`` defers that split.
         Split points are chosen one example at a time, and a choice is
         dropped as soon as either arm has no candidate on the examples chosen
-        so far, so only split tuples some program could take are walked."""
-        def grow(left, right):
+        so far, so only split tuples some program could take are walked. The
+        walk is depth-first over an explicit stack, one ``(left, right,
+        options)`` per example chosen so far, so any number of examples
+        fits in the call stack."""
+        def choices(left, right):
             k = len(left)
-            if k == len(targets):
-                yield left, right
-                return
             options = wf_concat(targets[k])
             if pad and (any(right) or k + 1 < len(targets)):
                 options.append((targets[k], ()))
+            return left, right, iter(options)
+
+        stack = [choices((), ())]
+        while stack:
+            left, right, options = stack[-1]
             for l, r in options:
                 l, r = (*left, l), (*right, r)
                 if self._feasible(l, depth) and self._feasible(r, depth):
-                    yield from grow(l, r)
-        return grow((), ())
+                    if len(l) < len(targets):
+                        stack.append(choices(l, r))
+                        break
+                    yield l, r
+            else:
+                stack.pop()
 
     def _products(self, splits, depth: int) -> list:
         """Concat arm pairs over ``splits``, tuples of ``(left, right)`` targets."""
@@ -509,12 +518,8 @@ def learn_condition(inputs, config: SynthConfig = DEFAULT_CONFIG, pdicts=None) -
     if pdicts is None:
         pdicts = [build_pattern_dictionary(conflict, config) for conflict in inputs]
     predicates = [Predicate(tag) for tag in PATTERN_KEYS if all(pd.entry(tag) for pd in pdicts)]
-    shared_paths: set[str] | None = None
-    for pd in pdicts:
-        paths = set(pd.frequent)
-        shared_paths = paths if shared_paths is None else shared_paths & paths
-    for path in sorted(shared_paths or ()):
-        predicates.append(Predicate("FrequentPattern", path=path))
+    shared_paths = frozenset.intersection(*(pd.frequent for pd in pdicts)) if pdicts else ()
+    predicates += [Predicate("FrequentPattern", path=path) for path in sorted(shared_paths)]
     if not predicates:
         raise EmptyConditionError("no predicate holds on every example input")
     return Condition(tuple(predicates))

@@ -484,6 +484,44 @@ def eager_full(learner, targets, depth):
     return _Stream(learner._base(targets), learner._products(grow((), ()), depth - 1))
 
 
+_REFERENCE_INCLUDE_RE = re.compile(r'^#\s*include\s*("[^"]+"|<[^>]+>)$')
+_REFERENCE_MACRO_RE = re.compile(r"^([A-Z][A-Z0-9_]*)\s*(\(.*)$")
+
+
+@dataclasses.dataclass(frozen=True)
+class ReferenceNode:
+    """A node as it was before it became its kind and canonical text: the
+    parts its text was canonicalized from are kept as ``children``, and
+    ``render`` rebuilds the text from them."""
+
+    kind: str
+    raw_text: str
+    children: tuple[str, ...] = ()
+
+    @property
+    def include_path(self) -> str | None:
+        return self.children[1][1:-1] if self.kind == "include" else None
+
+    def render(self) -> str:
+        if self.kind == "include":
+            return f"#include {self.children[1]}"
+        if self.kind == "macro":
+            return self.children[0] + self.children[1]
+        return self.raw_text
+
+
+def reference_tokenize_line(line: str) -> ReferenceNode:
+    """``conflicts.tokenize_line`` as it was when a node kept its children."""
+    text = " ".join(line.split())
+    m = _REFERENCE_INCLUDE_RE.match(text)
+    if m:
+        return ReferenceNode("include", f"#include {m.group(1)}", ("#include", m.group(1)))
+    m = _REFERENCE_MACRO_RE.match(text)
+    if m:
+        return ReferenceNode("macro", m.group(1) + m.group(2), (m.group(1), m.group(2)))
+    return ReferenceNode("raw", text)
+
+
 def reference_struct_key(obj) -> tuple:
     """The structural key as a nested tuple ``(tag, *arguments)``, each
     argument a literal or a child's tuple: what ``dsl.struct_key`` encoded

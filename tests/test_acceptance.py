@@ -260,8 +260,9 @@ def test_criterion_5_interpreter_algebra():
             for key, entry in pdict.items():
                 assert eval_predicate(Predicate(key), pdict) == bool(entry)
                 assert eval_selection(Selection("Pattern", key=key), pdict) == entry
-            for path, entry in pdict.frequent.items():
-                assert eval_predicate(Predicate("FrequentPattern", path=path), pdict) == bool(entry)
+            assert isinstance(pdict.frequent, frozenset)
+            for path in pdict.frequent:
+                assert eval_predicate(Predicate("FrequentPattern", path=path), pdict)
 
 
 def test_criterion_6_guard_refusal():

@@ -414,6 +414,23 @@ def test_apply_in_place_keeps_crlf_and_file_mode(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cc", "program.json"]
 
 
+def test_apply_in_place_through_a_symlink_replaces_its_target(tmp_path, capsys):
+    program = write_program(tmp_path, FB_PROGRAM)
+    (tmp_path / "real").mkdir()
+    target = tmp_path / "real" / "c.cc"
+    target.write_text(fig_file_text("c"), encoding="utf-8")
+    target.chmod(0o640)
+    link = tmp_path / "link.cc"
+    link.symlink_to(Path("real") / "c.cc")
+    assert main(["apply", "--program", str(program), str(link), "--in-place"]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(Path("real") / "c.cc")
+    assert target.read_text(encoding="utf-8") == fig_resolved_text("c")
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["c.cc", "link.cc", "program.json", "real"]
+    summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert summary == {"file": str(link), "total": 1, "suggested": 1, "written": True}
+
+
 @pytest.mark.parametrize("mode", ["--in-place", "--print", "--diff"])
 def test_apply_names_a_conflicted_file_that_is_not_utf8(tmp_path, capsys, mode):
     program = write_program(tmp_path, FB_PROGRAM)

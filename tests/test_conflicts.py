@@ -1,11 +1,13 @@
 """Tests for conflict parsing and node tokenization."""
 
+import dataclasses
 import itertools
+import pickle
 import re
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from mergelearn.conflicts import (
@@ -22,8 +24,9 @@ from mergelearn.conflicts import (
     tokenize_line,
     tokenize_nodes,
 )
+from mergelearn.dsl import build_pattern_dictionary
 
-from conftest import fig_file_text, marker_text
+from conftest import fig_file_text, marker_text, reference_tokenize_line
 
 
 def test_parse_fig1c_structure(fig1c):
@@ -223,14 +226,21 @@ def test_outside_content_has_no_markers(fig1c):
 def test_tokenize_include():
     node = tokenize_line('#include "ui/base/anonymous_ui_base_features.h"')
     assert node.kind == INCLUDE
+    assert node.raw_text == '#include "ui/base/anonymous_ui_base_features.h"'
     assert node.include_path == "ui/base/anonymous_ui_base_features.h"
-    assert node.children == ("#include", '"ui/base/anonymous_ui_base_features.h"')
+    assert not node.is_blank
+    spaced = tokenize_line(" #  include\t<ui/base/a  b.h> ")
+    assert (spaced.kind, spaced.raw_text) == (INCLUDE, "#include <ui/base/a b.h>")
+    assert spaced.include_path == "ui/base/a b.h"
 
 
 def test_tokenize_macro():
     node = tokenize_line("IN_PROC_BROWSER_TEST_F(V4, CheckUnwantedSoftwareUrl) {")
     assert node.kind == MACRO
-    assert node.children == ("IN_PROC_BROWSER_TEST_F", "(V4, CheckUnwantedSoftwareUrl) {")
+    assert node.raw_text == "IN_PROC_BROWSER_TEST_F(V4, CheckUnwantedSoftwareUrl) {"
+    assert node.include_path is None and not node.is_blank
+    # The canonical text drops the spacing before the first "(".
+    assert tokenize_line("IN_PROC_BROWSER_TEST_F  (V4,  CheckUnwantedSoftwareUrl) {") == node
 
 
 def test_tokenize_blank_line():
@@ -294,6 +304,70 @@ line_strategy = st.one_of(
 def test_tokenize_render_round_trip(lines):
     nodes = tokenize_nodes(lines)
     assert tokenize_nodes(render_nodes(nodes).split("\n") if nodes else []) == nodes
+
+
+def test_node_is_two_slotted_frozen_fields_and_pickles():
+    for node in tokenize_nodes(['#include "a.h"', "FOO (x)", "int x;", ""]):
+        assert [field.name for field in dataclasses.fields(node)] == ["kind", "raw_text"]
+        assert not hasattr(node, "__dict__")
+        for protocol in (pickle.DEFAULT_PROTOCOL, pickle.HIGHEST_PROTOCOL):
+            loaded = pickle.loads(pickle.dumps(node, protocol))
+            assert loaded == node and hash(loaded) == hash(node)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            node.raw_text = "x"
+
+
+_SPACE = st.text(st.sampled_from(" \t\x0c\xa0\u3000"), max_size=2)
+_spaced_include = st.builds(
+    lambda s, path, angle: f"{s[0]}#{s[1]}include{s[2]}" + (f"<{path}>" if angle else f'"{path}"') + s[3],
+    st.tuples(_SPACE, _SPACE, _SPACE, _SPACE),
+    st.text(st.characters(blacklist_characters='"<>\n'), min_size=1, max_size=12),
+    st.booleans(),
+)
+# Arguments hold nested parentheses and identifiers that Rename may pair on.
+_spaced_macro = st.builds(
+    lambda s, name, args: f"{s[0]}{name}{s[1]}({args}{s[2]}",
+    st.tuples(_SPACE, _SPACE, _SPACE),
+    st.from_regex(r"[A-Z][A-Z0-9_]{0,5}", fullmatch=True),
+    st.lists(st.sampled_from(("(", ")", ", ", " ", "\t", "abc", "Run", "x", "{")), max_size=6).map("".join),
+)
+_spaced_raw = st.text(max_size=20) | st.sampled_from(
+    ("", " \t", "#include a.h", '#include "a.h" // x', "lower(x)", "int x = (1);"))
+_spaced_line = _spaced_include | _spaced_macro | _spaced_raw
+
+
+@given(st.lists(_spaced_line, max_size=6))
+def test_a_node_is_its_kind_and_canonical_text(lines):
+    """Against the format that kept a node's parts as ``children``: the
+    canonical text gives the same kind, include path, macro arguments and
+    rendering, and it tokenizes back to the node."""
+    nodes = tokenize_nodes(lines)
+    refs = [reference_tokenize_line(line) for line in lines]
+    for node, ref in zip(nodes, refs):
+        assert (node.kind, node.raw_text) == (ref.kind, ref.raw_text)
+        assert node.include_path == ref.include_path
+        if node.kind == MACRO:
+            assert node.raw_text[node.raw_text.index("("):] == ref.children[1]
+        assert node.is_blank == (ref.kind == RAW and ref.raw_text == "")
+        assert tokenize_line(node.raw_text) == node
+    assert render_nodes(nodes) == "\n".join(ref.render() for ref in refs)
+
+
+def _arguments_idents(reference) -> set:
+    return set(re.findall(r"[A-Za-z_][A-Za-z0-9_]{2,}", reference.children[1]))
+
+
+@given(st.lists(_spaced_macro, min_size=1, max_size=2), st.lists(_spaced_macro, min_size=1, max_size=2))
+@example(["A (abc(x))"], ["B(abc)"])
+def test_rename_reads_a_macros_arguments_from_its_first_paren(main, fork):
+    """Rename pairs the macros whose reference arguments (the second child)
+    share an identifier."""
+    chunk = ConflictedFile.parse(marker_text(fork, main), "a.cc").chunks[0]
+    main_refs = [reference_tokenize_line(line) for line in main]
+    fork_refs = [reference_tokenize_line(line) for line in fork]
+    expected = tuple(m for m, rm in zip(chunk.main_nodes, main_refs) if any(
+        f != m and _arguments_idents(rm) & _arguments_idents(rf) for f, rf in zip(chunk.fork_nodes, fork_refs)))
+    assert build_pattern_dictionary(chunk).entry("Rename") == expected
 
 
 def test_conflict_kind_include(fig1a):

@@ -47,6 +47,7 @@ from conftest import (
     fig_file_text,
     fig_resolution_nodes,
     fig_resolved_text,
+    reference_tokenize_line,
     write_fig_corpus,
 )
 
@@ -68,7 +69,7 @@ def _ref_match_key(node):
     if node.kind == INCLUDE:
         return ("include", _ref_basename(node.include_path))
     if node.kind == MACRO:
-        return ("macro", node.children)
+        return ("macro", reference_tokenize_line(node.raw_text).children)
     return ("raw", node.raw_text)
 
 
@@ -116,9 +117,9 @@ def _ref_rename_nodes(chunk):
     for m in chunk.main_nodes:
         if m.kind != MACRO:
             continue
-        idents = set(_REF_IDENT_RE.findall(m.children[1]))
+        idents = set(_REF_IDENT_RE.findall(reference_tokenize_line(m.raw_text).children[1]))
         for f in fork_macros:
-            if m != f and idents & set(_REF_IDENT_RE.findall(f.children[1])):
+            if m != f and idents & set(_REF_IDENT_RE.findall(reference_tokenize_line(f.raw_text).children[1])):
                 out.append(m)
                 break
     return tuple(out)
@@ -148,7 +149,7 @@ def _ref_dependency_nodes(chunk, siblings):
 
 def reference_dictionary(chunk, siblings, header_text, config) -> SimpleNamespace:
     """The dictionary of ``chunk``, with headers looked up for its own include paths only: its
-    non-empty ``patterns`` and its ``frequent`` per-path matches."""
+    non-empty ``patterns`` and its ``frequent``, the set of its include paths."""
     region = chunk.main_nodes + chunk.fork_nodes
     paths = list(dict.fromkeys(n.include_path for n in region if n.kind == INCLUDE))
     contents = {p: header_text(p) for p in paths if header_text(p) is not None}
@@ -166,8 +167,7 @@ def reference_dictionary(chunk, siblings, header_text, config) -> SimpleNamespac
         "Dependency": _ref_dependency_nodes(chunk, siblings),
         "Rename": _ref_rename_nodes(chunk),
     }
-    frequent = {p: tuple(n for n in region if n.include_path == p) for p in paths}
-    return SimpleNamespace(patterns={k: v for k, v in entries.items() if v}, frequent=frequent)
+    return SimpleNamespace(patterns={k: v for k, v in entries.items() if v}, frequent=frozenset(paths))
 
 
 def contents(pdict) -> tuple:

@@ -6,6 +6,8 @@ import json
 import logging
 import pickle
 import random
+import subprocess
+import sys
 import time
 import weakref
 from collections import Counter
@@ -57,6 +59,7 @@ from conftest import (
     FB_PROGRAM,
     OUTSIDE_BEFORE,
     canonical_selections,
+    checkout_env,
     criterion3_cases,
     cut_by_guard_pairing,
     eager_full,
@@ -1203,3 +1206,25 @@ def test_multi_example_learned_lists_are_pinned():
             digest.update(f"{entry.score!r} {json.dumps(program_to_json(entry.program))}\n".encode())
         digest.update(b"\n")
     assert digest.hexdigest() == MULTI_OUTPUT_DIGEST
+
+
+_LEARN_COPIES = """
+import json, sys
+from conftest import fig_chunk, fig_resolution_nodes
+from mergelearn.dsl import serialize_program
+from mergelearn.synth import ExampleSpec, learn
+name, copies = sys.argv[1], int(sys.argv[2])
+spec = ExampleSpec(((fig_chunk(name), fig_resolution_nodes(name)),) * copies)
+sys.setrecursionlimit(150)
+print(json.dumps([serialize_program(entry.program) for entry in learn(spec)[:20]]))
+"""
+
+
+def test_learn_walks_the_splits_of_many_examples_without_recursing_per_example():
+    # Split points are chosen one example at a time; a walk that recursed per
+    # example would raise RecursionError here, far below the 200 examples.
+    expected = [serialize_program(entry.program) for entry in learn(fig_spec("a"))[:20]]
+    run = subprocess.run([sys.executable, "-c", _LEARN_COPIES, "a", "200"], capture_output=True, text=True,
+                         env=checkout_env(), timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == expected
