@@ -19,7 +19,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from .conflicts import SIDE_ORDERS, ConflictedFile, UnbalancedMarkersError, split_lines, tokenize_nodes
+from .conflicts import (SIDE_ORDERS, ConflictedFile, UnbalancedMarkersError, decode_text, read_text, split_lines,
+                        tokenize_nodes)
 from .corpus import evaluate, load_corpus, report
 from .dsl import (
     Program,
@@ -43,7 +44,7 @@ def _build_config(args) -> SynthConfig:
     keywords_path = os.environ.get(KEYWORDS_ENV)
     if keywords_path:
         try:
-            data = json.loads(Path(keywords_path).read_text(encoding="utf-8"))
+            data = json.loads(read_text(keywords_path)[0])
         except (OSError, ValueError, RecursionError) as exc:
             raise ValueError(f"{KEYWORDS_ENV}: {exc}") from exc
         for side in ("fork", "main"):
@@ -57,12 +58,10 @@ def _build_config(args) -> SynthConfig:
 
 
 def _read_text(path) -> tuple[str, str]:
-    """The file's text, read with universal newlines, and its line ending:
-    "\r\n" when every line ending in it was CRLF, else "\n". A file that is
-    not UTF-8, or a path holding a NUL, raises a ValueError that names it."""
+    """``read_text`` of ``path``; a file that is not UTF-8, or a path
+    holding a NUL, raises a ValueError that names it."""
     try:
-        with open(path, encoding="utf-8") as f:
-            return f.read(), "\r\n" if f.newlines == "\r\n" else "\n"
+        return read_text(path)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
@@ -75,18 +74,11 @@ def _write_text(path, text: str) -> None:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _decode_json_text(data: bytes) -> str:
-    """UTF-8 ``data`` with CRLF and lone CR read as LF, as text mode reads
-    them, so a JSON error names the same position."""
-    text = data.decode("utf-8")
-    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
-
-
 def _load_example_spec(path: Path, side_order: str) -> tuple[ExampleSpec, bytes]:
     """The examples of the spec at ``path`` and its bytes, read once, so a FIFO can hold it."""
     try:
         data = path.read_bytes()
-        entries = json.loads(_decode_json_text(data))
+        entries = json.loads(decode_text(data)[0])
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
         raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(entries, list) or not entries:
@@ -161,9 +153,7 @@ def _load_programs(paths) -> list[Program]:
     programs = []
     for path in paths:
         try:
-            with open(path, "rb", buffering=0) as f:
-                data = f.read()
-            programs.extend(deserialize_programs(_decode_json_text(data)))
+            programs.extend(deserialize_programs(read_text(path)[0]))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
     return programs

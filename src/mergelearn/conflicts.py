@@ -8,8 +8,9 @@ One ``ConflictedFile`` per parse holds the chunks and is every chunk's
 ``context``: what each chunk's pattern dictionary reads of the rest of the
 file. What it derives from the outside text (the outside lines, their
 match index and the stem search behind the Dependency pattern) is computed
-the first time a pattern reads it, once per file, and then kept. Text
-becomes lines by one rule, ``split_lines``.
+the first time a pattern reads it, once per file, and then kept. A file's
+bytes become text by one rule, ``decode_text``, and text becomes lines by
+one rule, ``split_lines``.
 """
 
 from __future__ import annotations
@@ -204,19 +205,6 @@ class ConflictInput:
     context: ConflictedFile = field(repr=False)
     index: int
 
-    @property
-    def outside_content(self) -> tuple[str, ...]:
-        return self.context.outside_content
-
-    @property
-    def header_contents(self) -> Mapping[str, str]:
-        return self.context.header_contents
-
-    @property
-    def sibling_chunks(self) -> tuple["ConflictInput", ...]:
-        """The other chunks of the same file, in file order."""
-        return tuple(chunk for chunk in self.context.chunks if chunk.index != self.index)
-
     def region_nodes(self) -> tuple[Node, ...]:
         return self.main_nodes + self.fork_nodes
 
@@ -235,6 +223,24 @@ def conflict_kind(conflict: ConflictInput) -> str:
     if kinds == {INCLUDE, MACRO}:
         return "Mixed"
     return "Other"
+
+
+def decode_text(data: bytes) -> tuple[str, str]:
+    """The text of a file's bytes, read as text mode reads them (strict
+    UTF-8, a BOM kept, CRLF and lone CR read as LF), and its line ending:
+    "\r\n" when every line ending in it was CRLF, else "\n"."""
+    text = data.decode("utf-8")
+    if "\r" not in text:
+        return text, "\n"
+    crlf = text.count("\r\n")
+    newline = "\r\n" if crlf == text.count("\r") == text.count("\n") else "\n"
+    return text.replace("\r\n", "\n").replace("\r", "\n"), newline
+
+
+def read_text(path) -> tuple[str, str]:
+    """``decode_text`` of the file's bytes, read in one unbuffered pass."""
+    with open(path, "rb", buffering=0) as f:
+        return decode_text(f.read())
 
 
 def split_lines(text: str) -> list[str]:

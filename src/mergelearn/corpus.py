@@ -28,6 +28,7 @@ from .conflicts import (
     ConflictInput,
     Node,
     conflict_kind,
+    read_text,
     split_lines,
     tokenize_nodes,
 )
@@ -145,11 +146,6 @@ _is_file = functools.partial(_entry_is, os.DirEntry.is_file)
 _is_dir = functools.partial(_entry_is, os.DirEntry.is_dir)
 
 
-def _read_text(path: str) -> str:
-    with open(path, encoding="utf-8") as f:
-        return f.read()
-
-
 def _header_reader(case_dir: str, entries: dict[str, os.DirEntry]):
     """Header text for an include path: the case's ``headers/<include path>``
     when the path is relative without ``..`` and that file exists, else
@@ -171,12 +167,12 @@ def _header_reader(case_dir: str, entries: dict[str, os.DirEntry]):
         include = PurePosixPath(path)
         if not include.is_absolute() and ".." not in include.parts:
             if len(include.parts) == 1 and _is_file(listed.get(include.name)):
-                return _read_text(listed[include.name].path)
+                return read_text(listed[include.name].path)[0]
             if (len(include.parts) > 1 and _is_dir(listed.get(include.parts[0]))
                     and (headers / include).is_file()):
-                return (headers / include).read_text(encoding="utf-8")
+                return read_text(headers / include)[0]
         by_name = listed.get(posixpath.basename(path))
-        return _read_text(by_name.path) if _is_file(by_name) else None
+        return read_text(by_name.path)[0] if _is_file(by_name) else None
     return read
 
 
@@ -219,14 +215,14 @@ def _load_case_dir(merge_id: str, case_dir: str, skips: list[str]) -> list[Corpu
             raise ValueError("no conflict.txt")
         if not _is_file(resolved_file):
             raise ValueError("missing resolution")
-        meta = json.loads(_read_text(meta_file.path)) if _is_file(meta_file) else {}
+        meta = json.loads(read_text(meta_file.path)[0]) if _is_file(meta_file) else {}
         if not isinstance(meta, dict) or not all(
             isinstance(meta.get(key, ""), str) for key in ("file_path", "label", "side_order")
         ):
             raise ValueError("meta.json must be an object whose file_path, label and side_order are strings")
         file_path = meta.get("file_path") or os.path.basename(case_dir)
-        conflict_text = _read_text(conflict_file.path)
-        resolved_text = _read_text(resolved_file.path)
+        conflict_text = read_text(conflict_file.path)[0]
+        resolved_text = read_text(resolved_file.path)[0]
         if _MARKER_LINE_RE.search(resolved_text):
             raise ValueError("resolved file still contains markers")
         parsed = ConflictedFile.parse(conflict_text, file_path, side_order=meta.get("side_order", "fork-first"),

@@ -163,7 +163,7 @@ DEFAULT_CONFIG = SynthConfig()
 
 def _headers_equal(conflict: ConflictInput, path_a: str, path_b: str) -> bool:
     # Content equality is only checkable when the corpus ships both headers.
-    contents = conflict.header_contents
+    contents = conflict.context.header_contents
     if path_a in contents and path_b in contents:
         return contents[path_a] == contents[path_b]
     return True

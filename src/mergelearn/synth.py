@@ -512,13 +512,16 @@ def learn_condition(inputs, config: SynthConfig = DEFAULT_CONFIG, pdicts=None) -
     """Conjunction of every predicate true on all inputs.
 
     FrequentPattern paths are the include paths present in every input's
-    regions. Raises EmptyConditionError when nothing holds everywhere.
-    ``pdicts``, when given, are the inputs' dictionaries, in order.
+    regions. Raises EmptyConditionError when nothing holds everywhere or
+    there is no input. ``pdicts``, when given, are the inputs'
+    dictionaries, in order.
     """
     if pdicts is None:
         pdicts = [build_pattern_dictionary(conflict, config) for conflict in inputs]
+    if not pdicts:
+        raise EmptyConditionError("no example input")
     predicates = [Predicate(tag) for tag in PATTERN_KEYS if all(pd.entry(tag) for pd in pdicts)]
-    shared_paths = frozenset.intersection(*(pd.frequent for pd in pdicts)) if pdicts else ()
+    shared_paths = frozenset.intersection(*(pd.frequent for pd in pdicts))
     predicates += [Predicate("FrequentPattern", path=path) for path in sorted(shared_paths)]
     if not predicates:
         raise EmptyConditionError("no predicate holds on every example input")

@@ -250,6 +250,15 @@ def reference_load_corpus(root) -> list[CorpusCase]:
     return cases
 
 
+def reference_read_text(path) -> tuple[str, str]:
+    """A file read in text mode, as the readers were before
+    ``conflicts.decode_text``: its text and its line ending, "\r\n" when
+    every line ending in it was CRLF, else "\n". The reference that
+    ``conflicts.read_text`` must equal."""
+    with open(path, encoding="utf-8") as f:
+        return f.read(), "\r\n" if f.newlines == "\r\n" else "\n"
+
+
 def corpus_case_record(case: CorpusCase) -> tuple:
     """A corpus case as plain values: the chunks of two parses of one file
     are never equal, since a chunk's equality includes its parsed file's

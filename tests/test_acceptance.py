@@ -361,6 +361,6 @@ def test_criterion_8_parser_fidelity_1000_files():
                 assert chunk.main_lines == main
                 assert _round_trips(chunk.fork_nodes)
                 assert _round_trips(chunk.main_nodes)
-                assert _round_trips(tokenize_nodes(chunk.outside_content))
-                for line in chunk.outside_content:
+                assert _round_trips(tokenize_nodes(chunk.context.outside_content))
+                for line in chunk.context.outside_content:
                     assert not line.startswith(("<<<<<<<", ">>>>>>>"))

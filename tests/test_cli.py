@@ -149,7 +149,7 @@ def test_learn_top_merges_only_the_programs_it_writes(tmp_path, capsys, caplog, 
     (conflict, output), = cases
     spec = _write_cases(tmp_path, cases)
     (loaded, loaded_output), = _load_example_spec(spec, "fork-first")[0].cases
-    assert loaded_output == output and loaded.outside_content == conflict.outside_content
+    assert loaded_output == output and loaded.context.outside_content == conflict.context.outside_content
     assert (loaded.file_path, loaded.main_lines, loaded.fork_lines) == (conflict.file_path, conflict.main_lines,
                                                                          conflict.fork_lines)
     learned = []

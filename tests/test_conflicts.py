@@ -7,7 +7,7 @@ import re
 import sys
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from mergelearn.conflicts import (
@@ -19,6 +19,7 @@ from mergelearn.conflicts import (
     conflict_kind,
     normalize_line,
     parse_conflict_file,
+    read_text,
     render_nodes,
     split_lines,
     tokenize_line,
@@ -26,7 +27,7 @@ from mergelearn.conflicts import (
 )
 from mergelearn.dsl import build_pattern_dictionary
 
-from conftest import fig_file_text, marker_text, reference_tokenize_line
+from conftest import fig_file_text, marker_text, reference_read_text, reference_tokenize_line
 
 
 def test_parse_fig1c_structure(fig1c):
@@ -62,10 +63,10 @@ def test_parse_two_chunks_wires_siblings():
     ) + "\n"
     chunks = parse_conflict_file(text, "two.cc")
     assert len(chunks) == 2
-    assert chunks[0].sibling_chunks == (chunks[1],)
-    assert chunks[1].sibling_chunks == (chunks[0],)
-    assert chunks[0].outside_content == ("top", "middle", "bottom")
-    assert "middle" in chunks[1].outside_content
+    assert tuple(c for c in chunks[0].context.chunks if c != chunks[0]) == (chunks[1],)
+    assert tuple(c for c in chunks[1].context.chunks if c != chunks[1]) == (chunks[0],)
+    assert chunks[0].context.outside_content == ("top", "middle", "bottom")
+    assert "middle" in chunks[1].context.outside_content
 
 
 def test_parse_drops_diff3_base_section():
@@ -172,7 +173,7 @@ def test_marker_like_lines_are_text():
     (chunk,) = parsed.chunks
     assert chunk.fork_lines == tuple(fork)
     assert chunk.main_lines == tuple(main)
-    assert chunk.outside_content == (*outside_before, "=======")
+    assert chunk.context.outside_content == (*outside_before, "=======")
     assert parsed.lines == tuple(lines)
     assert parsed.spans == ((5, len(lines) - 1),)
     assert parsed.render() == text
@@ -219,7 +220,7 @@ def test_region_nodes_render_back_to_marker_lines(fig1c):
 
 
 def test_outside_content_has_no_markers(fig1c):
-    for line in fig1c.outside_content:
+    for line in fig1c.context.outside_content:
         assert not line.startswith(("<<<<<<<", "=======", ">>>>>>>", "|||||||"))
 
 
@@ -503,3 +504,28 @@ def test_equal_lines_of_a_file_share_one_node_that_tokenizes_as_the_line_alone(p
             assert shared.setdefault(line, node) is node, line
     last = parsed.chunks[-1]
     assert last.main_nodes[0] is last.fork_nodes[0] is parsed._outside_nodes[-1]
+
+
+# Line endings, ASCII, multi-byte UTF-8, a byte that starts no UTF-8
+# sequence and a multi-byte sequence cut short.
+_FILE_PIECES = st.sampled_from(
+    [b"\n", b"\r\n", b"\r", b"a", b"x y", "\u00e9".encode(), "\u20ac".encode(), "\U0001f600".encode(),
+     b"\xff", "\u20ac".encode()[:2]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(bom=st.booleans(), pieces=st.lists(_FILE_PIECES, max_size=12))
+@example(bom=True, pieces=[b"a", b"\r", b"b\r\n"])
+@example(bom=False, pieces=[b"\r\n", b"a", b"\n"])
+def test_read_text_reads_a_file_as_text_mode_does(tmp_path_factory, bom, pieces):
+    # Text and line ending, or the same decoding error, as a text-mode read.
+    path = tmp_path_factory.mktemp("read") / "file"
+    path.write_bytes(b"\xef\xbb\xbf" * bom + b"".join(pieces))
+    try:
+        expected = reference_read_text(path)
+    except UnicodeDecodeError as exc:
+        with pytest.raises(UnicodeDecodeError) as raised:
+            read_text(path)
+        assert str(raised.value) == str(exc)
+    else:
+        assert read_text(path) == expected

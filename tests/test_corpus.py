@@ -186,7 +186,7 @@ def test_load_corpus_reads_headers(tmp_path):
     headers.mkdir()
     headers.joinpath("cursor_type.mojom-shared.h").write_text("struct CursorType;\n", encoding="utf-8")
     (case,) = load_corpus(root)
-    assert case.conflict.header_contents == {
+    assert case.conflict.context.header_contents == {
         "ui/base/mojom/cursor_type.mojom-shared.h": "struct CursorType;\n",
         "ui/base/cursor/mojom/cursor_type.mojom-shared.h": "struct CursorType;\n",
     }
@@ -214,7 +214,7 @@ def test_load_corpus_reads_headers_by_include_path(tmp_path):
     assert _header_reader(str(case_dir), _listing(case_dir))("../escaped.h") == "by name\n"
     assert _header_reader(str(tmp_path), _listing(tmp_path)) is None
     (case,) = load_corpus(root)
-    assert case.conflict.header_contents == contents
+    assert case.conflict.context.header_contents == contents
     assert "DuplicateMainFork" not in build_pattern_dictionary(case.conflict)
 
 

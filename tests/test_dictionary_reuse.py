@@ -129,7 +129,7 @@ def _ref_dependency_nodes(chunk, siblings):
     if not siblings:
         return ()
     outside_code = "\n".join(
-        line for line in chunk.outside_content if tokenize_nodes([line])[0].kind != INCLUDE
+        line for line in chunk.context.outside_content if tokenize_nodes([line])[0].kind != INCLUDE
     )
     sibling_code = "\n".join(
         line
@@ -153,7 +153,7 @@ def reference_dictionary(chunk, siblings, header_text, config) -> SimpleNamespac
     region = chunk.main_nodes + chunk.fork_nodes
     paths = list(dict.fromkeys(n.include_path for n in region if n.kind == INCLUDE))
     contents = {p: header_text(p) for p in paths if header_text(p) is not None}
-    outside_nodes = tokenize_nodes(chunk.outside_content)
+    outside_nodes = tokenize_nodes(chunk.context.outside_content)
     outside_keys = {k for k in map(_ref_match_key, outside_nodes) if k is not None}
     outside_includes = _ref_includes_by_name(outside_nodes)
     fork_keys = {k for k in map(_ref_match_key, chunk.fork_nodes) if k is not None}
@@ -297,10 +297,11 @@ def test_chunks_share_one_read_only_context():
                                   header_text={"base/logging.h": "// log\n"}.get)
     first, second = parsed.chunks
     assert first.context is second.context
-    assert first.header_contents == {"base/logging.h": "// log\n"}
-    assert second.sibling_chunks == (first,) and first.sibling_chunks == (second,)
+    assert first.context.header_contents == {"base/logging.h": "// log\n"}
+    assert tuple(c for c in second.context.chunks if c != second) == (first,)
+    assert tuple(c for c in first.context.chunks if c != first) == (second,)
     with pytest.raises(TypeError):
-        first.header_contents["base/logging.h"] = "changed"
+        first.context.header_contents["base/logging.h"] = "changed"
     with pytest.raises(AttributeError):
         first.main_nodes = ()
 
@@ -312,10 +313,11 @@ def test_pickled_chunks_keep_their_context():
     assert copies[0].context is copies[-1].context
     for chunk, copy in zip(parsed.chunks, copies):
         assert contents(build_pattern_dictionary(copy)) == contents(build_pattern_dictionary(chunk))
-        assert [c.main_lines for c in copy.sibling_chunks] == [c.main_lines for c in chunk.sibling_chunks]
-        assert copy.header_contents == chunk.header_contents
+        assert ([c.main_lines for c in copy.context.chunks if c != copy]
+                == [c.main_lines for c in chunk.context.chunks if c != chunk])
+        assert copy.context.header_contents == chunk.context.header_contents
         with pytest.raises(TypeError):
-            copy.header_contents["x.h"] = ""
+            copy.context.header_contents["x.h"] = ""
 
 
 def test_chunks_pickled_before_and_after_reading_give_the_same_dictionaries():
@@ -506,5 +508,5 @@ def test_outside_index_is_built_once_per_file(tmp_path, capsys, outside_reads):
     _apply(tmp_path, [OUTSIDE_PROGRAM])
     assert '"suggested": 0' in capsys.readouterr().err
     # The outside lines were tokenized once, for all three chunks.
-    assert sum(map(len, outside_reads["tokenized"])) == _region_lines(THREE) + len(THREE[0].outside_content)
+    assert sum(map(len, outside_reads["tokenized"])) == _region_lines(THREE) + len(THREE[0].context.outside_content)
     assert outside_reads["indexed"] == 1 and outside_reads["stem_searches"] == 0

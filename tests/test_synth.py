@@ -140,6 +140,9 @@ def test_learn_condition_empty_raises():
     two = parse_conflict_file(marker_text(["gamma three;"], ["delta four;"]), "y.cc")[0]
     with pytest.raises(EmptyConditionError):
         learn_condition([one, two])
+    # With no input at all, no predicate has been seen to hold.
+    with pytest.raises(EmptyConditionError):
+        learn_condition([])
 
 
 def test_learn_without_a_shared_predicate_is_empty_and_says_why(caplog):
