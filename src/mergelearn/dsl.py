@@ -171,11 +171,13 @@ def _headers_equal(conflict: ConflictInput, path_a: str, path_b: str) -> bool:
 
 def _duplicate_nodes(conflict, nodes, others):
     """The nodes whose match key is in ``others``, a ``match_index``; an
-    include also needs a same-named include whose header content agrees."""
+    include also needs a same-named include whose header content agrees,
+    which only a file that ships headers can deny."""
+    headers = conflict.context.header_contents
     out = []
     for node in nodes:
         matches = others.get(match_key(node), ())
-        if node.kind == INCLUDE:
+        if node.kind == INCLUDE and headers:
             if any(_headers_equal(conflict, node.include_path, other.include_path) for other in matches):
                 out.append(node)
         elif matches:

@@ -10,7 +10,9 @@ selections are interned to ints, so targets and memo keys are int tuples
 and the inverses are index lookups. Each example's selection table is
 built in one pass from the ids of its two regions, keyed by plain
 ``(tag, k, path, key)`` tuples, and a ``Selection``, ``Select`` or
-``Remove`` is built only for a candidate every example shares. One
+``Remove`` is built only for a candidate every example shares. Its Pattern
+rows come only from the keys whose entry is non-empty on every example, so
+an example computes no entry that was empty on an example before it. One
 additive score, ``dsl.program_score``, ranks candidates. The learner
 builds every transformation's rank entry (score, size, structural key,
 transformation, Pattern keys) bottom-up with dsl's own constructors,
@@ -333,19 +335,24 @@ class _TransformationLearner:
     keys are int tuples. An example is its chunk's dictionary, and its
     selection table is built in one pass from the ids of the chunk's two
     regions: index selections are single ids, path selections group the
-    region ids by include path, and each non-empty pattern entry is interned
-    once. A selection is a plain ``(tag, k, path, key)`` tuple with an id.
-    Each example indexes its selections by value ids (the inverse of
-    selection) and its non-empty ones by sorted value ids (Remove's
-    multiset), and keeps each region's ids for ``_removed``. The inverses
-    emit ``(source id or -1, selection id)`` pairs; ``_base`` builds the
-    shared pairs' transformations, and ``selection`` their ``Selection``s once.
+    region ids by include path, and the entry of each pattern key that is
+    non-empty on every example is interned once. A selection is a plain
+    ``(tag, k, path, key)`` tuple with an id. Each example indexes its
+    selections by value ids (the inverse of selection) and its non-empty
+    ones by sorted value ids (Remove's multiset), and keeps each region's
+    ids for ``_removed``. The inverses emit ``(source id or -1, selection
+    id)`` pairs; ``_base`` builds the shared pairs' transformations, and
+    ``selection`` their ``Selection``s once.
     """
 
     def __init__(self, pdicts):
         self._ids: dict = {}  # node -> id
         keys: dict = {}  # (tag, k, path, key) -> selection id
         self._indexes = []  # per example: (selections by value, by sorted value, (source id, region ids))
+        # Only a key whose entry is non-empty on every example can give a
+        # shared Pattern selection; the short-circuit reads no entry of an
+        # example after one where it was empty.
+        patterns = [key for key in PATTERN_KEYS if all(pdict.entry(key) for pdict in pdicts)]
         for pdict in pdicts:
             main, fork = pdict.conflict.main_nodes, pdict.conflict.fork_nodes
             sides = (("Main", main, self.intern(main)), ("Fork", fork, self.intern(fork)))
@@ -357,8 +364,7 @@ class _TransformationLearner:
                     if (path := node.include_path) is not None:
                         by_path.setdefault(path, []).append(i)
                 table += [((tag + "ByPath", None, path, None), tuple(by_path[path])) for path in sorted(by_path)]
-            table += [(("Pattern", None, None, key), self.intern(entry))
-                      for key in PATTERN_KEYS if (entry := pdict.entry(key))]
+            table += [(("Pattern", None, None, key), self.intern(pdict.entry(key))) for key in patterns]
             by_value, by_multiset = {}, {}
             for key, value in table:
                 sid = keys.setdefault(key, len(keys))

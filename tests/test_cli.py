@@ -9,6 +9,7 @@ import logging
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -19,7 +20,7 @@ from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from mergelearn import cli, synth
 from mergelearn.cli import _build_config, _load_example_spec, _program_file_json, build_parser, main
@@ -1206,7 +1207,10 @@ def test_keywords_env_config(tmp_path, capsys, monkeypatch):
 # --- every argv: exit 0, 1 or 2, and a failure is one line naming its input ---
 
 class _In(str):
-    """A file name of the argv property's workspace, made absolute when run."""
+    """A file name of the argv property's workspace, made absolute when run;
+    ``bad`` when it was drawn from its role's invalid inputs."""
+
+    bad = False
 
 
 def _write_cli_workspace(root: Path) -> None:
@@ -1266,7 +1270,10 @@ def _argv(draw):
     one time in four."""
     def pick(role):
         valid, invalid = _ROLES[role]
-        return _In(draw(st.sampled_from(invalid if draw(st.integers(0, 3)) == 0 else valid)))
+        bad = draw(st.integers(0, 3)) == 0
+        name = _In(draw(st.sampled_from(invalid if bad else valid)))
+        name.bad = bad
+        return name
 
     command = draw(st.sampled_from(("learn", "apply", "classify", "eval", "words")))
     if command == "learn":
@@ -1290,11 +1297,16 @@ def _argv(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_argv())
+@example((["classify", "learn", "--report", "learn"], None))
 def test_every_argv_exits_0_1_or_2_and_a_failure_is_one_error_line_naming_its_input(drawn):
     argv, keywords = drawn
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         _write_cli_workspace(root)
+        drawn_paths = any(isinstance(arg, _In) for arg in argv)
+        bad = [str(root / arg) for arg in argv if isinstance(arg, _In) and arg.bad]
+        # A drawn word is a path only after the command, and never as a flag.
+        words = [] if drawn_paths else [word for word in argv[1:] if not word.startswith("--")]
         argv = [str(root / arg) if isinstance(arg, _In) else arg for arg in argv]
         with mock.patch.dict(os.environ):
             os.environ.pop("MERGELEARN_KEYWORDS", None)
@@ -1303,11 +1315,16 @@ def test_every_argv_exits_0_1_or_2_and_a_failure_is_one_error_line_naming_its_in
             code, _, err = _call(argv)
     assert code in (0, 1, 2), (argv, code)
     if code == 1:
-        # Every input is a workspace path, or the keywords file, which the
-        # line names by its variable; a line break in a name is escaped.
+        # The line names an input that failed: a workspace path drawn as
+        # invalid, the keywords file by its variable when it was drawn as
+        # invalid, or a word given as a path; a line break in a name is escaped.
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
-        assert tmp in lines[0] or "MERGELEARN_KEYWORDS" in lines[0], (argv, lines)
+        named = [path.replace("\r", "\\r").replace("\n", "\\n") for path in bad]
+        named += ["MERGELEARN_KEYWORDS"] * (keywords is not None and keywords.bad)
+        message = lines[0][len("error: "):]
+        assert any(name in message for name in named) or any(
+            re.search(rf"(^|\s){re.escape(word)}(:|\s|$)", message) for word in words), (argv, keywords, lines)
 
 
 @settings(max_examples=200, deadline=None)

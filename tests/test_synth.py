@@ -1,18 +1,22 @@
 """Tests for witness-driven learning, intersection and ranking."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
 import logging
 import pickle
 import random
+import re
 import subprocess
 import sys
 import time
 import weakref
 from collections import Counter
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from mergelearn.conflicts import parse_conflict_file, tokenize_nodes
 from mergelearn.dsl import (
@@ -381,16 +385,21 @@ def _table(learner, example):
 
 def test_selection_table_equals_the_reference_on_rich_inputs():
     # The learner's one-pass, interned selection table is the reference
-    # space of canonical_selections, pair for pair, on every example.
+    # space of canonical_selections, pair for pair, on every example alone;
+    # learning several examples at once keeps the Pattern selections of the
+    # keys non-empty on every example.
     rng = random.Random(0x5E1)
     chunks = _rich_chunks(rng)
     tags, keys = Counter(), Counter()
     for _ in range(120):
         examples = [next(chunks) for _ in range(rng.randint(1, 3))]
         learner = synth._TransformationLearner([pdict for _, pdict in examples])
+        shared = [key for key in PATTERN_KEYS if all(pdict.entry(key) for _, pdict in examples)]
         for i, (chunk, pdict) in enumerate(examples):
             expected = canonical_selections(chunk, pdict)
-            assert Counter(_table(learner, i)) == Counter(expected)
+            assert Counter(_table(synth._TransformationLearner([pdict]), 0)) == Counter(expected)
+            assert Counter(_table(learner, i)) == Counter(
+                (sel, value) for sel, value in expected if sel.key is None or sel.key in shared)
             tags.update(sel.tag for sel, _ in expected)
             keys.update(sel.key for sel, _ in expected if sel.key)
     # Not vacuous: every selection tag and every pattern entry occurs.
@@ -1231,3 +1240,109 @@ def test_learn_walks_the_splits_of_many_examples_without_recursing_per_example()
                          env=checkout_env(), timeout=120)
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout) == expected
+
+
+def test_learn_reads_only_the_pattern_entries_every_earlier_example_shares(monkeypatch):
+    # Each example after the first computes exactly the pattern entries that
+    # were non-empty on every example before it, learn_condition's
+    # short-circuit reads and no more, and every base candidate set the
+    # learner builds while listing the root's first 200 entries is the one
+    # over every PATTERN_KEYS entry. Each spec is learned in both orders, as
+    # a tag filled on one example is often empty on another.
+    learners, roots = [], []
+    init, candidates = synth._TransformationLearner.__init__, synth._candidates
+
+    def recorded(self, pdicts):
+        init(self, pdicts)
+        learners.append((self, pdicts))
+
+    def kept(*args):
+        roots.append(candidates(*args))
+        return roots[-1]
+
+    monkeypatch.setattr(synth._TransformationLearner, "__init__", recorded)
+    monkeypatch.setattr(synth, "_candidates", kept)
+    narrowed = patterns = 0
+    for drawn in itertools.islice(multi_example_cases(random.Random(0xE27), sizes=(2, 3, 4)), 100):
+        for cases in (drawn, drawn[::-1]):
+            learners.clear()
+            roots.clear()
+            learn(ExampleSpec(cases))
+            ((learner, pdicts),), (root,) = learners, roots
+            computed = [set(pdict._memo) for pdict in pdicts]
+            conflicts = [conflict for conflict, _ in cases]
+            fresh = [build_pattern_dictionary(conflict) for conflict in conflicts]
+            filled = [{key for key in PATTERN_KEYS if pdict.entry(key)} for pdict in fresh]
+            for i in range(1, len(cases)):
+                assert computed[i] == set.intersection(*filled[:i]), (i, computed, filled)
+            narrowed += any(filled[j] - filled[i] for i in range(len(cases)) for j in range(i))
+            root.pull(200)
+            nodes = {i: node for node, i in learner._ids.items()}
+            for targets, base in learner._base_memo.items():
+                node_targets = [[nodes[i] for i in target] for target in targets]
+                assert base == reference_base_candidates(conflicts, node_targets, fresh), node_targets
+                patterns += any(entry[4] for entry in base)
+    # Not vacuous: on many specs a tag filled on an earlier example is empty
+    # on a later one, and many base sets hold a Pattern selection.
+    assert narrowed >= 20 and patterns >= 20, (narrowed, patterns)
+
+
+def _spec_from_seed(seed: int) -> tuple:
+    return next(multi_example_cases(random.Random(seed), sizes=(2, 3, 4)))
+
+
+def _top_programs(cases, n=50) -> list:
+    return [(entry.score, entry.program) for entry in learn(ExampleSpec(tuple(cases)))[:n]]
+
+
+_INCLUDE_PREFIX_RE = re.compile(r"^(\s*#\s*include\s*[\"<])")
+
+
+def _zz_line(line: str) -> str:
+    return _INCLUDE_PREFIX_RE.sub(r"\g<1>zz/", line)
+
+
+def _zz(obj):
+    """A program, condition, predicate, transformation or selection with
+    every path literal prefixed by ``zz/``."""
+    if isinstance(obj, Program):
+        return Program(_zz(obj.condition), _zz(obj.transformation))
+    if isinstance(obj, Condition):
+        return Condition(tuple(map(_zz, obj.predicates)))
+    if isinstance(obj, Concat):
+        return Concat(_zz(obj.left), _zz(obj.right))
+    if isinstance(obj, Remove):
+        return Remove(_zz(obj.source), _zz(obj.removed))
+    if isinstance(obj, Select):
+        return Select(_zz(obj.selection))
+    return dataclasses.replace(obj, path=None if obj.path is None else "zz/" + obj.path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_learning_does_not_depend_on_the_order_of_the_examples(seed):
+    cases = _spec_from_seed(seed)
+    assert _top_programs(cases[::-1]) == _top_programs(cases)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_a_repeated_example_changes_nothing_learned(seed):
+    cases = _spec_from_seed(seed)
+    assert _top_programs(cases + cases[:1]) == _top_programs(cases)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_prefixing_every_include_path_prefixes_the_learned_programs_paths(seed):
+    # "zz/" keeps the paths' order, file names and stems, so every pattern
+    # entry and every rank tie keeps its place.
+    cases = _spec_from_seed(seed)
+    renamed = []
+    for conflict, target in cases:
+        text = "\n".join(map(_zz_line, conflict.context.lines)) + "\n"
+        chunk = parse_conflict_file(text, conflict.file_path)[conflict.index]
+        assert [n.include_path for n in chunk.region_nodes()] == [
+            None if n.include_path is None else "zz/" + n.include_path for n in conflict.region_nodes()]
+        renamed.append((chunk, tokenize_nodes([_zz_line(node.raw_text) for node in target])))
+    assert _top_programs(renamed) == [(score, _zz(program)) for score, program in _top_programs(cases)]
