@@ -13,35 +13,45 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields
+from typing import NamedTuple
 
 from .conflicts import INCLUDE, MACRO, ConflictInput, Node, match_index, match_key
 
-PREDICATE_TAGS = (
-    "DuplicateMainFork",
-    "DuplicateMainOutside",
-    "DuplicateForkOutside",
-    "MainSpecific",
-    "ForkSpecific",
-    "Dependency",
-    "Rename",
-    "FrequentPattern",
-)
+# The cost model's weights. Each is a multiple of 0.5, so every score is an
+# exact float whatever the order of its additions.
+W_OPERATORS = 1.0
+W_CONSTANTS = 0.5
+W_INDEX = 2.0
+W_PATTERN = 1.5
+W_BRANCH = 1.0
 
-# Pattern selections address the parameterless predicates only; the
-# per-path FrequentPattern entries back predicate evaluation alone.
-PATTERN_KEYS = PREDICATE_TAGS[:-1]
 
-SELECTION_TAGS = (
-    "Main",
-    "Fork",
-    "MainByIndex",
-    "ForkByIndex",
-    "MainByPath",
-    "ForkByPath",
-    "Pattern",
-)
+# The selection kinds, declared once, one row each: the region a kind
+# reads (None for a pattern entry), the one literal field it takes (None for
+# a whole region), its cost in the cost model and the feature class that
+# ``program_features`` counts it in. Validation, evaluation, ``rank_entry``,
+# ``program_features`` and the learner's selection table read the rows; a
+# region's whole-region row comes before its index and path rows.
+class SelectionKind(NamedTuple):
+    region: str | None
+    literal: str | None
+    cost: float
+    feature: str
+
+
+SELECTIONS = {
+    "Main": SelectionKind("main_nodes", None, -W_BRANCH, "branch"),
+    "Fork": SelectionKind("fork_nodes", None, -W_BRANCH, "branch"),
+    "MainByIndex": SelectionKind("main_nodes", "k", W_CONSTANTS + W_INDEX, "index"),
+    "ForkByIndex": SelectionKind("fork_nodes", "k", W_CONSTANTS + W_INDEX, "index"),
+    "MainByPath": SelectionKind("main_nodes", "path", W_CONSTANTS, "path"),
+    "ForkByPath": SelectionKind("fork_nodes", "path", W_CONSTANTS, "path"),
+    "Pattern": SelectionKind(None, "key", -W_PATTERN, "pattern"),
+}
+SELECTION_TAGS = tuple(SELECTIONS)
 
 DSL_VERSION = 1
 
@@ -95,15 +105,10 @@ class Selection:
     def __post_init__(self):
         if self.tag not in SELECTION_TAGS:
             raise ValueError(f"unknown selection tag {self.tag!r}")
-        wants_k = self.tag in ("MainByIndex", "ForkByIndex")
-        wants_path = self.tag in ("MainByPath", "ForkByPath")
-        wants_key = self.tag == "Pattern"
-        if wants_k != (self.k is not None):
-            raise ValueError(f"{self.tag} takes an index literal only")
-        if wants_path != (self.path is not None):
-            raise ValueError(f"{self.tag} takes a path literal only")
-        if wants_key != (self.key is not None):
-            raise ValueError(f"{self.tag} takes a key literal only")
+        literal = SELECTIONS[self.tag].literal
+        for name, what in (("k", "an index"), ("path", "a path"), ("key", "a key")):
+            if (literal == name) != (getattr(self, name) is not None):
+                raise ValueError(f"{self.tag} takes {what} literal only")
         if self.k is not None and (isinstance(self.k, bool) or not isinstance(self.k, int)):
             raise TypeError(f"index literal must be an integer, got {type(self.k).__name__}")
         for name in ("path", "key"):
@@ -230,6 +235,12 @@ _PATTERN_ENTRIES = {
 }
 
 
+# Pattern selections address the parameterless predicates only; the
+# per-path FrequentPattern predicates read the dictionary's include paths.
+PATTERN_KEYS = tuple(_PATTERN_ENTRIES)
+PREDICATE_TAGS = (*PATTERN_KEYS, "FrequentPattern")
+
+
 class PatternDictionary(Mapping):
     """One conflict's pattern dictionary, the context every predicate and
     selection is evaluated in: it holds its chunk, ``conflict``.
@@ -292,26 +303,20 @@ def eval_condition(condition: Condition, pdict: PatternDictionary) -> bool:
     return True
 
 
-def eval_predicate(predicate: Predicate, pdict: PatternDictionary) -> bool:
-    """Whether one predicate holds: the guard of that predicate alone."""
-    return eval_condition(Condition((predicate,)), pdict)
-
-
 def eval_selection(selection: Selection, pdict: PatternDictionary) -> tuple[Node, ...]:
-    tag, conflict = selection.tag, pdict.conflict
-    if tag == "Main":
-        return conflict.main_nodes
-    if tag == "Fork":
-        return conflict.fork_nodes
-    if tag in ("MainByIndex", "ForkByIndex"):
-        region = conflict.main_nodes if tag == "MainByIndex" else conflict.fork_nodes
-        if selection.k >= len(region):
-            raise EvaluationFailed(f"IndexOutOfRange: {tag}({selection.k}) on a {len(region)}-node region")
-        return (region[selection.k],)
-    if tag in ("MainByPath", "ForkByPath"):
-        region = conflict.main_nodes if tag == "MainByPath" else conflict.fork_nodes
-        return tuple(n for n in region if n.include_path == selection.path)
-    return pdict.entry(selection.key)
+    """The nodes a selection picks: its row's region, whole, at an index or
+    by include path, or its pattern entry."""
+    region, literal, _, _ = SELECTIONS[selection.tag]
+    if region is None:
+        return pdict.entry(selection.key)
+    nodes = getattr(pdict.conflict, region)
+    if literal is None:
+        return nodes
+    if literal == "path":
+        return tuple(n for n in nodes if n.include_path == selection.path)
+    if selection.k >= len(nodes):
+        raise EvaluationFailed(f"IndexOutOfRange: {selection.tag}({selection.k}) on a {len(nodes)}-node region")
+    return (nodes[selection.k],)
 
 
 def remove_nodes(source: tuple[Node, ...], removed: tuple[Node, ...]) -> tuple[Node, ...] | None:
@@ -559,26 +564,16 @@ def program_features(obj: Program | Transformation) -> dict:
     """
     t, predicates = (obj.transformation, obj.condition.predicates) if isinstance(obj, Program) else (obj, ())
     sels = selections_in(t)
-    index = sum(s.tag in ("MainByIndex", "ForkByIndex") for s in sels)
-    paths = sum(s.tag in ("MainByPath", "ForkByPath") for s in sels) + sum(p.path is not None for p in predicates)
+    count = Counter(SELECTIONS[s.tag].feature for s in sels)
     return {
         # Every AST node of a transformation is an operator or a selection.
         "operators": program_size(t) - len(sels),
-        "constants": index + paths,
-        "index_selections": index,
-        "pattern_selections": sum(s.tag == "Pattern" for s in sels),
-        "branch_selections": sum(s.tag in ("Main", "Fork") for s in sels),
+        "constants": count["index"] + count["path"] + sum(p.path is not None for p in predicates),
+        "index_selections": count["index"],
+        "pattern_selections": count["pattern"],
+        "branch_selections": count["branch"],
         "predicates": len(predicates),
     }
-
-
-# The cost model's weights. Each is a multiple of 0.5, so every score is an
-# exact float whatever the order of its additions.
-W_OPERATORS = 1.0
-W_CONSTANTS = 0.5
-W_INDEX = 2.0
-W_PATTERN = 1.5
-W_BRANCH = 1.0
 
 
 # A structural key is one flat string that sorts exactly as the nested tuple
@@ -605,12 +600,12 @@ def rank_entry(obj) -> tuple:
     transformations with the same constructor (``concat_entry``), so a
     learned entry equals this one exactly.
 
-    The score is additive, lower is better: a selection costs its literals
-    and earns its generality; Remove is an operator plus its selections;
-    Concat is its arms plus an operator; a condition costs its path
-    literals; a program is its transformation plus its condition plus
-    ``W_PATTERN`` per Pattern selection whose key predicate the condition
-    lacks. ``pattern_keys`` are the keys of a transformation's Pattern
+    The score is additive, lower is better: a selection costs its row's
+    ``cost`` in ``SELECTIONS``, its literals less its generality; Remove is
+    an operator plus its selections; Concat is its arms plus an operator; a
+    condition costs its path literals; a program is its transformation plus
+    its condition plus ``W_PATTERN`` per Pattern selection whose key
+    predicate the condition lacks. ``pattern_keys`` are the keys of a transformation's Pattern
     selections, duplicates included (a program's are its transformation's),
     or the set of a condition's predicate tags.
 
@@ -619,13 +614,11 @@ def rank_entry(obj) -> tuple:
     """
     if isinstance(obj, Selection):
         tag = obj.tag
-        if tag in ("Main", "Fork"):
-            return (-W_BRANCH, 1, f"{tag}\x01\x00", obj, ())
-        if tag in ("MainByIndex", "ForkByIndex"):
-            return (W_CONSTANTS + W_INDEX, 1, f"{tag}\x01{obj.k}\x01\x00", obj, ())
-        if tag in ("MainByPath", "ForkByPath"):
-            return (W_CONSTANTS, 1, f"{tag}\x01{_literal(obj.path)}\x01\x00", obj, ())
-        return (-W_PATTERN, 1, f"{tag}\x01{obj.key}\x01\x00", obj, (obj.key,))
+        _, literal, cost, _ = SELECTIONS[tag]
+        if literal is None:
+            return (cost, 1, f"{tag}\x01\x00", obj, ())
+        return (cost, 1, f"{tag}\x01{_literal(str(getattr(obj, literal)))}\x01\x00", obj,
+                () if obj.key is None else (obj.key,))
     if isinstance(obj, Select):
         selection = rank_entry(obj.selection)
         return (selection[0], 1, f"Select\x01{selection[2]}\x00", obj, selection[4])

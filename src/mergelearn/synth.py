@@ -7,17 +7,17 @@ by one target per example and keeps only programs that every example's
 inverses produce, so the set consistent with all examples is generated
 directly rather than intersected from per-example sets. Nodes and
 selections are interned to ints, so targets and memo keys are int tuples
-and the inverses are index lookups. Each example's selection table is
-built in one pass from the ids of its two regions, keyed by plain
-``(tag, k, path, key)`` tuples, and a ``Selection``, ``Select`` or
-``Remove`` is built only for a candidate every example shares. Its Pattern
-rows come only from the keys whose entry is non-empty on every example, so
-an example computes no entry that was empty on an example before it. One
-additive score, ``dsl.program_score``, ranks candidates. The learner
-builds every transformation's rank entry (score, size, structural key,
-transformation, Pattern keys) bottom-up with dsl's own constructors,
-``rank_entry`` and ``concat_entry``, so ``rank`` computes the same entry
-from a finished transformation.
+and the inverses are index lookups. Each example's selection table walks
+the rows of ``dsl.SELECTIONS`` in one pass over the ids of its two
+regions, keyed by plain ``(tag, k, path, key)`` tuples, and a
+``Selection``, ``Select`` or ``Remove`` is built only for a candidate
+every example shares. Its Pattern rows come only from the keys whose entry
+is non-empty on every example, so an example computes no entry that was
+empty on an example before it. One additive score, ``dsl.program_score``,
+ranks candidates. The learner builds every transformation's rank entry
+(score, size, structural key, transformation, Pattern keys) bottom-up with
+dsl's own constructors, ``rank_entry`` and ``concat_entry``, so ``rank``
+computes the same entry from a finished transformation.
 
 Each candidate set is a lazy stream (``_Stream``): one heap merges its base
 candidates and its Concat products best first, pulling an arm's next entry
@@ -60,6 +60,7 @@ from .conflicts import ConflictInput, Node
 from .dsl import (
     DEFAULT_CONFIG,
     PATTERN_KEYS,
+    SELECTIONS,
     W_OPERATORS,
     Condition,
     PatternDictionary,
@@ -236,17 +237,6 @@ def _removed(region: tuple, target: tuple) -> tuple:
     return removed if remove_nodes(region, removed) == target else ()
 
 
-def wf_remove(conflict: ConflictInput, target) -> list[tuple[Selection, tuple[Node, ...]]]:
-    """Inverse of Remove over whole-branch sources: ``(source, removed nodes)``
-    for each source from which Remove can leave the target. The removed
-    nodes are grouped, equal nodes together, in the order each first occurs
-    in the source."""
-    target = tuple(target)
-    return [(Selection(tag), tuple(sorted(removed, key=region.index)))
-            for tag, region in (("Main", conflict.main_nodes), ("Fork", conflict.fork_nodes))
-            if (removed := _removed(region, target))]
-
-
 class _Stream:
     """A candidate set, listed lazily in rank order.
 
@@ -333,16 +323,16 @@ class _TransformationLearner:
 
     Equal nodes share an int id, as do equal selections, so targets and memo
     keys are int tuples. An example is its chunk's dictionary, and its
-    selection table is built in one pass from the ids of the chunk's two
-    regions: index selections are single ids, path selections group the
-    region ids by include path, and the entry of each pattern key that is
-    non-empty on every example is interned once. A selection is a plain
-    ``(tag, k, path, key)`` tuple with an id. Each example indexes its
-    selections by value ids (the inverse of selection) and its non-empty
-    ones by sorted value ids (Remove's multiset), and keeps each region's
-    ids for ``_removed``. The inverses emit ``(source id or -1, selection
-    id)`` pairs; ``_base`` builds the shared pairs' transformations, and
-    ``selection`` their ``Selection``s once.
+    selection table walks the rows of ``dsl.SELECTIONS`` once: a whole
+    region's row interns the region's ids, its index rows are single ids,
+    its path rows group the ids by include path, and the pattern row
+    interns the entry of each key that is non-empty on every example. A
+    selection is a plain ``(tag, k, path, key)`` tuple with an id. Each
+    example indexes its selections by value ids (the inverse of selection)
+    and its non-empty ones by sorted value ids (Remove's multiset), and
+    keeps each region's ids for ``_removed``. The inverses emit ``(source
+    id or -1, selection id)`` pairs; ``_base`` builds the shared pairs'
+    transformations, and ``selection`` their ``Selection``s once.
     """
 
     def __init__(self, pdicts):
@@ -354,24 +344,29 @@ class _TransformationLearner:
         # example after one where it was empty.
         patterns = [key for key in PATTERN_KEYS if all(pdict.entry(key) for pdict in pdicts)]
         for pdict in pdicts:
-            main, fork = pdict.conflict.main_nodes, pdict.conflict.fork_nodes
-            sides = (("Main", main, self.intern(main)), ("Fork", fork, self.intern(fork)))
-            table = [((tag, None, None, None), ids) for tag, _, ids in sides]
-            table += [((tag + "ByIndex", k, None, None), (i,)) for tag, _, ids in sides for k, i in enumerate(ids)]
-            for tag, nodes, ids in sides:
-                by_path: dict = {}
-                for node, i in zip(nodes, ids):
-                    if (path := node.include_path) is not None:
-                        by_path.setdefault(path, []).append(i)
-                table += [((tag + "ByPath", None, path, None), tuple(by_path[path])) for path in sorted(by_path)]
-            table += [(("Pattern", None, None, key), self.intern(pdict.entry(key))) for key in patterns]
+            conflict, table, sources, region_ids = pdict.conflict, [], [], {}
+            for tag, (region, literal, _, _) in SELECTIONS.items():
+                if region is None:
+                    table += [((tag, None, None, key), self.intern(pdict.entry(key))) for key in patterns]
+                elif literal is None:  # a whole region: its ids, interned once, serve its later rows
+                    ids = region_ids[region] = self.intern(getattr(conflict, region))
+                    sources.append(((tag, None, None, None), ids))
+                    table.append(sources[-1])
+                elif literal == "k":
+                    table += [((tag, k, None, None), (i,)) for k, i in enumerate(region_ids[region])]
+                else:
+                    by_path: dict = {}
+                    for node, i in zip(getattr(conflict, region), region_ids[region]):
+                        if (path := node.include_path) is not None:
+                            by_path.setdefault(path, []).append(i)
+                    table += [((tag, None, path, None), tuple(by_path[path])) for path in sorted(by_path)]
             by_value, by_multiset = {}, {}
             for key, value in table:
                 sid = keys.setdefault(key, len(keys))
                 by_value.setdefault(value, []).append(sid)
                 if value:
                     by_multiset.setdefault(tuple(sorted(value)), []).append(sid)
-            regions = tuple((keys[tag, None, None, None], ids) for tag, _, ids in sides)
+            regions = tuple((keys[key], ids) for key, ids in sources)
             self._indexes.append((by_value, by_multiset, regions))
         self._keys = list(keys)
         self._selections: dict = {}  # selection id -> Selection, built on first use

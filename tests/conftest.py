@@ -31,11 +31,12 @@ from mergelearn.dsl import (
     Select,
     Selection,
     build_pattern_dictionary,
+    eval_condition,
     rank_entry,
     run_program,
     selections_in,
 )
-from mergelearn.synth import _Stream, wf_concat, wf_remove
+from mergelearn.synth import _removed, _Stream, wf_concat
 
 OUTSIDE_BEFORE = ("// Copyright 2020 The Sample Authors.", "")
 OUTSIDE_AFTER = ("", "namespace sample {", "void Run() {}", "}  // namespace sample")
@@ -444,6 +445,23 @@ def canonical_selections(conflict: ConflictInput, pdict: PatternDictionary):
         if entry:
             out.append((Selection("Pattern", key=key), entry))
     return out
+
+
+def eval_predicate(predicate: Predicate, pdict: PatternDictionary) -> bool:
+    """Whether one predicate holds: the guard of that predicate alone."""
+    return eval_condition(Condition((predicate,)), pdict)
+
+
+def wf_remove(conflict: ConflictInput, target) -> list[tuple[Selection, tuple]]:
+    """Inverse of Remove over whole-branch sources: ``(source, removed nodes)``
+    for each source from which Remove can leave the target, on ``Node``s.
+    The removed nodes are grouped, equal nodes together, in the order each
+    first occurs in the source. The reference for the learner's Remove
+    inverse, which applies ``synth._removed`` to interned ids."""
+    target = tuple(target)
+    return [(Selection(tag), tuple(sorted(removed, key=region.index)))
+            for tag, region in (("Main", conflict.main_nodes), ("Fork", conflict.fork_nodes))
+            if (removed := _removed(region, target))]
 
 
 def _matching(selections, value):

@@ -31,7 +31,6 @@ from mergelearn.dsl import (
     Selection,
     SynthConfig,
     build_pattern_dictionary,
-    eval_predicate,
     eval_selection,
     eval_transformation,
     remove_nodes,
@@ -50,6 +49,7 @@ from conftest import (
     DUP_PROGRAM,
     FB_PROGRAM,
     canonical_selections,
+    eval_predicate,
     fig_chunk,
     fig_resolution_nodes,
     gen_conflict,
@@ -247,6 +247,8 @@ def test_criterion_5_interpreter_algebra():
 
             s = rng.choice(sels)
             assert eval_transformation(Remove(s, s), pdict) == ()
+            for sel, value in selections:
+                assert eval_selection(sel, pdict) == value
 
             absent = Selection("MainByPath", path="no/where/at_all.h")
             assert eval_selection(absent, pdict) == ()

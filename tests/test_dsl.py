@@ -33,7 +33,6 @@ from mergelearn.dsl import (
     deserialize_program,
     deserialize_programs,
     eval_condition,
-    eval_predicate,
     eval_selection,
     eval_transformation,
     first_resolution,
@@ -53,6 +52,7 @@ from conftest import (
     FAILING_PROGRAM,
     FB_PROGRAM,
     deep_program_text,
+    eval_predicate,
     fig_chunk,
     gen_conflict,
     marker_text,

@@ -55,7 +55,6 @@ from mergelearn.synth import (
     learn_transformation,
     rank,
     wf_concat,
-    wf_remove,
 )
 
 from conftest import (
@@ -74,6 +73,7 @@ from conftest import (
     marker_text,
     multi_example_cases,
     reference_base_candidates,
+    wf_remove,
 )
 
 
@@ -1291,31 +1291,75 @@ def _spec_from_seed(seed: int) -> tuple:
     return next(multi_example_cases(random.Random(seed), sizes=(2, 3, 4)))
 
 
+def _criterion3_spec_from_seed(seed: int) -> tuple:
+    return next(criterion3_cases(random.Random(seed)))
+
+
 def _top_programs(cases, n=50) -> list:
     return [(entry.score, entry.program) for entry in learn(ExampleSpec(tuple(cases)))[:n]]
 
 
-_INCLUDE_PREFIX_RE = re.compile(r"^(\s*#\s*include\s*[\"<])")
+_INCLUDE_PATH_RE = re.compile(r"^(\s*#\s*include\s*[\"<])([^\">]+)")
 
 
-def _zz_line(line: str) -> str:
-    return _INCLUDE_PREFIX_RE.sub(r"\g<1>zz/", line)
+def _renamed_line(line: str, rename) -> str:
+    return _INCLUDE_PATH_RE.sub(lambda m: m.group(1) + rename(m.group(2)), line)
 
 
-def _zz(obj):
+def _renamed(obj, rename):
     """A program, condition, predicate, transformation or selection with
-    every path literal prefixed by ``zz/``."""
+    every path literal ``path`` replaced by ``rename(path)``."""
     if isinstance(obj, Program):
-        return Program(_zz(obj.condition), _zz(obj.transformation))
+        return Program(_renamed(obj.condition, rename), _renamed(obj.transformation, rename))
     if isinstance(obj, Condition):
-        return Condition(tuple(map(_zz, obj.predicates)))
+        return Condition(tuple(_renamed(p, rename) for p in obj.predicates))
     if isinstance(obj, Concat):
-        return Concat(_zz(obj.left), _zz(obj.right))
+        return Concat(_renamed(obj.left, rename), _renamed(obj.right, rename))
     if isinstance(obj, Remove):
-        return Remove(_zz(obj.source), _zz(obj.removed))
+        return Remove(_renamed(obj.source, rename), _renamed(obj.removed, rename))
     if isinstance(obj, Select):
-        return Select(_zz(obj.selection))
-    return dataclasses.replace(obj, path=None if obj.path is None else "zz/" + obj.path)
+        return Select(_renamed(obj.selection, rename))
+    return dataclasses.replace(obj, path=None if obj.path is None else rename(obj.path))
+
+
+def _renamed_cases(cases, rename) -> list:
+    """The cases with every include path in their files and targets renamed;
+    each example is parsed again from its renamed file."""
+    renamed = []
+    for conflict, target in cases:
+        text = "\n".join(_renamed_line(line, rename) for line in conflict.context.lines) + "\n"
+        chunk = parse_conflict_file(text, conflict.file_path)[conflict.index]
+        assert [n.include_path for n in chunk.region_nodes()] == [
+            None if n.include_path is None else rename(n.include_path) for n in conflict.region_nodes()]
+        renamed.append((chunk, tokenize_nodes([_renamed_line(node.raw_text, rename) for node in target])))
+    return renamed
+
+
+def _zz(path: str) -> str:
+    return "zz/" + path
+
+
+def _order_reversing_rename(cases):
+    """``dNNN/`` before each include path of the cases' files, the i-th of
+    their N paths in sorted order numbered N - i, so the renamed paths sort
+    in reverse; file names and stems are kept."""
+    paths = sorted({m.group(2) for conflict, _ in cases for line in conflict.context.lines
+                    if (m := _INCLUDE_PATH_RE.match(line))})
+    numbers = {path: len(paths) - i for i, path in enumerate(paths)}
+    return lambda path: f"d{numbers[path]:03d}/{path}"
+
+
+def _complete_levels(top, n=200) -> dict:
+    """Each score level that the first ``n`` of ``top``, a learned list's
+    first ``n + 1`` or all of a shorter one, hold whole: its programs, each a
+    condition's predicates as a set and a transformation. A condition lists
+    its FrequentPattern predicates in path order, which a rename changes."""
+    levels: dict = {}
+    for score, program in top[:n]:
+        levels.setdefault(score, set()).add((frozenset(program.condition.predicates), program.transformation))
+    if len(top) > n:
+        levels.pop(top[n][0], None)  # the level the cut may split
+    return levels
 
 
 @settings(max_examples=60, deadline=None)
@@ -1338,11 +1382,19 @@ def test_prefixing_every_include_path_prefixes_the_learned_programs_paths(seed):
     # "zz/" keeps the paths' order, file names and stems, so every pattern
     # entry and every rank tie keeps its place.
     cases = _spec_from_seed(seed)
-    renamed = []
-    for conflict, target in cases:
-        text = "\n".join(map(_zz_line, conflict.context.lines)) + "\n"
-        chunk = parse_conflict_file(text, conflict.file_path)[conflict.index]
-        assert [n.include_path for n in chunk.region_nodes()] == [
-            None if n.include_path is None else "zz/" + n.include_path for n in conflict.region_nodes()]
-        renamed.append((chunk, tokenize_nodes([_zz_line(node.raw_text) for node in target])))
-    assert _top_programs(renamed) == [(score, _zz(program)) for score, program in _top_programs(cases)]
+    assert _top_programs(_renamed_cases(cases, _zz)) == [
+        (score, _renamed(program, _zz)) for score, program in _top_programs(cases)]
+
+
+@pytest.mark.parametrize("spec_from_seed", [_spec_from_seed, _criterion3_spec_from_seed],
+                         ids=["multi_example", "criterion3"])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_an_order_reversing_rename_keeps_every_complete_score_level(spec_from_seed, seed):
+    # Reversing the paths' order moves ties inside a score level, which break
+    # on the structural key, but keeps the space and every score: stems are
+    # kept, so Dependency and every other pattern entry are unchanged.
+    cases = spec_from_seed(seed)
+    rename = _order_reversing_rename(cases)
+    before = [(score, _renamed(program, rename)) for score, program in _top_programs(cases, 201)]
+    assert _complete_levels(_top_programs(_renamed_cases(cases, rename), 201)) == _complete_levels(before)
